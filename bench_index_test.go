@@ -107,6 +107,7 @@ func BenchmarkIndex(b *testing.B) {
 	scale := parBenchScale()
 
 	b.Run("build", func(b *testing.B) {
+		b.ReportAllocs()
 		var frames int
 		start := time.Now()
 		for i := 0; i < b.N; i++ {
@@ -168,6 +169,7 @@ func BenchmarkIndex(b *testing.B) {
 
 	bench := func(phase string, opts Options) func(*testing.B) {
 		return func(b *testing.B) {
+			b.ReportAllocs()
 			var sim float64
 			var chunks, framesSkipped int
 			start := time.Now()

@@ -155,6 +155,7 @@ func BenchmarkLimit(b *testing.B) {
 	}
 	for _, c := range cases {
 		b.Run(c.phase, func(b *testing.B) {
+			b.ReportAllocs()
 			var res *Result
 			start := time.Now()
 			for i := 0; i < b.N; i++ {
@@ -189,6 +190,7 @@ func BenchmarkLimit(b *testing.B) {
 	// density-limit on its own, scanning the same frames the forced phase
 	// did.
 	b.Run("sparse_nohint", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < 3; i++ {
 			if _, err := sys.Query(limitBenchSparseDensity); err != nil {
 				b.Fatal(err)

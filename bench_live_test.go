@@ -136,6 +136,7 @@ func BenchmarkLive(b *testing.B) {
 	scale := parBenchScale()
 
 	b.Run("ingest", func(b *testing.B) {
+		b.ReportAllocs()
 		var frames int
 		start := time.Now()
 		for i := 0; i < b.N; i++ {
@@ -163,6 +164,7 @@ func BenchmarkLive(b *testing.B) {
 	// both strategies pay them identically and the point is the marginal
 	// cost of keeping a standing answer current.
 	b.Run("advance", func(b *testing.B) {
+		b.ReportAllocs()
 		var answered time.Duration
 		for i := 0; i < b.N; i++ {
 			sys := newLiveBenchSystem(b, scale)
@@ -193,6 +195,7 @@ func BenchmarkLive(b *testing.B) {
 	})
 
 	b.Run("rescan", func(b *testing.B) {
+		b.ReportAllocs()
 		var answered time.Duration
 		for i := 0; i < b.N; i++ {
 			sys := newLiveBenchSystem(b, scale)
@@ -225,6 +228,7 @@ func BenchmarkLive(b *testing.B) {
 	// concurrent_query_p50_ratio summary (gated by benchgate) is the
 	// regression signal if readers ever start blocking on the write path.
 	b.Run("concurrent", func(b *testing.B) {
+		b.ReportAllocs()
 		var idle, busy []time.Duration
 		var frames int
 		var ingestNs int64

@@ -122,6 +122,7 @@ func TestMain(m *testing.M) {
 	writeIndexBenchJSON()
 	writeLiveBenchJSON()
 	writeLimitBenchJSON()
+	writeServeBenchJSON()
 	os.Exit(code)
 }
 
@@ -162,6 +163,7 @@ func BenchmarkParallelPlans(b *testing.B) {
 		}
 		for _, par := range []int{1, 4, 8} {
 			b.Run(fmt.Sprintf("%s/p%d", fam.name, par), func(b *testing.B) {
+				b.ReportAllocs()
 				var sim float64
 				var calls int
 				start := time.Now()

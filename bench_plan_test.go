@@ -99,6 +99,7 @@ func BenchmarkPlanner(b *testing.B) {
 	sys := parBenchSystem(b)
 	for _, tc := range planBenchQueries {
 		b.Run(tc.Family, func(b *testing.B) {
+			b.ReportAllocs()
 			coldStart := time.Now()
 			res, err := sys.Query(tc.Query)
 			if err != nil {
@@ -165,6 +166,7 @@ func BenchmarkPlanner(b *testing.B) {
 	// cost-choose density-limit. The simulated-cost ratio is the speedup
 	// calibration buys without any operator guidance.
 	b.Run("sparse_limit_nohint", func(b *testing.B) {
+		b.ReportAllocs()
 		lsys, err := Open("taipei", Options{Scale: parBenchScale(), Seed: 1})
 		if err != nil {
 			b.Fatal(err)

@@ -28,6 +28,12 @@
 // machine speed cancels out: it is judged against the absolute
 // -concurrent-ratio-cap (default 1.5) even when no baseline exists.
 //
+// BENCH_serve's hit_ns_exhaustive_over_distinct summary (the /query
+// handler's cost on a cache hit for the largest reply over the smallest)
+// is likewise within-run: a hit is a lookup and a write of stored bytes,
+// so the ratio may not exceed serveHitRatioCap (12) — a hit path that goes
+// back to re-encoding its reply reads 45 or more.
+//
 // Planner-calibration records (BENCH_plan) carry both a raw and a
 // calibrated estimate error per family. Both are deterministic simulated
 // quantities, so they gate like sim_seconds: within a run, a family whose
@@ -74,6 +80,11 @@ type benchFile struct {
 	// cancels out and it is judged against an absolute cap, baseline or
 	// not.
 	ConcurrentQueryP50Ratio float64 `json:"concurrent_query_p50_ratio"`
+	// HitNsExhaustiveOverDistinct is BENCH_serve's summary: the handler's
+	// wall time on a cache hit for the ~174 KB exhaustive reply over the
+	// ~1 KB distinct one. Within-run like the ratio above, so judged
+	// against an absolute cap.
+	HitNsExhaustiveOverDistinct float64 `json:"hit_ns_exhaustive_over_distinct"`
 	// SparseNoHintPlan and SparseNoHintFramesScannedRatio are
 	// BENCH_limit's calibration-graduation summary: the plan the warmed-up
 	// planner cost-chose for the sparse LIMIT query with no hint, and the
@@ -267,6 +278,23 @@ func checkConcurrentRatio(name string, cur *benchFile, cap float64) (failure str
 	return ""
 }
 
+// serveHitRatioCap bounds BENCH_serve's within-run hit-cost ratio: a cache
+// hit's cost follows the bytes it writes, not the rows it would have to
+// encode.
+const serveHitRatioCap = 12
+
+// checkServeHitRatio judges BENCH_serve's within-run hit-cost ratio against
+// serveHitRatioCap. Like checkConcurrentRatio it needs no baseline, and a
+// file without the summary is never judged.
+func checkServeHitRatio(name string, cur *benchFile) (failure string) {
+	if r := cur.HitNsExhaustiveOverDistinct; r > serveHitRatioCap {
+		return fmt.Sprintf(
+			"%s: a cache hit on the exhaustive reply costs %.1fx one on the distinct reply (cap %dx) — hits are re-encoding their replies",
+			name, r, serveHitRatioCap)
+	}
+	return ""
+}
+
 // checkCalibration applies the within-run calibration gates, which are
 // deterministic and machine-neutral so no baseline is needed. Per record:
 // a calibrated estimate error exceeding the raw error by more than calTol
@@ -352,10 +380,14 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		// The within-run concurrent-latency and calibration gates apply
-		// even on the first run — they compare the fresh file against
+		// The within-run concurrent-latency, hit-cost and calibration gates
+		// apply even on the first run — they compare the fresh file against
 		// itself, not a baseline.
 		if f := checkConcurrentRatio(name, cur, *ratioCap); f != "" {
+			fmt.Println("FAIL", f)
+			failed = true
+		}
+		if f := checkServeHitRatio(name, cur); f != "" {
 			fmt.Println("FAIL", f)
 			failed = true
 		}

@@ -200,6 +200,23 @@ func TestConcurrentRatioCap(t *testing.T) {
 	}
 }
 
+// TestServeHitRatioCap: the exhaustive/distinct hit-cost ratio is capped
+// the same way — a re-encoding hit path (45x or more) fails, the
+// stored-bytes one passes.
+func TestServeHitRatioCap(t *testing.T) {
+	reencoding := &benchFile{Scale: 0.05, HitNsExhaustiveOverDistinct: 45}
+	if f := checkServeHitRatio("BENCH_serve.json", reencoding); !strings.Contains(f, "45.0x") {
+		t.Fatalf("ratio 45 vs cap 12: %q, want failure", f)
+	}
+	stored := &benchFile{Scale: 0.05, HitNsExhaustiveOverDistinct: 1.9}
+	if f := checkServeHitRatio("BENCH_serve.json", stored); f != "" {
+		t.Fatalf("ratio 1.9 vs cap 12 judged: %q", f)
+	}
+	if f := checkServeHitRatio("BENCH_live.json", &benchFile{Scale: 0.05}); f != "" {
+		t.Fatalf("file without summary judged: %q", f)
+	}
+}
+
 // TestRecordKeyShapes covers the three record shapes the suites emit.
 func TestRecordKeyShapes(t *testing.T) {
 	cases := []struct {

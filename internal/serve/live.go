@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -122,8 +121,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ingestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "invalid JSON body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Stream == "" || req.Frames <= 0 {
@@ -195,7 +193,10 @@ type subscribeRequest struct {
 }
 
 // subscribeResponse is the POST /subscribe (and GET /poll) reply: the
-// subscription handle plus the standing query's current answer.
+// subscription handle, followed on the wire by "result" — the standing
+// query's current answer in /query's reply format (writeReply's envelope;
+// a standing answer reports no snapshot of its own, the handle carries its
+// horizon).
 type subscribeResponse struct {
 	ID string `json:"id"`
 	// Seq increments every time the answer's horizon advances; pollers
@@ -214,10 +215,9 @@ type subscribeResponse struct {
 	// advance switched plans. ReplanAtHorizon, when nonzero, is the
 	// chunk-aligned horizon at which a pending drift re-plan will
 	// re-enumerate (see the planner's drift detector).
-	PlanSwitches    int            `json:"plan_switches,omitempty"`
-	Replanned       bool           `json:"replanned,omitempty"`
-	ReplanAtHorizon int            `json:"replan_at_horizon,omitempty"`
-	Result          *queryResponse `json:"result"`
+	PlanSwitches    int  `json:"plan_switches,omitempty"`
+	Replanned       bool `json:"replanned,omitempty"`
+	ReplanAtHorizon int  `json:"replan_at_horizon,omitempty"`
 }
 
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
@@ -237,8 +237,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req subscribeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "invalid JSON body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Stream == "" || req.Query == "" {
@@ -341,13 +340,19 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	s.liveSt.mu.Unlock()
 	s.m.subscribes.Inc()
 
-	writeJSON(w, http.StatusOK, &subscribeResponse{
+	wall := time.Since(start)
+	head, release, err := appendScratchHead(req.Stream, canonical, res, false, s.maxRows(req.MaxRows))
+	if err != nil {
+		writeEncodeError(w, err)
+		return
+	}
+	defer release()
+	writeReply(w, &subscribeResponse{
 		ID: sub.id, Seq: sub.seq,
 		Horizon: cur.Horizon, DayFrames: s.dayFrames(req.Stream),
 		Plan:    cur.Plan,
 		Updated: true,
-		Result:  s.buildResponse(req.Stream, canonical, res, false, s.maxRows(req.MaxRows), time.Since(start)),
-	})
+	}, head, wall, "", nil, 0, 0)
 }
 
 func (s *Server) handleUnsubscribe(w http.ResponseWriter, r *http.Request) {
@@ -457,7 +462,22 @@ func (s *Server) handlePoll(w http.ResponseWriter, r *http.Request) {
 	if maxRowsOverride > 0 && (maxRows <= 0 || maxRowsOverride < maxRows) {
 		maxRows = maxRowsOverride
 	}
-	resp := &subscribeResponse{
+	wall := time.Since(start)
+	head, release, err := appendScratchHead(sub.stream, sub.canonical, sub.last, !updated, s.maxRows(maxRows))
+	if err != nil {
+		writeEncodeError(w, err)
+		return
+	}
+	defer release()
+	var traceID string
+	var inline *obs.Trace
+	if tr != nil {
+		traceID = tr.ID
+		if wantTrace(r) {
+			inline = tr
+		}
+	}
+	writeReply(w, &subscribeResponse{
 		ID: sub.id, Seq: sub.seq,
 		Horizon: sub.cursor.Horizon, DayFrames: s.dayFrames(sub.stream),
 		Plan:            sub.cursor.Plan,
@@ -465,15 +485,7 @@ func (s *Server) handlePoll(w http.ResponseWriter, r *http.Request) {
 		PlanSwitches:    sub.cursor.PlanSwitches,
 		Replanned:       replanned,
 		ReplanAtHorizon: sub.cursor.ReplanAtHorizon,
-		Result:          s.buildResponse(sub.stream, sub.canonical, sub.last, !updated, s.maxRows(maxRows), time.Since(start)),
-	}
-	if tr != nil {
-		resp.Result.TraceID = tr.ID
-		if wantTrace(r) {
-			resp.Result.Trace = tr
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	}, head, wall, traceID, inline, 0, 0)
 }
 
 // dayFrames returns the stream's full-day frame count (0 when unopened).

@@ -127,7 +127,7 @@ func TestSubscribePollLifecycle(t *testing.T) {
 		t.Skip("generates streams")
 	}
 	_, ts := newLiveServer(t)
-	var sub subscribeResponse
+	var sub standingReply
 	resp := postJSON(t, ts.URL+"/subscribe",
 		fmt.Sprintf(`{"stream":"taipei","query":%q}`, liveScanQuery), &sub)
 	if resp.StatusCode != http.StatusOK {
@@ -187,7 +187,7 @@ func TestSubscriptionAnswerMatchesFreshQuery(t *testing.T) {
 	if resp := postJSON(t, ts.URL+"/ingest", `{"stream":"taipei","frames":3000}`, nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("ingest: HTTP %d", resp.StatusCode)
 	}
-	var adv subscribeResponse
+	var adv standingReply
 	getJSON(t, ts.URL+"/poll?id="+sub.ID, &adv)
 	_, fresh := postQuery(t, ts.URL, fmt.Sprintf(`{"stream":"taipei","query":%q,"no_cache":true}`, liveScanQuery))
 	if adv.Result == nil || adv.Result.Value == nil || fresh.Value == nil {

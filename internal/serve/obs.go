@@ -171,6 +171,16 @@ func (s *Server) registerCollectors() {
 		obs.KindCounter, nil, func(emit obs.EmitFunc) {
 			emit(float64(s.cache.Stats().SavedDetectorCalls))
 		})
+	r.CollectFunc("blazeit_cache_encoded_bytes",
+		"Bytes of encoded hit replies resident result-cache entries keep.",
+		obs.KindGauge, nil, func(emit obs.EmitFunc) {
+			emit(float64(s.cache.EncodedBytes()))
+		})
+	r.CollectFunc("blazeit_query_parse_memo_hits_total",
+		"Query texts whose analysis was served from the parse memo.",
+		obs.KindCounter, nil, func(emit obs.EmitFunc) {
+			emit(float64(s.cache.Stats().ParseMemoHits))
+		})
 	r.CollectFunc("blazeit_engines_open", "Stream engines currently open.",
 		obs.KindGauge, nil, func(emit obs.EmitFunc) {
 			open, _ := s.reg.Open()

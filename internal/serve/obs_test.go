@@ -130,10 +130,14 @@ func TestMetricsExposition(t *testing.T) {
 		`blazeit_engines_open`:                           1,
 		`blazeit_result_cache_entries`:                   1,
 		`blazeit_result_cache_events_total{event="hit"}`: 1,
+		`blazeit_query_parse_memo_hits_total`:            1,
 	} {
 		if got := metricValue(t, text, series); got != want {
 			t.Errorf("%s = %v, want %v", series, got, want)
 		}
+	}
+	if got := metricValue(t, text, "blazeit_cache_encoded_bytes"); got <= 0 {
+		t.Errorf("blazeit_cache_encoded_bytes = %v after a hit, want the stored reply's size", got)
 	}
 	for _, series := range []string{"blazeit_uptime_seconds", "blazeit_sim_charged_seconds_total", "blazeit_planner_planned_total"} {
 		if !strings.Contains(text, series) {
@@ -356,6 +360,12 @@ func TestStatzAgreesWithMetrics(t *testing.T) {
 	}
 	if statz.Queries.Total != 2 || statz.Queries.CacheHits != 1 {
 		t.Errorf("statz queries = %+v", statz.Queries)
+	}
+	if got := metricValue(t, text, "blazeit_cache_encoded_bytes"); got != float64(statz.Cache.EncodedBytes) || got <= 0 {
+		t.Errorf("encoded bytes: /metrics %v, /statz %d", got, statz.Cache.EncodedBytes)
+	}
+	if got := metricValue(t, text, "blazeit_query_parse_memo_hits_total"); got != float64(statz.Cache.ParseMemoHits) || got != 1 {
+		t.Errorf("parse memo hits: /metrics %v, /statz %d, want 1", got, statz.Cache.ParseMemoHits)
 	}
 }
 

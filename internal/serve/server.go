@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -281,6 +282,7 @@ func (s *Server) Cache() *ResultCache { return s.cache }
 const (
 	codeMethodNotAllowed    = "method_not_allowed"
 	codeBadRequest          = "bad_request"
+	codeBodyTooLarge        = "body_too_large"
 	codeUnknownStream       = "unknown_stream"
 	codeInvalidQuery        = "invalid_query"
 	codeUnknownSubscription = "unknown_subscription"
@@ -317,12 +319,64 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
+// appendJSON appends v encoded as writeJSON encodes it, without the
+// encoder's trailing newline.
+func appendJSON(dst []byte, v any) ([]byte, error) {
+	buf := bytes.NewBuffer(dst)
+	enc := json.NewEncoder(buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(v); err != nil {
+		return nil, err
+	}
+	return buf.Bytes()[:buf.Len()-1], nil
+}
+
+// appendOpenObject is appendJSON for a struct, leaving its JSON object open
+// for the caller to append further fields to (each led by a comma) and
+// close. The struct must have a field that is always encoded, or the first
+// appended field's comma would follow the opening brace.
+func appendOpenObject(dst []byte, v any) ([]byte, error) {
+	b, err := appendJSON(dst, v)
+	if err != nil {
+		return nil, err
+	}
+	return b[:len(b)-1], nil
+}
+
+// writeEncodeError reports a reply that could not be encoded (a NaN or
+// infinite number in a result) as a 500 rather than an empty 200.
+func writeEncodeError(w http.ResponseWriter, err error) {
+	writeError(w, http.StatusInternalServerError, codeInternal, "encoding reply: %v", err)
+}
+
 func writeError(w http.ResponseWriter, status int, code string, format string, args ...any) {
 	writeJSON(w, status, errorResponse{Error: errorBody{
 		Status:  status,
 		Code:    code,
 		Message: fmt.Sprintf(format, args...),
 	}})
+}
+
+// maxBodyBytes bounds a request body. The largest thing a client sends is
+// a query text; nothing legitimate comes near 1 MiB.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most maxBodyBytes of
+// it. On failure it writes the error reply — 413 for an oversized body,
+// 400 for malformed JSON — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, codeBodyTooLarge,
+			"request body exceeds %d bytes", tooLarge.Limit)
+	} else {
+		writeError(w, http.StatusBadRequest, codeBadRequest, "invalid JSON body: %v", err)
+	}
+	return false
 }
 
 // queryRequest is the POST /query body.
@@ -384,8 +438,11 @@ type rowJSON struct {
 	Confidence float64 `json:"confidence"`
 }
 
-// queryResponse is the POST /query reply.
-type queryResponse struct {
+// replyHead is the part of a /query reply that is a pure function of the
+// stored result and the row cap — everything up to "wall_ms". Together
+// with appendReplyTail it is the one definition of the reply's wire
+// format; /subscribe and /poll embed the same object as "result".
+type replyHead struct {
 	Stream    string    `json:"stream"`
 	Canonical string    `json:"canonical"`
 	Kind      string    `json:"kind"`
@@ -401,21 +458,6 @@ type queryResponse struct {
 	// PlanReport is the planner's candidate table for this execution
 	// (for cached results, the execution that populated the cache).
 	PlanReport *plan.Report `json:"plan_report,omitempty"`
-	WallMS     float64      `json:"wall_ms"`
-	// TraceID identifies this request's execution trace; the full span
-	// tree is retrievable at /traces/{id} while the ring retains it.
-	TraceID string `json:"trace_id,omitempty"`
-	// Trace is the span tree inline, present when the request asked for
-	// it with ?trace=1.
-	Trace *obs.Trace `json:"trace,omitempty"`
-	// Epoch and Horizon identify the stream snapshot the answer was
-	// computed against: the ingest epoch and the frame count it made
-	// visible. Both are zero for full-day (non-live) streams. Clients
-	// reading concurrently with ingest can rely on the pair being
-	// internally consistent — an answer is never labeled with a horizon
-	// from a different epoch than the one it ran at.
-	Epoch   uint64 `json:"epoch"`
-	Horizon int    `json:"horizon,omitempty"`
 }
 
 // defaultParallelism is the worker count defaulted engines execute plans
@@ -466,8 +508,12 @@ func (s *Server) maxRows(override int) int {
 	return cap
 }
 
-func (s *Server) buildResponse(stream, canonical string, res *core.Result, cached bool, maxRows int, wall time.Duration) *queryResponse {
-	resp := &queryResponse{
+// appendReplyHead appends the head of a reply for res to dst, as a JSON
+// object left open for appendReplyTail. The bytes depend on nothing but
+// the arguments after dst, so a cache entry keeps them and every hit
+// shares them.
+func appendReplyHead(dst []byte, stream, canonical string, res *core.Result, cached bool, maxRows int) ([]byte, error) {
+	head := replyHead{
 		Stream:     stream,
 		Canonical:  canonical,
 		Kind:       res.Kind,
@@ -477,25 +523,24 @@ func (s *Server) buildResponse(stream, canonical string, res *core.Result, cache
 		TrackIDs:   res.TrackIDs,
 		Stats:      toStatsJSON(&res.Stats),
 		PlanReport: res.PlanReport,
-		WallMS:     float64(wall.Microseconds()) / 1000,
 	}
 	if res.Kind == "aggregate" || res.Kind == "distinct-count" || res.Kind == "binary-detection" {
 		v := res.Value
-		resp.Value = &v
+		head.Value = &v
 		if res.StdErr != 0 {
 			se := res.StdErr
-			resp.StdErr = &se
+			head.StdErr = &se
 		}
 	}
 	rows := res.Rows
 	if len(rows) > maxRows {
 		rows = rows[:maxRows]
-		resp.Truncated = true
+		head.Truncated = true
 	}
 	if len(rows) > 0 {
-		resp.Rows = make([]rowJSON, len(rows))
+		head.Rows = make([]rowJSON, len(rows))
 		for i, r := range rows {
-			resp.Rows[i] = rowJSON{
+			head.Rows[i] = rowJSON{
 				Timestamp:  r.Timestamp,
 				Class:      string(r.Class),
 				TrackID:    r.TrackID,
@@ -504,7 +549,106 @@ func (s *Server) buildResponse(stream, canonical string, res *core.Result, cache
 			}
 		}
 	}
-	return resp
+	return appendOpenObject(dst, head)
+}
+
+// replyScratch recycles the buffers of heads encoded for one request — a
+// miss or a standing answer — the way encoding/json
+// recycles its own, so such a reply allocates no more than a streaming
+// encode would. A stored hit head is owned by its cache entry and never
+// comes from here.
+var replyScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// appendScratchHead is appendReplyHead into a recycled buffer. The caller
+// writes the head out and then calls release, after which the bytes are
+// another request's.
+func appendScratchHead(stream, canonical string, res *core.Result, cached bool, maxRows int) (head []byte, release func(), err error) {
+	scratch := replyScratch.Get().(*[]byte)
+	release = func() { replyScratch.Put(scratch) }
+	if head, err = appendReplyHead((*scratch)[:0], stream, canonical, res, cached, maxRows); err != nil {
+		release()
+		return nil, nil, err
+	}
+	*scratch = head // keep what the encode grew
+	return head, release, nil
+}
+
+// appendReplyTail appends the per-request fields of a reply and closes
+// the object appendReplyHead opened: the wall time, the request's trace ID
+// (the full span tree is retrievable at /traces/{id} while the ring
+// retains it), the span tree inline when the request asked for it with
+// ?trace=1, and the stream snapshot the answer was computed against.
+// Epoch and horizon are the ingest epoch and the frame count it made
+// visible, both zero for full-day (non-live) streams; clients reading
+// concurrently with ingest can rely on the pair being internally
+// consistent — an answer is never labeled with a horizon from a different
+// epoch than the one it ran at.
+func appendReplyTail(dst []byte, wall time.Duration, traceID string, trace *obs.Trace, epoch uint64, horizon int) ([]byte, error) {
+	// A duration in milliseconds at microsecond resolution is zero or in
+	// [1e-3, 1e13), where encoding/json also formats floats with 'f'.
+	dst = append(dst, `,"wall_ms":`...)
+	dst = strconv.AppendFloat(dst, float64(wall.Microseconds())/1000, 'f', -1, 64)
+	if traceID != "" {
+		// Trace IDs are hex (obs.NewID), so quoting never escapes.
+		dst = append(dst, `,"trace_id":`...)
+		dst = strconv.AppendQuote(dst, traceID)
+	}
+	if trace != nil {
+		dst = append(dst, `,"trace":`...)
+		var err error
+		if dst, err = appendJSON(dst, trace); err != nil {
+			return nil, err
+		}
+	}
+	dst = append(dst, `,"epoch":`...)
+	dst = strconv.AppendUint(dst, epoch, 10)
+	if horizon != 0 {
+		dst = append(dst, `,"horizon":`...)
+		dst = strconv.AppendInt(dst, int64(horizon), 10)
+	}
+	return append(dst, '}'), nil
+}
+
+// writeReply writes a reply: head (appendReplyHead's bytes), then the tail
+// appendReplyTail builds from the arguments after it. head may be a cache
+// entry's stored bytes, shared with concurrent requests — it is written,
+// never appended to. /query passes a nil envelope and the reply is the
+// whole body; /subscribe and /poll pass their handle, a struct whose fields
+// open the body, with the reply following as the last field, "result".
+func writeReply(w http.ResponseWriter, envelope any, head []byte, wall time.Duration, traceID string, trace *obs.Trace, epoch uint64, horizon int) {
+	var open []byte
+	closing := "\n"
+	var err error
+	if envelope != nil {
+		if open, err = appendOpenObject(nil, envelope); err == nil {
+			open = append(open, `,"result":`...)
+			closing = "}\n"
+		}
+	}
+	var tail []byte
+	if err == nil {
+		tail, err = appendReplyTail(make([]byte, 0, 96), wall, traceID, trace, epoch, horizon)
+	}
+	if err != nil {
+		writeEncodeError(w, err)
+		return
+	}
+	writeBody(w, open, head, append(tail, closing...))
+}
+
+// writeBody writes a 200 JSON reply assembled from parts, declaring its
+// length up front so large replies need no chunked framing.
+func writeBody(w http.ResponseWriter, parts ...[]byte) {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(n))
+	w.WriteHeader(http.StatusOK)
+	for _, p := range parts {
+		_, _ = w.Write(p) // a failed write is a departed client
+	}
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -513,8 +657,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "invalid JSON body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Stream == "" || req.Query == "" {
@@ -525,7 +668,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, codeUnknownStream, "unknown stream %q (see /streams)", req.Stream)
 		return
 	}
-	info, err := frameql.Analyze(req.Query)
+	info, canonical, err := s.cache.Analyze(req.Query)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, codeInvalidQuery, "query error: %v", err)
 		return
@@ -536,9 +679,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	canonical := info.Stmt.String()
 	traceID := traceIDFrom(r.Context())
 	inline := wantTrace(r)
+	maxRows := s.maxRows(req.MaxRows)
 	start := time.Now()
 
 	// Pin the stream's published snapshot up front: the snapshot is
@@ -554,24 +697,32 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !req.NoCache {
 		// The key carries the stream's ingest epoch: an answer computed
 		// before an ingest can never serve a request arriving after it.
-		if hit := s.cache.Get(CacheKey(req.Stream, pinEpoch, canonical)); hit != nil {
+		if hit := s.cache.lookup(CacheKey(req.Stream, pinEpoch, canonical)); hit != nil {
 			s.m.queries.With(req.Stream).Inc()
 			s.m.cacheHits.With(req.Stream).Inc()
-			resp := s.buildResponse(
-				req.Stream, canonical, hit, true, s.maxRows(req.MaxRows), time.Since(start))
-			resp.Epoch, resp.Horizon = pinEpoch, pinHorizon
-			resp.TraceID = traceID
+			// The key fixes the reply up to its per-request tail, so hits at
+			// the server's row cap share the bytes the first of them encoded.
+			var head []byte
+			if maxRows == s.maxRows(0) {
+				head, err = hit.hitHead(req.Stream, canonical, maxRows)
+			} else {
+				head, err = appendReplyHead(nil, req.Stream, canonical, cachedView(hit.res), true, maxRows)
+			}
+			if err != nil {
+				writeEncodeError(w, err)
+				return
+			}
+			var tr *obs.Trace
 			if inline {
 				// A cache hit runs no execution; the trace records the
 				// lookup itself so traced requests always return a tree.
-				tr := obs.NewTraceID(canonical, traceID)
+				tr = obs.NewTraceID(canonical, traceID)
 				tr.Root.SetAttr("stream", req.Stream)
 				tr.Root.SetAttr("cached", "true")
 				tr.Finish()
 				s.traces.Add(tr)
-				resp.Trace = tr
 			}
-			writeJSON(w, http.StatusOK, resp)
+			writeReply(w, nil, head, time.Since(start), traceID, tr, pinEpoch, pinHorizon)
 			return
 		}
 	}
@@ -642,13 +793,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.observeEstimateError(res.PlanReport)
 	wall := time.Since(start)
 	s.logSlowQuery("query", req.Stream, canonical, wall, tr)
-	resp := s.buildResponse(req.Stream, canonical, res, false, s.maxRows(req.MaxRows), wall)
-	resp.Epoch, resp.Horizon = execEpoch, execHorizon
-	resp.TraceID = traceID
-	if inline {
-		resp.Trace = tr
+	head, release, err := appendScratchHead(req.Stream, canonical, res, false, maxRows)
+	if err != nil {
+		writeEncodeError(w, err)
+		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	defer release()
+	if !inline {
+		tr = nil // on record in the ring; inline only on request
+	}
+	writeReply(w, nil, head, wall, traceID, tr, execEpoch, execHorizon)
 }
 
 // streamInfo is one GET /streams entry.
@@ -817,7 +971,7 @@ type statzResponse struct {
 	UptimeSeconds float64           `json:"uptime_seconds"`
 	Queries       queriesStatz      `json:"queries"`
 	Sim           simStatz          `json:"sim"`
-	Cache         CacheStats        `json:"cache"`
+	Cache         cacheStatz        `json:"cache"`
 	Pool          PoolStats         `json:"pool"`
 	Parallel      parallelStatz     `json:"parallel"`
 	Planner       plannerStatz      `json:"planner"`
@@ -923,6 +1077,13 @@ type parallelStatz struct {
 	// PoolUtilization is the fraction of request-pool workers currently
 	// executing queries (0..1).
 	PoolUtilization float64 `json:"pool_utilization"`
+}
+
+// cacheStatz is the result cache's counters plus the size of the hit
+// replies it keeps encoded.
+type cacheStatz struct {
+	CacheStats
+	EncodedBytes int64 `json:"encoded_bytes"`
 }
 
 type queriesStatz struct {
@@ -1051,7 +1212,7 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := statzResponse{
 		UptimeSeconds: time.Since(s.start).Seconds(),
-		Cache:         cache,
+		Cache:         cacheStatz{cache, s.cache.EncodedBytes()},
 		Pool:          pool,
 		Parallel:      par,
 		Planner:       planner,
