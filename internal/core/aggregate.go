@@ -208,93 +208,78 @@ type aggScanState struct {
 	Stats Stats `json:"stats"`
 }
 
-// aggScanExec runs the detector over every frame (or, for the gated
+// aggScanKernel runs the detector over every frame (or, for the gated
 // oracle variant, every oracle-occupied frame) and averages the counts.
-// Progress units are frames; on a grown live stream the scan continues
-// over the new suffix and the mean re-derives from the extended sum —
-// bit-identical to a cold scan of the extended stream, because the sum is
-// integer arithmetic.
-type aggScanExec struct {
-	traceHook
-	e     *Engine
-	info  *frameql.Info
-	class vidsim.Class
-	par   int
-	st    aggScanState
-	// oracle gates on the free presence oracle (Figure 4's "NoScope
+// On a grown live stream the scan continues over the new suffix and the
+// mean re-derives from the extended sum — bit-identical to a cold scan of
+// the extended stream, because the sum is integer arithmetic.
+type aggScanKernel struct {
+	e        *Engine
+	info     *frameql.Info
+	class    vidsim.Class
+	fullCost float64
+	// presence gates on the free presence oracle (Figure 4's "NoScope
 	// (Oracle)" bar): the detector runs only on occupied frames. Counting
 	// still requires detection on every occupied frame, so streams with
-	// high occupancy benefit little (§10.1.1).
-	oracle bool
+	// high occupancy benefit little (§10.1.1). Nil for the naive scan.
+	presence []int32
+	sum      int64
 }
 
-func (e *Engine) newAggScanExec(info *frameql.Info, class vidsim.Class, par int, label string, oracle bool) *aggScanExec {
-	x := &aggScanExec{e: e, info: info, class: class, par: par, oracle: oracle}
-	x.st.Stats.Plan = label
-	return x
-}
-
-func (x *aggScanExec) meter() *Stats { return &x.st.Stats }
-
-func (x *aggScanExec) Total() int { return x.e.Test.Frames }
-func (x *aggScanExec) Pos() int   { return x.st.Pos }
-func (x *aggScanExec) Done() bool { return x.st.Pos >= x.Total() }
-
-func (x *aggScanExec) RunTo(units int) error {
-	e, class := x.e, x.class
-	fullCost := e.DTest.FullFrameCost()
-	var presence []int32
-	if x.oracle {
-		presence = e.Test.Counts(class)
+func (e *Engine) newAggScanExec(info *frameql.Info, class vidsim.Class, par int, label string, oracle bool) *scanExec[[]int32] {
+	k := &aggScanKernel{e: e, info: info, class: class, fullCost: e.DTest.FullFrameCost()}
+	if oracle {
+		k.presence = e.Test.Counts(class)
 	}
-	// Production stays sharded and parallel (per-frame integer counts are
-	// exact and order-free); consumption charges and sums per frame in
-	// order over chunk-aligned batches, so the scan suspends on exact
-	// frame boundaries.
-	pos, _ := runScan(x.par, x.st.Pos, x.Total(), units, false,
-		x.scanTrace(e.exec, &x.st.Stats),
-		func(s shard) []int32 {
-			c := e.DTest.NewCounter()
-			if !x.oracle {
-				return c.CountRange(s.lo, s.hi, class, make([]int32, 0, s.hi-s.lo))
-			}
-			counts := make([]int32, s.hi-s.lo)
-			for f := s.lo; f < s.hi; f++ {
-				if presence[f] == 0 {
-					continue
-				}
-				counts[f-s.lo] = int32(c.CountAt(f, class))
-			}
-			return counts
-		},
-		func(blo, bhi, off0 int, counts []int32) (int, bool) {
-			for i := blo; i < bhi; i++ {
-				if x.oracle && presence[i] == 0 {
-					continue
-				}
-				x.st.Stats.addDetection(fullCost)
-				x.st.Sum += int64(counts[off0+(i-blo)])
-			}
-			return bhi - blo, true
-		})
-	x.st.Pos = pos
+	return newScan(e.exec, info.Kind.String(), label, par, e.Test.Frames, false, k)
+}
+
+func (k *aggScanKernel) produce(lo, hi int) []int32 {
+	c := k.e.DTest.NewCounter()
+	if k.presence == nil {
+		return c.CountRange(lo, hi, k.class, make([]int32, 0, hi-lo))
+	}
+	counts := make([]int32, hi-lo)
+	for f := lo; f < hi; f++ {
+		if k.presence[f] != 0 {
+			counts[f-lo] = int32(c.CountAt(f, k.class))
+		}
+	}
+	return counts
+}
+
+// merge charges and sums per frame in order (per-frame integer counts are
+// exact and order-free, but the float meter is not).
+func (k *aggScanKernel) merge(m *Stats, fold bool, blo, bhi, off0 int, counts []int32) (int, int, bool, error) {
+	for i := blo; i < bhi; i++ {
+		if k.presence != nil && k.presence[i] == 0 {
+			continue
+		}
+		if m != nil {
+			m.addDetection(k.fullCost)
+		}
+		if fold {
+			k.sum += int64(counts[off0+(i-blo)])
+		}
+	}
+	return bhi - blo, 0, false, nil
+}
+
+func (k *aggScanKernel) save(p *scanProgress) ([]byte, error) {
+	return json.Marshal(&aggScanState{Pos: p.pos, Sum: k.sum, Stats: p.stats})
+}
+
+func (k *aggScanKernel) load(state []byte, p *scanProgress) error {
+	var st aggScanState
+	if err := json.Unmarshal(state, &st); err != nil {
+		return err
+	}
+	*p, k.sum = scanProgress{pos: st.Pos, stats: st.Stats}, st.Sum
 	return nil
 }
 
-func (x *aggScanExec) Snapshot() ([]byte, error) { return json.Marshal(&x.st) }
-
-func (x *aggScanExec) Restore(state []byte) error {
-	return json.Unmarshal(state, &x.st)
-}
-
-func (x *aggScanExec) Result() (*Result, error) {
-	if !x.Done() {
-		return nil, fmt.Errorf("core: aggregate scan suspended at frame %d of %d", x.st.Pos, x.Total())
-	}
-	res := &Result{Kind: x.info.Kind.String(), Stats: x.st.Stats}
-	res.Stats.Notes = append([]string(nil), x.st.Stats.Notes...)
-	res.Value = x.e.scaleAggregate(x.info, float64(x.st.Sum)/float64(x.e.Test.Frames))
-	return res, nil
+func (k *aggScanKernel) finish(res *Result) {
+	res.Value = k.e.scaleAggregate(k.info, float64(k.sum)/float64(k.e.Test.Frames))
 }
 
 // aqpState is the serializable suspension of a sampled aggregate plan
@@ -317,7 +302,6 @@ type aqpState struct {
 // from the committed label store, so re-running costs real time
 // proportional to the new samples only.
 type aqpExec struct {
-	traceHook
 	e    *Engine
 	info *frameql.Info
 	base Stats
@@ -480,32 +464,6 @@ func (e *Engine) scaleAggregate(info *frameql.Info, mean float64) float64 {
 	return mean
 }
 
-// naiveMeanCount runs the detector on every frame and returns the mean
-// count, charging every call. The scan shards across par workers; counts
-// are integers, so per-shard sums merge exactly.
-func (e *Engine) naiveMeanCount(class vidsim.Class, stats *Stats, par int) float64 {
-	fullCost := e.DTest.FullFrameCost()
-	total := 0
-	runSharded(par, shardRanges(e.Test.Frames),
-		e.exec,
-		func(s shard) int {
-			c := e.DTest.NewCounter()
-			sum := 0
-			for f := s.lo; f < s.hi; f++ {
-				sum += c.CountAt(f, class)
-			}
-			return sum
-		},
-		func(s shard, sum int) bool {
-			for f := s.lo; f < s.hi; f++ {
-				stats.addDetection(fullCost)
-			}
-			total += sum
-			return true
-		})
-	return float64(total) / float64(e.Test.Frames)
-}
-
 // distinctState is the serializable suspension of a COUNT(DISTINCT
 // trackid) scan: frame position, tracker state, the distinct-ID set
 // (sorted for deterministic serialization), and the partial cost meter.
@@ -516,109 +474,74 @@ type distinctState struct {
 	Stats    Stats       `json:"stats"`
 }
 
-// distinctExec answers COUNT(DISTINCT trackid) queries. Identity requires
-// entity resolution across consecutive frames, so the plan is exhaustive:
-// detect on every frame and track (paper §4 distinguishes this query from
-// FCOUNT precisely because it needs trackid). Detection shards across
-// workers; the tracker advances sequentially over the merged per-frame
-// detections. Progress units are frames; a grown live stream continues
-// the same tracker over the new suffix, so identities never reset at
-// ingest boundaries.
-type distinctExec struct {
-	traceHook
+// distinctKernel answers COUNT(DISTINCT trackid) queries. Identity
+// requires entity resolution across consecutive frames, so the plan is
+// exhaustive: detect on every frame and track (paper §4 distinguishes this
+// query from FCOUNT precisely because it needs trackid). A grown live
+// stream continues the same tracker over the new suffix, so identities
+// never reset at ingest boundaries.
+type distinctKernel struct {
 	e        *Engine
-	info     *frameql.Info
 	class    vidsim.Class
-	par      int
-	st       distinctState
+	lo       int
+	fullCost float64
 	tracker  *track.Tracker
 	distinct map[int]bool
 }
 
-func (x *distinctExec) meter() *Stats { return &x.st.Stats }
-
-func (e *Engine) newDistinctExec(info *frameql.Info, par int) (*distinctExec, error) {
+func (e *Engine) newDistinctExec(info *frameql.Info, par int) (plan.Execution[*Result], error) {
 	if len(info.Classes) != 1 {
 		return nil, fmt.Errorf("core: COUNT(DISTINCT trackid) needs exactly one class predicate")
 	}
-	x := &distinctExec{
-		e: e, info: info, class: vidsim.Class(info.Classes[0]), par: par,
+	lo, hi := e.frameRange(info)
+	return newScan(e.exec, info.Kind.String(), "exhaustive-tracking", par, hi-lo, false, &distinctKernel{
+		e: e, class: vidsim.Class(info.Classes[0]), lo: lo, fullCost: e.DTest.FullFrameCost(),
 		tracker: track.New(0, 1), distinct: make(map[int]bool),
+	}), nil
+}
+
+func (k *distinctKernel) produce(lo, hi int) *detArena { return k.e.detectArena(k.lo+lo, k.lo+hi) }
+
+func (k *distinctKernel) merge(m *Stats, fold bool, blo, bhi, off0 int, a *detArena) (int, int, bool, error) {
+	for i := blo; i < bhi; i++ {
+		if m != nil {
+			m.addDetection(k.fullCost)
+		}
+		if !fold {
+			continue
+		}
+		dets := a.frame(off0 + (i - blo))
+		ids := k.tracker.Advance(k.lo+i, dets)
+		for j := range dets {
+			if dets[j].Class == k.class {
+				k.distinct[ids[j]] = true
+			}
+		}
 	}
-	x.st.Stats.Plan = "exhaustive-tracking"
-	return x, nil
+	return bhi - blo, 0, false, nil
 }
 
-func (x *distinctExec) Total() int {
-	lo, hi := x.e.frameRange(x.info)
-	return hi - lo
-}
-func (x *distinctExec) Pos() int   { return x.st.Pos }
-func (x *distinctExec) Done() bool { return x.st.Pos >= x.Total() }
-
-func (x *distinctExec) RunTo(units int) error {
-	e := x.e
-	lo, _ := e.frameRange(x.info)
-	fullCost := e.DTest.FullFrameCost()
-	pos, _ := runScan(x.par, x.st.Pos, x.Total(), units, false,
-		x.scanTrace(e.exec, &x.st.Stats),
-		func(s shard) *detArena {
-			a := &detArena{ends: make([]int32, 0, s.hi-s.lo)}
-			c := e.DTest.NewCounter()
-			for i := s.lo; i < s.hi; i++ {
-				a.dets = c.Detect(lo+i, a.dets)
-				a.ends = append(a.ends, int32(len(a.dets)))
-			}
-			return a
-		},
-		func(blo, bhi, off0 int, a *detArena) (int, bool) {
-			for i := blo; i < bhi; i++ {
-				x.st.Stats.addDetection(fullCost)
-				dets := a.frame(off0 + (i - blo))
-				ids := x.tracker.Advance(lo+i, dets)
-				for j := range dets {
-					if dets[j].Class == x.class {
-						x.distinct[ids[j]] = true
-					}
-				}
-			}
-			return bhi - blo, true
-		})
-	x.st.Pos = pos
-	return nil
-}
-
-func (x *distinctExec) Snapshot() ([]byte, error) {
-	st := x.st
-	st.Tracker = x.tracker.Snapshot()
-	st.Distinct = make([]int, 0, len(x.distinct))
-	for id := range x.distinct {
+func (k *distinctKernel) save(p *scanProgress) ([]byte, error) {
+	st := distinctState{Pos: p.pos, Tracker: k.tracker.Snapshot(), Stats: p.stats,
+		Distinct: make([]int, 0, len(k.distinct))}
+	for id := range k.distinct {
 		st.Distinct = append(st.Distinct, id)
 	}
 	sort.Ints(st.Distinct)
 	return json.Marshal(&st)
 }
 
-func (x *distinctExec) Restore(state []byte) error {
+func (k *distinctKernel) load(state []byte, p *scanProgress) error {
 	var st distinctState
 	if err := json.Unmarshal(state, &st); err != nil {
 		return err
 	}
-	x.st = st
-	x.tracker = track.FromState(st.Tracker)
-	x.distinct = make(map[int]bool, len(st.Distinct))
+	*p, k.tracker = scanProgress{pos: st.Pos, stats: st.Stats}, track.FromState(st.Tracker)
+	k.distinct = make(map[int]bool, len(st.Distinct))
 	for _, id := range st.Distinct {
-		x.distinct[id] = true
+		k.distinct[id] = true
 	}
 	return nil
 }
 
-func (x *distinctExec) Result() (*Result, error) {
-	if !x.Done() {
-		return nil, fmt.Errorf("core: distinct scan suspended at frame %d of %d", x.st.Pos, x.Total())
-	}
-	res := &Result{Kind: x.info.Kind.String(), Stats: x.st.Stats}
-	res.Stats.Notes = append([]string(nil), x.st.Stats.Notes...)
-	res.Value = float64(len(x.distinct))
-	return res, nil
-}
+func (k *distinctKernel) finish(res *Result) { res.Value = float64(len(k.distinct)) }

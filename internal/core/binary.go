@@ -45,7 +45,7 @@ func (e *Engine) enumerateBinary(info *frameql.Info, par int) ([]candidate, erro
 			est:   exactEst,
 			notes: []string{fmt.Sprintf("specialization unavailable (%v); exact scan", modelErr)},
 			open: func() (plan.Execution[*Result], error) {
-				return e.newBinaryExactExec(info, class, par), nil
+				return e.newBinaryExec(info, class, nil, par), nil
 			},
 		}
 		cands := []candidate{
@@ -93,7 +93,7 @@ func (e *Engine) enumerateBinary(info *frameql.Info, par int) ([]candidate, erro
 			DetectorSeconds: verifyEst * full,
 		},
 		open: func() (plan.Execution[*Result], error) {
-			return e.newBinaryCascadeExec(info, class, prep, par), nil
+			return e.newBinaryExec(info, class, &prep, par), nil
 		},
 	}
 	cascadeCand := candidate{
@@ -107,12 +107,12 @@ func (e *Engine) enumerateBinary(info *frameql.Info, par int) ([]candidate, erro
 		desc: binaryExactDesc(),
 		est:  exactEst,
 		open: func() (plan.Execution[*Result], error) {
-			return e.newBinaryExactExec(info, class, par), nil
+			return e.newBinaryExec(info, class, nil, par), nil
 		},
 	}
 	cands := []candidate{cascadeCand, binaryExactCand(exactPlan, info)}
 	if info.Limit >= 0 {
-		cands = append(cands, e.densityBinaryCand(info, class, prep, bandFrac, par))
+		cands = append(cands, e.densityBinaryCand(info, class, &prep, bandFrac, par))
 	}
 	return cands, nil
 }
@@ -147,6 +147,14 @@ type binaryPrep struct {
 	head      int
 }
 
+// charge replays the cascade's preparation charges onto a cost meter.
+func (p *binaryPrep) charge(st *Stats) {
+	st.TrainSeconds += p.trainCost
+	st.TrainSeconds += p.heldCost
+	st.note("cascade thresholds: reject < %.4f, accept >= %.4f", p.lowT, p.highT)
+	st.SpecNNSeconds += p.infCost
+}
+
 // binaryScanState is the serializable suspension of a binary-detection
 // scan: frame position, LIMIT/GAP progress, the uncertain-band
 // verification count (for the cascade's closing note), and the partial
@@ -160,16 +168,15 @@ type binaryScanState struct {
 	Stats        Stats `json:"stats"`
 }
 
-// binaryCascadeExec scores every frame with the specialized network,
-// accepts above the high threshold, rejects below the low one, and sends
-// the uncertain band to the reference detector.
-//
-// The scan shards: the cascade decision per frame (network score lookup,
-// detector verification of the uncertain band) is pure and fans out;
-// GAP/LIMIT bookkeeping and cost charging replay serially per frame in
-// the merge. Progress units are frames; a grown live stream continues
-// over the new suffix with the same held-out-chosen thresholds (ingest
-// extends the segment first, so scores cover the new horizon).
+// binaryKernel is both binary-detection plans. With a prep it is the
+// cascade: every frame is scored with the specialized network, accepted
+// above the high threshold, rejected below the low one, and the uncertain
+// band goes to the reference detector. Without one it is the exact plan:
+// the detector verifies every frame. The decision per frame is pure and
+// fans out; GAP/LIMIT bookkeeping and cost charging replay serially per
+// frame in the merge. A grown live stream continues over the new suffix
+// with the same held-out-chosen thresholds (ingest extends the segment
+// first, so scores cover the new horizon).
 //
 // Zone-map skipping: a chunk whose maximum presence tail is below the
 // reject threshold cannot contain a verified or accepted frame — every
@@ -177,35 +184,40 @@ type binaryScanState struct {
 // nothing. Such chunk ranges are skipped without reading per-frame
 // scores; the zero-valued verdicts stand in for the rejections, so the
 // answer and the simulated meter are bit-identical to the full scan.
-type binaryCascadeExec struct {
-	traceHook
-	e     *Engine
-	info  *frameql.Info
-	class vidsim.Class
-	prep  binaryPrep
-	par   int
-	st    binaryScanState
+type binaryKernel struct {
+	e        *Engine
+	info     *frameql.Info
+	class    vidsim.Class
+	prep     *binaryPrep
+	lo       int
+	fullCost float64
+	last     int
+	verified int
+	frames   []int
 }
 
-func (x *binaryCascadeExec) meter() *Stats { return &x.st.Stats }
+// newBinaryKernel builds the kernel over frames lo, lo+1, …; a nil prep
+// selects the exact plan.
+func (e *Engine) newBinaryKernel(info *frameql.Info, class vidsim.Class, prep *binaryPrep, lo int) *binaryKernel {
+	return &binaryKernel{e: e, info: info, class: class, prep: prep, lo: lo,
+		fullCost: e.DTest.FullFrameCost(), last: -1 << 40}
+}
 
-func (e *Engine) newBinaryCascadeExec(info *frameql.Info, class vidsim.Class, prep binaryPrep, par int) *binaryCascadeExec {
-	x := &binaryCascadeExec{e: e, info: info, class: class, prep: prep, par: par}
-	x.st.LastReturned = -1 << 40
-	x.st.Stats.TrainSeconds += prep.trainCost
-	x.st.Stats.TrainSeconds += prep.heldCost
-	x.st.Stats.Plan = "binary-cascade"
-	x.st.Stats.note("cascade thresholds: reject < %.4f, accept >= %.4f", prep.lowT, prep.highT)
-	x.st.Stats.SpecNNSeconds += prep.infCost
+// newBinaryExec opens the temporal scan of either binary plan, replaying
+// the cascade's preparation charges when there is one.
+func (e *Engine) newBinaryExec(info *frameql.Info, class vidsim.Class, prep *binaryPrep, par int) *scanExec[[]binVerdict] {
+	lo, hi := e.frameRange(info)
+	name := "binary-exact"
+	if prep != nil {
+		name = "binary-cascade"
+	}
+	x := newScan(e.exec, info.Kind.String(), name, par, hi-lo, info.Limit >= 0,
+		e.newBinaryKernel(info, class, prep, lo))
+	if prep != nil {
+		prep.charge(&x.stats)
+	}
 	return x
 }
-
-func (x *binaryCascadeExec) Total() int {
-	lo, hi := x.e.frameRange(x.info)
-	return hi - lo
-}
-func (x *binaryCascadeExec) Pos() int   { return x.st.Pos }
-func (x *binaryCascadeExec) Done() bool { return x.st.Finished || x.st.Pos >= x.Total() }
 
 type binVerdict struct {
 	positive bool
@@ -217,218 +229,139 @@ type binVerdict struct {
 	chunkFirst bool
 }
 
-func (x *binaryCascadeExec) RunTo(units int) error {
-	if x.st.Finished {
-		return nil
-	}
-	e, prep := x.e, x.prep
-	lowT, highT := prep.lowT, prep.highT
-	seg := prep.seg
-	infTest := seg.Inference()
-	head := prep.head
-	class := x.class
-	lo, _ := e.frameRange(x.info)
-	fullCost := e.DTest.FullFrameCost()
-	gap := x.info.Gap
-	limit := x.info.Limit
-	// The cascade's reject threshold expressed as a conjunction: the
-	// temporal zone consult routes through the same kernel the density
-	// schedule prunes with, so the two plans refute identical chunk sets.
-	conj := []index.Conjunct{{Head: head, N: 1, Threshold: lowT}}
+// conjunction is the cascade's reject threshold expressed as a
+// conjunction: the temporal zone consult routes through the same kernel
+// the density schedule prunes with, so the two refute identical chunk
+// sets.
+func (p *binaryPrep) conjunction() []index.Conjunct {
+	return []index.Conjunct{{Head: p.head, N: 1, Threshold: p.lowT}}
+}
 
-	pos, _ := runScan(x.par, x.st.Pos, x.Total(), units, limit >= 0,
-		x.scanTrace(e.exec, &x.st.Stats),
-		func(s shard) []binVerdict {
-			// The shard walks index-chunk-aligned frame ranges: one zone-map
-			// consultation per chunk decides whether the chunk's columns are
-			// read at all (predicate pushdown — a skipped chunk's scores are
-			// never decoded), and surviving ranges are scored in batch
-			// against the columnar distribution (ScoreTail reproduces the
-			// per-frame accessor bit for bit; the per-frame reference path
-			// stays selectable for the equivalence suite).
-			c := e.DTest.NewCounter()
-			verdicts := make([]binVerdict, s.hi-s.lo)
-			var scores []float64
-			for i := s.lo; i < s.hi; {
-				f := lo + i
-				ci := index.ChunkOf(f)
-				iEnd := s.hi // end of this chunk's visited range within the shard
-				if ce := (ci+1)*index.ChunkFrames - lo; ce < iEnd {
-					iEnd = ce
-				}
-				if zoneSkipsEnabled && seg.CanSkipConjunction(ci, conj) {
-					// Rejected unverified, proven by the zone map. Mark the
-					// chunk once per scan — at the frame where the whole scan
-					// (not this shard) first enters it — so shard boundaries
-					// straddling a chunk never double-count it.
-					if i == 0 || index.ChunkOf(f-1) != ci {
-						verdicts[i-s.lo].chunkFirst = true
-					}
-					for ; i < iEnd; i++ {
-						verdicts[i-s.lo].skipped = true
-					}
-					continue
-				}
-				if vectorScanEnabled {
-					if cap(scores) < iEnd-i {
-						scores = make([]float64, iEnd-i)
-					}
-					scores = scores[:iEnd-i]
-					seg.ScoreTail(head, 1, f, lo+iEnd, scores)
-				}
-				for ; i < iEnd; i++ {
-					v := &verdicts[i-s.lo]
-					var score float64
-					if vectorScanEnabled {
-						score = scores[len(scores)-(iEnd-i)]
-					} else {
-						score = infTest.TailProb(head, lo+i, 1)
-					}
-					switch {
-					case score < lowT:
-						// rejected unverified
-					case score >= highT:
-						v.positive = true
-					default:
-						v.verified = true
-						v.positive = c.CountAt(lo+i, class) > 0
-					}
+func (k *binaryKernel) produce(lo, hi int) []binVerdict {
+	c := k.e.DTest.NewCounter()
+	verdicts := make([]binVerdict, hi-lo)
+	if k.prep == nil {
+		for i, n := range c.CountRange(k.lo+lo, k.lo+hi, k.class, nil) {
+			verdicts[i] = binVerdict{verified: true, positive: n > 0}
+		}
+		return verdicts
+	}
+	// The range walks index-chunk-aligned frame ranges: one zone-map
+	// consultation per chunk decides whether the chunk's columns are read
+	// at all (predicate pushdown — a skipped chunk's scores are never
+	// decoded), and surviving ranges are scored in batch against the
+	// columnar distribution (ScoreTail reproduces the per-frame accessor
+	// bit for bit; the per-frame reference path stays selectable for the
+	// equivalence suite).
+	seg, head, conj := k.prep.seg, k.prep.head, k.prep.conjunction()
+	vector := vectorScanEnabled
+	var scores []float64
+	for i := lo; i < hi; {
+		f := k.lo + i
+		ci := index.ChunkOf(f)
+		iEnd := min(hi, (ci+1)*index.ChunkFrames-k.lo) // end of this chunk's visited range
+		if zoneRefutes(seg, ci, conj) {
+			// Rejected unverified, proven by the zone map. Mark the chunk
+			// once per scan — at the frame where the whole scan (not this
+			// range) first enters it — so shard boundaries straddling a
+			// chunk never double-count it.
+			if i == 0 || index.ChunkOf(f-1) != ci {
+				verdicts[i-lo].chunkFirst = true
+			}
+			for ; i < iEnd; i++ {
+				verdicts[i-lo].skipped = true
+			}
+			continue
+		}
+		if vector {
+			if cap(scores) < iEnd-i {
+				scores = make([]float64, iEnd-i)
+			}
+			scores = scores[:iEnd-i]
+			seg.ScoreTail(head, 1, f, k.lo+iEnd, scores)
+		}
+		for ; i < iEnd; i++ {
+			v := &verdicts[i-lo]
+			var score float64
+			if vector {
+				score = scores[len(scores)-(iEnd-i)]
+			} else {
+				score = seg.Inference().TailProb(head, k.lo+i, 1)
+			}
+			switch {
+			case score < k.prep.lowT:
+				// rejected unverified
+			case score >= k.prep.highT:
+				v.positive = true
+			default:
+				v.verified = true
+				v.positive = c.CountAt(k.lo+i, k.class) > 0
+			}
+		}
+	}
+	return verdicts
+}
+
+func (k *binaryKernel) merge(m *Stats, fold bool, blo, bhi, off0 int, verdicts []binVerdict) (int, int, bool, error) {
+	limit, gap := k.info.Limit, k.info.Gap
+	hits := 0
+	for i := blo; i < bhi; i++ {
+		v := verdicts[off0+(i-blo)]
+		if m != nil {
+			if v.chunkFirst {
+				m.IndexChunksSkipped++
+				m.ConjunctionChunksSkipped++
+			}
+			if v.skipped {
+				m.IndexFramesSkipped++
+			}
+			if v.verified {
+				m.addDetection(k.fullCost)
+				if k.prep != nil {
+					// Counts uncertain-band verifications; the exact plan
+					// has no band.
+					k.verified++
 				}
 			}
-			return verdicts
-		},
-		func(blo, bhi, off0 int, verdicts []binVerdict) (int, bool) {
-			for i := blo; i < bhi; i++ {
-				f := lo + i
-				v := verdicts[off0+(i-blo)]
-				if v.chunkFirst {
-					x.st.Stats.IndexChunksSkipped++
-					x.st.Stats.ConjunctionChunksSkipped++
-				}
-				if v.skipped {
-					x.st.Stats.IndexFramesSkipped++
-					continue
-				}
-				if v.verified {
-					x.st.Stats.addDetection(fullCost)
-					x.st.Verified++
-				}
-				if !v.positive {
-					continue
-				}
-				if gap > 0 && f-x.st.LastReturned < gap {
-					continue
-				}
-				x.st.LastReturned = f
-				x.st.Frames = append(x.st.Frames, f)
-				if limit >= 0 && len(x.st.Frames) >= limit {
-					x.st.Finished = true
-					return i - blo + 1, false
-				}
-			}
-			return bhi - blo, true
-		})
-	x.st.Pos = pos
+		}
+		if !v.positive {
+			continue
+		}
+		hits++
+		f := k.lo + i
+		if !fold || gap > 0 && f-k.last < gap {
+			continue
+		}
+		k.last = f
+		k.frames = append(k.frames, f)
+		if limit >= 0 && len(k.frames) >= limit {
+			return i - blo + 1, hits, true, nil
+		}
+	}
+	return bhi - blo, hits, false, nil
+}
+
+func (k *binaryKernel) save(p *scanProgress) ([]byte, error) {
+	return json.Marshal(&binaryScanState{Pos: p.pos, Finished: p.finished, LastReturned: k.last,
+		Verified: k.verified, Frames: k.frames, Stats: p.stats})
+}
+
+func (k *binaryKernel) load(state []byte, p *scanProgress) error {
+	var st binaryScanState
+	if err := json.Unmarshal(state, &st); err != nil {
+		return err
+	}
+	*p = scanProgress{pos: st.Pos, finished: st.Finished, stats: st.Stats}
+	k.last, k.verified, k.frames = st.LastReturned, st.Verified, st.Frames
 	return nil
 }
 
-func (x *binaryCascadeExec) Snapshot() ([]byte, error) { return json.Marshal(&x.st) }
-
-func (x *binaryCascadeExec) Restore(state []byte) error {
-	return json.Unmarshal(state, &x.st)
-}
-
-func (x *binaryCascadeExec) Result() (*Result, error) {
-	if !x.Done() {
-		return nil, fmt.Errorf("core: binary cascade suspended at frame %d of %d", x.st.Pos, x.Total())
+func (k *binaryKernel) finish(res *Result) {
+	res.Frames = append([]int(nil), k.frames...)
+	if k.prep != nil {
+		lo, hi := k.e.frameRange(k.info)
+		res.Stats.note("verified %d of %d frames in the uncertain band", k.verified, hi-lo)
 	}
-	res := &Result{Kind: x.info.Kind.String(), Stats: x.st.Stats}
-	res.Stats.Notes = append([]string(nil), x.st.Stats.Notes...)
-	res.Frames = append([]int(nil), x.st.Frames...)
-	res.Stats.note("verified %d of %d frames in the uncertain band", x.st.Verified, x.Total())
-	return res, nil
-}
-
-// binaryExactExec runs the detector on every frame — the cascade-free
-// plan. Counting shards across workers; GAP/LIMIT replay serially per
-// frame. Progress units are frames.
-type binaryExactExec struct {
-	traceHook
-	e     *Engine
-	info  *frameql.Info
-	class vidsim.Class
-	par   int
-	st    binaryScanState
-}
-
-func (x *binaryExactExec) meter() *Stats { return &x.st.Stats }
-
-func (e *Engine) newBinaryExactExec(info *frameql.Info, class vidsim.Class, par int) *binaryExactExec {
-	x := &binaryExactExec{e: e, info: info, class: class, par: par}
-	x.st.LastReturned = -1 << 40
-	x.st.Stats.Plan = "binary-exact"
-	return x
-}
-
-func (x *binaryExactExec) Total() int {
-	lo, hi := x.e.frameRange(x.info)
-	return hi - lo
-}
-func (x *binaryExactExec) Pos() int   { return x.st.Pos }
-func (x *binaryExactExec) Done() bool { return x.st.Finished || x.st.Pos >= x.Total() }
-
-func (x *binaryExactExec) RunTo(units int) error {
-	if x.st.Finished {
-		return nil
-	}
-	e := x.e
-	lo, _ := e.frameRange(x.info)
-	fullCost := e.DTest.FullFrameCost()
-	gap := x.info.Gap
-	limit := x.info.Limit
-	pos, _ := runScan(x.par, x.st.Pos, x.Total(), units, limit >= 0,
-		x.scanTrace(e.exec, &x.st.Stats),
-		func(s shard) []int32 {
-			c := e.DTest.NewCounter()
-			return c.CountRange(lo+s.lo, lo+s.hi, x.class, nil)
-		},
-		func(blo, bhi, off0 int, counts []int32) (int, bool) {
-			for i := blo; i < bhi; i++ {
-				f := lo + i
-				x.st.Stats.addDetection(fullCost)
-				if counts[off0+(i-blo)] == 0 {
-					continue
-				}
-				if gap > 0 && f-x.st.LastReturned < gap {
-					continue
-				}
-				x.st.LastReturned = f
-				x.st.Frames = append(x.st.Frames, f)
-				if limit >= 0 && len(x.st.Frames) >= limit {
-					x.st.Finished = true
-					return i - blo + 1, false
-				}
-			}
-			return bhi - blo, true
-		})
-	x.st.Pos = pos
-	return nil
-}
-
-func (x *binaryExactExec) Snapshot() ([]byte, error) { return json.Marshal(&x.st) }
-
-func (x *binaryExactExec) Restore(state []byte) error {
-	return json.Unmarshal(state, &x.st)
-}
-
-func (x *binaryExactExec) Result() (*Result, error) {
-	if !x.Done() {
-		return nil, fmt.Errorf("core: binary scan suspended at frame %d of %d", x.st.Pos, x.Total())
-	}
-	res := &Result{Kind: x.info.Kind.String(), Stats: x.st.Stats}
-	res.Stats.Notes = append([]string(nil), x.st.Stats.Notes...)
-	res.Frames = append([]int(nil), x.st.Frames...)
-	return res, nil
 }
 
 // binaryThresholds picks the cascade thresholds on the held-out day.

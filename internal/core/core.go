@@ -52,6 +52,42 @@
 // IndexFramesSkipped) and the PlanReport, so results stay bit-identical
 // whether the index is cold, warm, on disk, or absent.
 //
+// # The scan operator
+//
+// Every plan that visits frames — exhaustive, binary cascade and exact,
+// the selection cascades, exact aggregates, COUNT(DISTINCT trackid), and
+// the density-limit variant of the LIMIT-bearing ones — is the same
+// pipeline (cheap filters → detector → tracker → GAP/LIMIT), and runs on
+// one resumable operator, scanExec (scan.go), parameterised twice:
+//
+//   - a family kernel (scanKernel): a pure produce over a range of visited
+//     frames, run concurrently on the worker pool, and a merge that
+//     consumes a product one 1024-frame batch at a time on the caller's
+//     goroutine, charging the cost meter and/or folding the frames into
+//     the family's temporal-order accumulator (tracker, rows, GAP/LIMIT
+//     progress). Each family's filter cascade, charge replay and GAP/LIMIT
+//     walk is written once, in its kernel;
+//   - a schedule: which visited-frame ranges, in what order. The temporal
+//     ramp visits [0, total) in order and charges and folds each batch in
+//     one pass. The density order (density.go) visits index chunks by
+//     zone-map presence density; it charges in visit order and settles by
+//     folding the same products — kept per visited chunk, re-produced
+//     from the pure kernel after a Restore — in chunk order into a fresh
+//     accumulator, so its answer is a temporal scan's over the visited
+//     set.
+//
+// The operator owns everything else, once: position and the Done/Total/
+// Pos accounting in visited frames, early exit on the exact frame that
+// satisfies a LIMIT, the cost meter with the preparation charges captured
+// at open, sticky errors, Snapshot/Restore (suspension lands on any frame
+// boundary because shards never cross the stop and products are pure; the
+// kernel serializes its accumulator in the family's cursor format), the
+// refusal to finalize a suspended scan, shard fan-out, and the per-shard
+// trace span. Tracing is not a second path: an untraced scan runs the
+// same loop with nil spans. On a grown live stream a restored temporal
+// scan continues over the new suffix from its accumulator; a density
+// order restarts, its schedule being a function of the whole population.
+//
 // # Parallel execution and the per-shard PRNG scheme
 //
 // Every plan family executes its frame scan in parallel: the scan range is
@@ -344,6 +380,15 @@ func indexFingerprint(cfg vidsim.StreamConfig, opts Options) uint64 {
 // bit for bit. Never toggled concurrently with query execution.
 var zoneSkipsEnabled = true
 
+// zoneRefutes reports whether the segment's zone map proves no frame of
+// the chunk can satisfy the conjunction: the one consult a kernel's
+// produce makes before it decodes a chunk's columns. (The density
+// schedule prunes with the same index kernel, ungated — there the pruning
+// is the plan, not a shortcut a reference scan can do without.)
+func zoneRefutes(seg *index.Segment, chunk int, conj []index.Conjunct) bool {
+	return zoneSkipsEnabled && seg.CanSkipConjunction(chunk, conj)
+}
+
 // vectorScanEnabled gates the chunk-vector produce paths: batch predicate
 // evaluation against the index's columnar storage (Segment.ScoreTail, the
 // chunked presence-tail read) instead of per-frame accessor calls. It
@@ -605,16 +650,7 @@ func (e *Engine) Execute(info *frameql.Info) (*Result, error) {
 // every candidate's answer is pinned bit-identical, so calibration can
 // change cost, never correctness.
 func (e *Engine) ExecuteParallel(info *frameql.Info, parallelism int) (*Result, error) {
-	e = e.pin()
-	cands, err := e.planCandidates(info, parallelism)
-	if err != nil {
-		return nil, err
-	}
-	chosen, forced, err := pick(info, cands)
-	if err != nil {
-		return nil, err
-	}
-	return e.runChosen(info, cands, chosen, forced, e.effectiveParallelism(parallelism))
+	return e.ExecuteParallelTraced(info, parallelism, nil)
 }
 
 // frameRange clips the query's timestamp bounds to the test day.

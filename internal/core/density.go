@@ -1,39 +1,34 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
-	"strconv"
-	"time"
 
-	"repro/internal/detect"
-	"repro/internal/feature"
-	"repro/internal/filters"
 	"repro/internal/frameql"
 	"repro/internal/index"
 	"repro/internal/plan"
-	"repro/internal/specnn"
-	"repro/internal/track"
 	"repro/internal/vidsim"
 )
 
-// This file is the density-ordered LIMIT executor (NeedleTail-style): a
-// physical plan for LIMIT-bearing families that visits index chunks in
+// This file is the density-ordered LIMIT plan (NeedleTail-style): for
+// LIMIT-bearing families, a schedule that visits index chunks in
 // descending estimated presence density instead of temporal order, stopping
-// as soon as K results settle. The visit schedule is a pure function of the
-// pinned snapshot's zone maps — never of parallelism, wall clock, or cache
-// state — so the plan keeps the engine's determinism contract: bit-identical
-// results at every worker count and across mid-chunk suspend/resume.
+// as soon as K results settle — and the candidates that offer it. Nothing
+// here evaluates a frame: the schedule is one of the scan operator's two
+// visit orders (scan.go) over the family's ordinary kernel. It is a pure
+// function of the pinned snapshot's zone maps — never of parallelism, wall
+// clock, or cache state — so the plan keeps the engine's determinism
+// contract: bit-identical results at every worker count and across
+// mid-chunk suspend/resume.
 //
 // GAP and LIMIT are temporal-order semantics, so they are never applied in
-// visit order. Instead the executor settles lazily: after each completed
-// chunk whose running raw-candidate count could satisfy the limit, it
-// recomputes the answer over the *visited* chunk set in ascending frame
-// order (fresh tracker, same GAP/LIMIT walk the temporal plans use). The
-// settlement is a pure recomputation from already-charged scan products, so
-// it charges nothing; the cost meter honestly reflects only the frames the
-// density order actually visited.
+// visit order. Instead the operator settles lazily: after each completed
+// chunk whose running raw-candidate count could satisfy the limit, it folds
+// the *visited* chunks' products in ascending frame order into a fresh
+// accumulator (fresh tracker, the same GAP/LIMIT walk the temporal scan
+// runs). Settlement reuses already-charged scan products, so it charges
+// nothing; the cost meter honestly reflects only the frames the density
+// order actually visited.
 
 // densityPlanName is the physical plan name shared by every family's
 // density-ordered candidate (one name, hint-forcible across families).
@@ -110,58 +105,10 @@ func densityPlanFrames(pin *index.Segment, heads []int, conj []index.Conjunct, l
 	return frames
 }
 
-// frameSpan is one contiguous frame range of the visited set, in temporal
-// order.
-type frameSpan struct{ lo, hi int }
-
-// densitySettled is one settlement's outcome over the visited set.
-type densitySettled struct {
-	frames   []int
-	rows     []Row
-	trackIDs []int
-	truthIDs []int
-}
-
-// count returns the settled result count the LIMIT compares against.
-func (s *densitySettled) count() int {
-	if len(s.frames) > 0 {
-		return len(s.frames)
-	}
-	return len(s.rows)
-}
-
-// densityArena is the per-chunk product of a density scan: whichever of the
-// per-frame columns the family's kernel fills. A truncated column marks the
-// frame where production stopped on an error.
-type densityArena struct {
-	verdicts    []uint8
-	flags       []uint8
-	matchCounts []int32
-	err         error
-}
-
-// Binary verdict bits.
-const (
-	densityPositive uint8 = 1 << iota
-	densityVerified
-)
-
-// densityKernel is the family-specific part of a density-ordered scan:
-// scan produces a chunk range's per-frame products (pure, concurrent),
-// merge consumes one frame sequentially — charging the meter exactly as
-// the family's temporal plan would — and returns the frame's raw candidate
-// count (matching events before GAP/LIMIT), and settle recomputes the
-// final answer over the visited set in temporal order, uncharged.
-type densityKernel interface {
-	scan(fLo, fHi int) *densityArena
-	merge(st *densityState, f, off int, a *densityArena) (int, error)
-	settle(spans []frameSpan, limit, gap int) (*densitySettled, error)
-}
-
-// densityState is the serializable suspension of a density-ordered scan.
-// The chunk schedule itself is never serialized: it is recomputed at open
-// from the pinned snapshot's zone maps, of which it is a pure function, so
-// the cursor stays small and can never disagree with the index.
+// densityState is the serializable suspension of a density-ordered scan
+// (the scan operator fills it; see scan.go). The chunk schedule itself is
+// never serialized: it is recomputed at open from the pinned snapshot's
+// zone maps.
 type densityState struct {
 	// Horizon pins the snapshot the schedule was computed against; a
 	// restore onto a different horizon restarts deterministically.
@@ -174,625 +121,26 @@ type densityState struct {
 	Pos int `json:"pos"`
 	// Raw counts raw candidate events seen so far — the cheap pre-GAP
 	// upper bound that gates settlement attempts.
-	Raw int `json:"raw"`
-	// Verified counts uncertain-band verifications (binary kernel).
-	Verified int   `json:"verified,omitempty"`
+	Raw      int   `json:"raw"`
 	Finished bool  `json:"finished"`
 	Stats    Stats `json:"stats"`
 }
 
-// densityExec drives one density-ordered scan for any family kernel. Each
-// schedule entry becomes one produce shard; consumption is sequential in
-// schedule order, so the merge — and every settlement decision — replays
-// identically at every parallelism level.
-type densityExec struct {
-	traceHook
-	e     *Engine
-	info  *frameql.Info
-	par   int
-	fam   densityKernel
-	lo    int
-	hi    int
-	sched []densityChunk
-	total int
-	st    densityState
-	err   error
-	// lastAttemptRaw dedupes settlement attempts: the settled count is a
-	// pure function of the raw-candidate multiset, so re-settling at the
-	// same Raw cannot newly satisfy the limit. In-memory only — a resumed
-	// execution re-attempting one settlement changes nothing.
-	lastAttemptRaw int
-}
-
-func (x *densityExec) meter() *Stats { return &x.st.Stats }
-func (x *densityExec) Total() int    { return x.total }
-func (x *densityExec) Pos() int      { return x.st.Pos }
-func (x *densityExec) Done() bool    { return x.st.Finished || x.st.Pos >= x.total }
-
-// newDensityExec builds the schedule from the pinned segment and wires a
-// family kernel into the shared executor.
-func (e *Engine) newDensityExec(info *frameql.Info, par int, pin *index.Segment, heads []int, conj []index.Conjunct, fam densityKernel) *densityExec {
+// openDensity opens a family's density-ordered scan over the pinned
+// segment's schedule. newKernel must build the family's kernel addressing
+// frames directly (lo 0; enumeration guarantees step 1): the scan charges
+// one, and every settlement folds into a fresh one.
+func openDensity[P any](e *Engine, info *frameql.Info, par int, pin *index.Segment, heads []int, conj []index.Conjunct, newKernel func() scanKernel[P]) *scanExec[P] {
 	lo, hi := e.frameRange(info)
-	x := &densityExec{e: e, info: info, par: par, fam: fam, lo: lo, hi: hi, lastAttemptRaw: -1}
-	x.st.Horizon = e.Test.Frames
-	x.st.Stats.Plan = densityPlanName
 	sched, prunedChunks, prunedFrames := buildDensitySchedule(pin, heads, conj, lo, hi)
-	x.sched = sched
-	for _, ent := range sched {
-		x.total += ent.fHi - ent.fLo
-	}
-	x.st.Stats.IndexChunksSkipped += prunedChunks
-	x.st.Stats.ConjunctionChunksSkipped += prunedChunks
-	x.st.Stats.IndexFramesSkipped += prunedFrames
-	x.st.Stats.note("density schedule: %d chunks over frames [%d,%d), %d pruned by the conjunction kernel",
+	x := newScan(e.exec, info.Kind.String(), densityPlanName, par, 0, false, newKernel())
+	x.orderByDensity(sched, lo, e.Test.Frames, info.Limit, newKernel)
+	x.stats.IndexChunksSkipped += prunedChunks
+	x.stats.ConjunctionChunksSkipped += prunedChunks
+	x.stats.IndexFramesSkipped += prunedFrames
+	x.stats.note("density schedule: %d chunks over frames [%d,%d), %d pruned by the conjunction kernel",
 		len(sched), lo, hi, prunedChunks)
 	return x
-}
-
-func (x *densityExec) RunTo(units int) error {
-	if x.err != nil {
-		return x.err
-	}
-	if x.Done() {
-		return nil
-	}
-	stop := units
-	if stop < 0 || stop > x.total {
-		stop = x.total
-	}
-	if x.st.Pos >= stop {
-		return nil
-	}
-	ob := x.scanTrace(x.e.exec, &x.st.Stats)
-
-	// One produce shard per remaining schedule entry up to the watermark;
-	// shard.index carries the schedule position (runSharded consumes by
-	// slice order, so non-contiguous frame ranges are fine).
-	var shards []shard
-	pos, inChunk := x.st.Pos, x.st.InChunk
-	for k := x.st.SchedPos; k < len(x.sched) && pos < stop; k++ {
-		ent := x.sched[k]
-		fStart := ent.fLo + inChunk
-		n := ent.fHi - fStart
-		if n > stop-pos {
-			n = stop - pos
-		}
-		if n > 0 {
-			shards = append(shards, shard{index: k, lo: fStart, hi: fStart + n})
-			pos += n
-		}
-		inChunk = 0
-	}
-
-	limit := x.info.Limit
-	consume := func(s shard, a *densityArena) bool {
-		ent := x.sched[s.index]
-		if ob.counters != nil {
-			ob.counters.chunks.Add(1)
-		}
-		if x.st.InChunk == 0 {
-			// Count schedule entries visited out of temporal order: the
-			// entry's chunk does not directly follow the previously visited
-			// one. Counted once per chunk, at first entry.
-			prev := index.ChunkOf(x.lo) - 1
-			if s.index > 0 {
-				prev = x.sched[s.index-1].ci
-			}
-			if ent.ci != prev+1 {
-				x.st.Stats.DensityChunksOutOfOrder++
-			}
-		}
-		for f := s.lo; f < s.hi; f++ {
-			n, err := x.fam.merge(&x.st, f, f-s.lo, a)
-			x.st.Pos++
-			x.st.InChunk++
-			if err != nil {
-				x.err = err
-				return false
-			}
-			x.st.Raw += n
-		}
-		if x.st.InChunk >= ent.fHi-ent.fLo {
-			// Chunk complete. Attempt settlement only when the raw count
-			// could satisfy the limit and has changed since the last attempt
-			// (the settled count is a function of the raw-candidate set, so
-			// an unchanged count cannot settle differently).
-			x.st.SchedPos = s.index + 1
-			x.st.InChunk = 0
-			if x.st.Raw >= limit && x.st.Raw != x.lastAttemptRaw {
-				x.lastAttemptRaw = x.st.Raw
-				out, err := x.settleVisited()
-				if err != nil {
-					x.err = err
-					return false
-				}
-				if out.count() >= limit {
-					x.st.Finished = true
-					return false
-				}
-			}
-		}
-		return x.st.Pos < stop
-	}
-	produce := func(s shard) *densityArena { return x.fam.scan(s.lo, s.hi) }
-
-	if ob.span == nil {
-		runSharded(x.par, shards, ob.counters, produce, consume)
-		return x.err
-	}
-	tproduce := func(s shard) timedVal[*densityArena] {
-		t0 := time.Now()
-		a := produce(s)
-		return timedVal[*densityArena]{v: a, wallNS: time.Since(t0).Nanoseconds()}
-	}
-	runSharded(x.par, shards, ob.counters, tproduce,
-		func(s shard, tv timedVal[*densityArena]) bool {
-			ent := x.sched[s.index]
-			sp := ob.span.Child("chunk")
-			sp.SetAttr("chunk", strconv.Itoa(ent.ci))
-			sp.SetAttr("density", strconv.Itoa(ent.density))
-			sp.SetAttr("range", fmt.Sprintf("[%d,%d)", s.lo, s.hi))
-			sp.SetAttr("produce_ms", strconv.FormatFloat(float64(tv.wallNS)/1e6, 'g', -1, 64))
-			pos0 := x.st.Pos
-			sim0 := x.st.Stats.TotalSeconds()
-			det0 := x.st.Stats.DetectorCalls
-			ok := consume(s, tv.v)
-			sp.Frames = x.st.Pos - pos0
-			sp.Chunks = 1
-			sp.SimSeconds = x.st.Stats.TotalSeconds() - sim0
-			sp.DetectorCalls = x.st.Stats.DetectorCalls - det0
-			sp.End()
-			return ok
-		})
-	return x.err
-}
-
-// settleVisited recomputes the answer over the visited chunk set in
-// ascending frame order — the family kernel replays tracking, GAP, and
-// LIMIT exactly as its temporal plan would over those frames. Pure and
-// uncharged: scan charges already cover every visited frame.
-func (x *densityExec) settleVisited() (*densitySettled, error) {
-	vis := make([]densityChunk, 0, x.st.SchedPos+1)
-	vis = append(vis, x.sched[:x.st.SchedPos]...)
-	if x.st.InChunk > 0 && x.st.SchedPos < len(x.sched) {
-		ent := x.sched[x.st.SchedPos]
-		ent.fHi = ent.fLo + x.st.InChunk
-		vis = append(vis, ent)
-	}
-	sort.Slice(vis, func(i, j int) bool { return vis[i].ci < vis[j].ci })
-	spans := make([]frameSpan, len(vis))
-	for i, ent := range vis {
-		spans[i] = frameSpan{lo: ent.fLo, hi: ent.fHi}
-	}
-	return x.fam.settle(spans, x.info.Limit, x.info.Gap)
-}
-
-func (x *densityExec) Snapshot() ([]byte, error) {
-	if x.err != nil {
-		return nil, fmt.Errorf("core: cannot suspend errored execution: %w", x.err)
-	}
-	return json.Marshal(&x.st)
-}
-
-func (x *densityExec) Restore(state []byte) error {
-	var st densityState
-	if err := json.Unmarshal(state, &st); err != nil {
-		return err
-	}
-	if st.Horizon != x.e.Test.Frames {
-		// The stream grew past the snapshot's schedule. The density order is
-		// population-dependent (new chunks may out-rank visited ones), so
-		// restart deterministically over the current snapshot — the freshly
-		// opened state already covers it.
-		return nil
-	}
-	x.st = st
-	return nil
-}
-
-func (x *densityExec) Result() (*Result, error) {
-	if x.err != nil {
-		return nil, x.err
-	}
-	if !x.Done() {
-		return nil, fmt.Errorf("core: density scan suspended at frame %d of %d", x.st.Pos, x.total)
-	}
-	out, err := x.settleVisited()
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Kind: x.info.Kind.String(), Stats: x.st.Stats}
-	res.Stats.Notes = append([]string(nil), x.st.Stats.Notes...)
-	res.Frames = append([]int(nil), out.frames...)
-	res.Rows = append([]Row(nil), out.rows...)
-	res.TrackIDs = append([]int(nil), out.trackIDs...)
-	res.evalTruthIDs = append([]int(nil), out.truthIDs...)
-	res.Stats.note("density order settled %d results after visiting %d of %d scheduled frames (%d of %d chunks)",
-		out.count(), x.st.Pos, x.total, x.st.SchedPos, len(x.sched))
-	return res, nil
-}
-
-// densityExhaustive is the exhaustive family's kernel: detector on every
-// visited frame, general WHERE interpreter per row. The predicate is
-// guaranteed trackid-free (enumeration guard), so the raw count per frame
-// — rows passing the predicate — is independent of visit order, and
-// settlement re-tracks the visited set to assign identities exactly as a
-// temporal scan over those frames would.
-type densityExhaustive struct {
-	e        *Engine
-	where    frameql.Expr
-	fullCost float64
-}
-
-func (k *densityExhaustive) scan(fLo, fHi int) *densityArena {
-	a := &densityArena{matchCounts: make([]int32, 0, fHi-fLo)}
-	c := k.e.DTest.NewCounter()
-	var dets []detect.Detection
-	var row Row
-	for f := fLo; f < fHi; f++ {
-		dets = c.Detect(f, dets[:0])
-		n := int32(0)
-		for j := range dets {
-			row = Row{Timestamp: f}
-			rowFromDetection(&row, 0, &dets[j])
-			ok, err := evalPredicate(k.where, &row)
-			if err != nil {
-				// The truncated column marks the erroring frame; the merge
-				// surfaces the error when consumption reaches it.
-				a.err = err
-				return a
-			}
-			if ok {
-				n++
-			}
-		}
-		a.matchCounts = append(a.matchCounts, n)
-	}
-	return a
-}
-
-func (k *densityExhaustive) merge(st *densityState, f, off int, a *densityArena) (int, error) {
-	if off >= len(a.matchCounts) {
-		return 0, a.err
-	}
-	st.Stats.addDetection(k.fullCost)
-	return int(a.matchCounts[off]), nil
-}
-
-func (k *densityExhaustive) settle(spans []frameSpan, limit, gap int) (*densitySettled, error) {
-	out := &densitySettled{}
-	tracker := track.New(0, 1)
-	c := k.e.DTest.NewCounter()
-	var dets []detect.Detection
-	last := -1 << 40
-	for _, sp := range spans {
-		for f := sp.lo; f < sp.hi; f++ {
-			dets = c.Detect(f, dets[:0])
-			ids := tracker.Advance(f, dets)
-			frameMatched := false
-			for j := range dets {
-				row := Row{Timestamp: f}
-				rowFromDetection(&row, ids[j], &dets[j])
-				ok, err := evalPredicate(k.where, &row)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-				if gap > 0 && f-last < gap {
-					continue
-				}
-				frameMatched = true
-				out.rows = append(out.rows, row)
-				out.truthIDs = append(out.truthIDs, dets[j].TruthID())
-				if limit >= 0 && len(out.rows) >= limit {
-					return out, nil
-				}
-			}
-			if frameMatched && gap > 0 {
-				last = f
-			}
-		}
-	}
-	return out, nil
-}
-
-// densityBinary is the binary family's kernel: the cascade decision per
-// frame (score lookup against the pinned segment's columns, detector
-// verification of the uncertain band), charged exactly as the temporal
-// cascade charges it. Conjunction-refuted chunks were pruned from the
-// schedule — the same chunks the temporal plan's zone consult skips — so
-// the two plans' meters agree bit for bit when neither exits early.
-type densityBinary struct {
-	e        *Engine
-	pin      *index.Segment
-	head     int
-	lowT     float64
-	highT    float64
-	class    vidsim.Class
-	fullCost float64
-}
-
-func (k *densityBinary) scan(fLo, fHi int) *densityArena {
-	a := &densityArena{verdicts: make([]uint8, fHi-fLo)}
-	scores := make([]float64, fHi-fLo)
-	k.pin.ScoreTail(k.head, 1, fLo, fHi, scores)
-	c := k.e.DTest.NewCounter()
-	for i, s := range scores {
-		switch {
-		case s < k.lowT:
-			// rejected unverified
-		case s >= k.highT:
-			a.verdicts[i] = densityPositive
-		default:
-			a.verdicts[i] = densityVerified
-			if c.CountAt(fLo+i, k.class) > 0 {
-				a.verdicts[i] |= densityPositive
-			}
-		}
-	}
-	return a
-}
-
-func (k *densityBinary) merge(st *densityState, f, off int, a *densityArena) (int, error) {
-	v := a.verdicts[off]
-	if v&densityVerified != 0 {
-		st.Stats.addDetection(k.fullCost)
-		st.Verified++
-	}
-	if v&densityPositive != 0 {
-		return 1, nil
-	}
-	return 0, nil
-}
-
-func (k *densityBinary) settle(spans []frameSpan, limit, gap int) (*densitySettled, error) {
-	out := &densitySettled{}
-	var scores []float64
-	c := k.e.DTest.NewCounter()
-	last := -1 << 40
-	for _, sp := range spans {
-		if cap(scores) < sp.hi-sp.lo {
-			scores = make([]float64, sp.hi-sp.lo)
-		}
-		scores = scores[:sp.hi-sp.lo]
-		k.pin.ScoreTail(k.head, 1, sp.lo, sp.hi, scores)
-		for i, s := range scores {
-			f := sp.lo + i
-			positive := false
-			switch {
-			case s < k.lowT:
-			case s >= k.highT:
-				positive = true
-			default:
-				// Uncharged recomputation: the merge already charged this
-				// frame's verification when it was scanned.
-				positive = c.CountAt(f, k.class) > 0
-			}
-			if !positive {
-				continue
-			}
-			if gap > 0 && f-last < gap {
-				continue
-			}
-			last = f
-			out.frames = append(out.frames, f)
-			if limit >= 0 && len(out.frames) >= limit {
-				return out, nil
-			}
-		}
-	}
-	return out, nil
-}
-
-// densitySelection is the selection family's kernel: the default-order
-// filter cascade (content filters, then the label filter read from the
-// pinned segment's exact presence-tail column) gating the ROI detector,
-// charged per frame exactly as the temporal cascade's merge replays it.
-// Enumeration guarantees step == 1 and no duration predicate, so every
-// track qualifies and settlement is the temporal plan's LIMIT/GAP walk
-// over rows re-tracked from the visited set.
-type densitySelection struct {
-	e    *Engine
-	prep *selPrep
-	pin  *index.Segment
-}
-
-func (k *densitySelection) scan(fLo, fHi int) *densityArena {
-	prep := k.prep
-	hasContent := len(prep.contentFilters) > 0
-	head := prep.labelFilter.Head
-	a := &densityArena{
-		flags:       make([]uint8, 0, fHi-fLo),
-		matchCounts: make([]int32, 0, fHi-fLo),
-	}
-	var ev *specnn.Evaluator
-	if hasContent {
-		// Raw descriptors only: the label filter reads the index column.
-		ev = specnn.NewEvaluator(nil, k.e.Test)
-	}
-	t1 := k.pin.Tail1Range(head, fLo, fHi)
-	c := k.e.DTest.NewCounter()
-	var scratch []detect.Detection
-	for f := fLo; f < fHi; f++ {
-		var fl uint8
-		pass := true
-		if hasContent {
-			ev.Seek(f)
-			raw := ev.Raw()
-			for _, cf := range prep.contentFilters {
-				if !cf.Pass(raw) {
-					pass = false
-					break
-				}
-			}
-			if pass {
-				fl |= selContentPass
-			}
-		}
-		if pass && t1[f-fLo] < prep.labelFilter.Threshold {
-			pass = false
-		}
-		n := int32(0)
-		if pass {
-			fl |= selDetected
-			scratch = c.DetectROI(f, prep.roi, scratch[:0])
-			for j := range scratch {
-				if scratch[j].Class != prep.class {
-					continue
-				}
-				ok, err := filters.ObjectMatches(&scratch[j], prep.target)
-				if err != nil {
-					// Truncated flags mark the erroring frame.
-					a.err = err
-					return a
-				}
-				if ok {
-					n++
-				}
-			}
-		}
-		a.flags = append(a.flags, fl)
-		a.matchCounts = append(a.matchCounts, n)
-	}
-	return a
-}
-
-func (k *densitySelection) merge(st *densityState, f, off int, a *densityArena) (int, error) {
-	if off >= len(a.flags) {
-		return 0, a.err
-	}
-	prep := k.prep
-	hasContent := len(prep.contentFilters) > 0
-	fl := a.flags[off]
-	// Replay the cascade's filter charges exactly as the temporal merge
-	// interleaves them (default ordering; the label filter always exists
-	// here).
-	if hasContent {
-		st.Stats.FilterSeconds += feature.CostSeconds
-	}
-	if !hasContent || fl&selContentPass != 0 {
-		if !hasContent {
-			st.Stats.FilterSeconds += feature.CostSeconds
-		}
-		st.Stats.FilterSeconds += specnn.InferenceCostSeconds
-	}
-	if fl&selDetected == 0 {
-		return 0, nil
-	}
-	st.Stats.addDetection(prep.detCost)
-	return int(a.matchCounts[off]), nil
-}
-
-func (k *densitySelection) settle(spans []frameSpan, limit, gap int) (*densitySettled, error) {
-	prep := k.prep
-	hasContent := len(prep.contentFilters) > 0
-	head := prep.labelFilter.Head
-	var ev *specnn.Evaluator
-	if hasContent {
-		ev = specnn.NewEvaluator(nil, k.e.Test)
-	}
-	c := k.e.DTest.NewCounter()
-	tracker := track.New(track.DefaultCutoff, 2)
-	tracks := make(map[int]*trackAgg)
-	var rows []Row
-	var scratch []detect.Detection
-	var matched []bool
-	var classDets []detect.Detection
-	for _, sp := range spans {
-		t1 := k.pin.Tail1Range(head, sp.lo, sp.hi)
-		for f := sp.lo; f < sp.hi; f++ {
-			pass := true
-			if hasContent {
-				ev.Seek(f)
-				raw := ev.Raw()
-				for _, cf := range prep.contentFilters {
-					if !cf.Pass(raw) {
-						pass = false
-						break
-					}
-				}
-			}
-			if pass && t1[f-sp.lo] < prep.labelFilter.Threshold {
-				pass = false
-			}
-			if !pass {
-				continue
-			}
-			scratch = c.DetectROI(f, prep.roi, scratch[:0])
-			classDets = classDets[:0]
-			matched = matched[:0]
-			for j := range scratch {
-				if scratch[j].Class != prep.class {
-					continue
-				}
-				ok, err := filters.ObjectMatches(&scratch[j], prep.target)
-				if err != nil {
-					return nil, err
-				}
-				classDets = append(classDets, scratch[j])
-				matched = append(matched, ok)
-			}
-			ids := tracker.Advance(f, classDets)
-			for j := range classDets {
-				if !matched[j] {
-					continue
-				}
-				d := &classDets[j]
-				id := ids[j]
-				ta := tracks[id]
-				if ta == nil {
-					ta = &trackAgg{firstMatch: f, firstBox: d.Box, truthID: d.TruthID()}
-					tracks[id] = ta
-				}
-				ta.lastMatch = f
-				ta.lastBox = d.Box
-				rows = append(rows, Row{
-					Timestamp:  f,
-					Class:      d.Class,
-					Mask:       d.Box,
-					TrackID:    id,
-					Content:    d.Color,
-					Confidence: d.Confidence,
-				})
-			}
-		}
-	}
-	// The temporal plan's LIMIT settlement walk (settleLimited) with every
-	// track qualified: step == 1 and no duration predicate are enumeration
-	// guarantees here.
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Timestamp != rows[j].Timestamp {
-			return rows[i].Timestamp < rows[j].Timestamp
-		}
-		return rows[i].TrackID < rows[j].TrackID
-	})
-	out := &densitySettled{}
-	last := -1 << 40
-	var contributing []int
-	for _, row := range rows {
-		if limit >= 0 && len(out.rows) >= limit {
-			break
-		}
-		if gap > 0 && row.Timestamp != last && row.Timestamp-last < gap {
-			continue
-		}
-		last = row.Timestamp
-		out.rows = append(out.rows, row)
-		if n := len(contributing); n == 0 || contributing[n-1] != row.TrackID {
-			contributing = append(contributing, row.TrackID)
-		}
-	}
-	sort.Ints(contributing)
-	for i, id := range contributing {
-		if i > 0 && id == contributing[i-1] {
-			continue
-		}
-		out.trackIDs = append(out.trackIDs, id)
-		out.truthIDs = append(out.truthIDs, tracks[id].truthID)
-	}
-	return out, nil
 }
 
 // densityCand wraps a costed density plan in the planner metadata every
@@ -850,8 +198,12 @@ func (e *Engine) densityExhaustiveCand(info *frameql.Info, par int) candidate {
 		desc: desc,
 		est:  plan.Cost{DetectorCalls: float64(frames), DetectorSeconds: float64(frames) * full},
 		open: func() (plan.Execution[*Result], error) {
-			return e.newDensityExec(info, par, pin, heads, nil,
-				&densityExhaustive{e: e, where: stmt.Where, fullCost: full}), nil
+			// The predicate is trackid-free (guard above), so the raw count per
+			// frame is independent of visit order, and settlement re-tracks
+			// the visited set exactly as a temporal scan over it would.
+			return openDensity(e, info, par, pin, heads, nil, func() scanKernel[*detArena] {
+				return e.newExhaustiveKernel(info, 0)
+			}), nil
 		},
 	}
 	return densityCand(p, p.est.DetectorSeconds)
@@ -859,7 +211,7 @@ func (e *Engine) densityExhaustiveCand(info *frameql.Info, par int) candidate {
 
 // densityBinaryCand enumerates the binary family's density-ordered
 // candidate from the cascade's enumeration products.
-func (e *Engine) densityBinaryCand(info *frameql.Info, class vidsim.Class, prep binaryPrep, bandFrac float64, par int) candidate {
+func (e *Engine) densityBinaryCand(info *frameql.Info, class vidsim.Class, prep *binaryPrep, bandFrac float64, par int) candidate {
 	desc := densityDesc(frameql.KindBinary.String())
 	lo, hi := e.frameRange(info)
 	pin := prep.seg.At(e.Test)
@@ -867,7 +219,10 @@ func (e *Engine) densityBinaryCand(info *frameql.Info, class vidsim.Class, prep 
 		return infeasible(desc, "index segment does not cover the pinned horizon yet")
 	}
 	heads := []int{prep.head}
-	conj := []index.Conjunct{{Head: prep.head, N: 1, Threshold: prep.lowT}}
+	// Conjunction-refuted chunks are pruned from the schedule — the same
+	// chunks the temporal plan's zone consult skips — so the two plans'
+	// meters agree bit for bit when neither exits early.
+	conj := prep.conjunction()
 	full := e.DTest.FullFrameCost()
 	frames := densityPlanFrames(pin, heads, conj, lo, hi, info.Limit)
 	verify := bandFrac * float64(frames)
@@ -880,26 +235,14 @@ func (e *Engine) densityBinaryCand(info *frameql.Info, class vidsim.Class, prep 
 			DetectorSeconds: verify * full,
 		},
 		open: func() (plan.Execution[*Result], error) {
-			return e.newDensityBinaryExec(info, class, prep, pin, par), nil
+			x := openDensity(e, info, par, pin, heads, conj, func() scanKernel[[]binVerdict] {
+				return e.newBinaryKernel(info, class, prep, 0)
+			})
+			prep.charge(&x.stats)
+			return x, nil
 		},
 	}
 	return densityCand(p, p.est.DetectorSeconds)
-}
-
-// newDensityBinaryExec opens the binary density execution, replaying the
-// cascade's preparation charges exactly as the temporal cascade does.
-func (e *Engine) newDensityBinaryExec(info *frameql.Info, class vidsim.Class, prep binaryPrep, pin *index.Segment, par int) *densityExec {
-	heads := []int{prep.head}
-	conj := []index.Conjunct{{Head: prep.head, N: 1, Threshold: prep.lowT}}
-	x := e.newDensityExec(info, par, pin, heads, conj, &densityBinary{
-		e: e, pin: pin, head: prep.head, lowT: prep.lowT, highT: prep.highT,
-		class: class, fullCost: e.DTest.FullFrameCost(),
-	})
-	x.st.Stats.TrainSeconds += prep.trainCost
-	x.st.Stats.TrainSeconds += prep.heldCost
-	x.st.Stats.note("cascade thresholds: reject < %.4f, accept >= %.4f", prep.lowT, prep.highT)
-	x.st.Stats.SpecNNSeconds += prep.infCost
-	return x
 }
 
 // densitySelectionCand enumerates the selection family's density-ordered
@@ -920,18 +263,20 @@ func (e *Engine) densitySelectionCand(info *frameql.Info, prep *selPrep, par int
 	if pin.Frames() < hi {
 		return infeasible(desc, "index segment does not cover the pinned horizon yet")
 	}
-	head := prep.labelFilter.Head
-	heads := []int{head}
-	conj := []index.Conjunct{{Head: head, Threshold: prep.labelFilter.Threshold, Tail1: true}}
+	heads := []int{prep.labelFilter.Head}
+	conj := prep.conjunction()
 	frames := densityPlanFrames(pin, heads, conj, lo, hi, info.Limit)
 	est := e.selectionEstimate(prep, frames, false)
 	p := &costedPlan{
 		desc: desc,
 		est:  est,
 		open: func() (plan.Execution[*Result], error) {
-			x := e.newDensityExec(info, par, pin, heads, conj,
-				&densitySelection{e: e, prep: prep, pin: pin})
-			prep.charge(&x.st.Stats)
+			// Step 1 and no duration predicate (guards above): the default-
+			// order cascade, every track qualifying at settlement.
+			x := openDensity(e, info, par, pin, heads, conj, func() scanKernel[*selArena] {
+				return e.newSelectionKernel(info, AllFilters(), prep, 0)
+			})
+			prep.charge(&x.stats)
 			return x, nil
 		},
 	}

@@ -134,16 +134,8 @@ func (x *Execution) Result() (*Result, error) {
 	if x.final != nil {
 		return x.final, nil
 	}
-	var fin *obs.Span
-	var preSim float64
-	var preDet int
-	if x.tr != nil {
-		fin = x.tr.root.Child("finalize")
-		if m := x.execMeter(); m != nil {
-			preSim = m.TotalSeconds()
-			preDet = m.DetectorCalls
-		}
-	}
+	fin := x.tr.rootSpan().Child("finalize")
+	pre := markMeter(x.execMeter())
 	res, err := x.ex.Result()
 	if err != nil {
 		fin.Fail(err)
@@ -161,7 +153,7 @@ func (x *Execution) Result() (*Result, error) {
 	rep.DensityChunksOutOfOrder = res.Stats.DensityChunksOutOfOrder
 	res.PlanReport = rep
 	x.e.planner.record(rep)
-	x.traceFinalize(fin, res, preSim, preDet)
+	x.traceFinalize(fin, res, pre)
 	x.final = res
 	return res, nil
 }
@@ -254,14 +246,22 @@ func (e *Engine) resumeAnalyzed(info *frameql.Info, cur *plan.Cursor) (*Executio
 // plans. A switch opens the new pick fresh over the pinned horizon, so
 // the advanced answer remains bitwise-equal to a fresh query's.
 func (e *Engine) Advance(cur *plan.Cursor) (*Result, *plan.Cursor, error) {
-	e = e.pin()
-	return e.advanceImpl(cur, nil)
+	return e.AdvanceTraced(cur, nil)
 }
 
-// advanceImpl is the shared Advance body; root is the trace root span
-// (nil when untraced — obs spans are nil-safe, so the span calls become
-// no-ops).
-func (e *Engine) advanceImpl(cur *plan.Cursor, root *obs.Span) (*Result, *plan.Cursor, error) {
+// AdvanceTraced is Advance recording a span tree onto tr: ingest
+// catch-up, cursor resume (re-plan plus state restore, carrying the
+// standing query's preparation charges) — or, at a drift-triggered
+// re-plan boundary, the replan span and a fresh open of the switched
+// pick — the incremental scan, finalize, and re-suspension. A plan
+// switch stamps plan_switched / plan_switched_from / plan_switches on
+// the root. With a nil trace it is Advance, through this same body: obs
+// spans are nil-safe, so the span calls become no-ops.
+func (e *Engine) AdvanceTraced(cur *plan.Cursor, tr *obs.Trace) (*Result, *plan.Cursor, error) {
+	e = e.pin()
+	root := rootOf(tr)
+	root.SetAttr("standing", "true")
+	e.traceSnapshotAttrs(root)
 	info, err := frameql.Analyze(cur.Query)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: advancing cursor: %w", err)

@@ -86,203 +86,171 @@ type exhaustiveState struct {
 	Result       resultState `json:"result"`
 }
 
-// exhaustiveExec answers queries the optimizer has no shortcut for by
+// exhaustiveKernel answers queries the optimizer has no shortcut for by
 // materializing rows with the reference detector on every frame in range
 // and evaluating the WHERE expression per row with a general interpreter.
 // This is the semantics baseline every optimized plan is compared against.
 //
-// The scan is sharded: workers run the detector (and, when the predicate
-// does not mention trackid, the WHERE interpreter) over contiguous frame
-// ranges in parallel, while the merge advances the entity-resolution
-// tracker, applies LIMIT/GAP, and charges the cost meter sequentially in
-// frame order — so track IDs, returned rows, and simulated cost are
-// identical to a serial scan. Progress units are visited frames; the scan
-// suspends at any frame boundary and, on a grown live stream, continues
-// over the new suffix.
-type exhaustiveExec struct {
-	traceHook
-	e       *Engine
-	info    *frameql.Info
-	par     int
-	st      exhaustiveState
-	tracker *track.Tracker
-	res     *Result
-	err     error
+// produce runs the detector (and, when the predicate does not mention
+// trackid, the WHERE interpreter) over a frame range; merge advances the
+// entity-resolution tracker, applies GAP/LIMIT, and charges the meter per
+// frame — so track IDs, returned rows, and simulated cost are identical to
+// a serial scan.
+type exhaustiveKernel struct {
+	e        *Engine
+	info     *frameql.Info
+	lo       int
+	fullCost float64
+	preEval  bool
+	tracker  *track.Tracker
+	last     int
+	rows     []Row
+	truth    []int
 }
 
-func (x *exhaustiveExec) meter() *Stats { return &x.res.Stats }
-
-func (e *Engine) newExhaustiveExec(info *frameql.Info, par int) (*exhaustiveExec, error) {
-	stmt := info.Stmt
-	if stmt.Having != nil && info.Residual {
-		return nil, fmt.Errorf("core: unsupported HAVING clause: %s", stmt.Having)
-	}
-	x := &exhaustiveExec{e: e, info: info, par: par, tracker: track.New(0, 1)}
-	x.st.LastReturned = -1 << 40
-	x.res = &Result{Kind: info.Kind.String()}
-	x.res.Stats.Plan = "exhaustive"
-	return x, nil
+// newExhaustiveKernel builds the kernel over frames lo, lo+1, ….
+func (e *Engine) newExhaustiveKernel(info *frameql.Info, lo int) *exhaustiveKernel {
+	return &exhaustiveKernel{e: e, info: info, lo: lo, fullCost: e.DTest.FullFrameCost(),
+		preEval: !exprUsesTrackID(info.Stmt.Where), tracker: track.New(0, 1), last: -1 << 40}
 }
 
-func (x *exhaustiveExec) Total() int {
-	lo, hi := x.e.frameRange(x.info)
-	return hi - lo
-}
-
-func (x *exhaustiveExec) Pos() int { return x.st.Pos }
-
-func (x *exhaustiveExec) Done() bool {
-	return x.st.Finished || x.st.Pos >= x.Total()
-}
-
-func (x *exhaustiveExec) RunTo(units int) error {
-	if x.err != nil {
-		return x.err
+func (e *Engine) newExhaustiveExec(info *frameql.Info, par int) (plan.Execution[*Result], error) {
+	if info.Stmt.Having != nil && info.Residual {
+		return nil, fmt.Errorf("core: unsupported HAVING clause: %s", info.Stmt.Having)
 	}
-	if x.st.Finished {
-		return nil
-	}
-	e, info := x.e, x.info
-	stmt := info.Stmt
-	lo, _ := e.frameRange(info)
-	fullCost := e.DTest.FullFrameCost()
-	limit := info.Limit
-	gap := info.Gap
-	preEval := !exprUsesTrackID(stmt.Where)
-	res := x.res
-
-	produce := func(s shard) *detArena {
-		a := &detArena{ends: make([]int32, 0, s.hi-s.lo)}
-		// A Counter reuses the track-index scratch across the shard's
-		// frames; its detections are identical to Detector.Detect's.
-		c := e.DTest.NewCounter()
-		var row Row
-		for i := s.lo; i < s.hi; i++ {
-			f := lo + i
-			start := len(a.dets)
-			a.dets = c.Detect(f, a.dets)
-			a.ends = append(a.ends, int32(len(a.dets)))
-			if !preEval {
-				continue
-			}
-			for j := start; j < len(a.dets); j++ {
-				row = Row{Timestamp: f}
-				rowFromDetection(&row, 0, &a.dets[j])
-				ok, err := evalPredicate(stmt.Where, &row)
-				if err != nil {
-					// Record the error and stop pre-evaluating: a.matched's
-					// length marks the erroring row's position, and the
-					// merge surfaces the error only when (and if) a serial
-					// scan would have reached that row — a LIMIT satisfied
-					// earlier still returns its rows.
-					a.err = err
-					return a
-				}
-				a.matched = append(a.matched, ok)
-			}
-		}
-		return a
-	}
-	// The batch consumer walks one chunk-aligned vector of the shard's
-	// frames, advancing the tracker, applying GAP/LIMIT, and charging the
-	// meter per frame in frame order — bit-identical to the per-frame
-	// merge it replaces, with early exits reported on the exact frame.
-	batch := func(blo, bhi, off0 int, a *detArena) (int, bool) {
-		for i := blo; i < bhi; i++ {
-			off := off0 + (i - blo)
-			if off >= len(a.ends) {
-				// Pre-evaluation stopped inside this shard: a serial scan
-				// surfacing the error never reaches this frame.
-				x.err = a.err
-				return i - blo + 1, false
-			}
-			f := lo + i
-			res.Stats.addDetection(fullCost)
-			detsStart := 0
-			if off > 0 {
-				detsStart = int(a.ends[off-1])
-			}
-			dets := a.frame(off)
-			ids := x.tracker.Advance(f, dets)
-			frameMatched := false
-			for j := range dets {
-				var ok bool
-				if preEval {
-					if detsStart+j >= len(a.matched) {
-						// The row whose predicate evaluation errored.
-						x.err = a.err
-						return i - blo + 1, false
-					}
-					ok = a.matched[detsStart+j]
-				} else {
-					var row Row
-					row.Timestamp = f
-					rowFromDetection(&row, ids[j], &dets[j])
-					var err error
-					ok, err = evalPredicate(stmt.Where, &row)
-					if err != nil {
-						x.err = err
-						return i - blo + 1, false
-					}
-				}
-				if !ok {
-					continue
-				}
-				if gap > 0 && f-x.st.LastReturned < gap {
-					continue
-				}
-				frameMatched = true
-				row := Row{Timestamp: f}
-				rowFromDetection(&row, ids[j], &dets[j])
-				res.Rows = append(res.Rows, row)
-				res.evalTruthIDs = append(res.evalTruthIDs, dets[j].TruthID())
-				if limit >= 0 && len(res.Rows) >= limit {
-					x.st.Finished = true
-					return i - blo + 1, false
-				}
-			}
-			if frameMatched && gap > 0 {
-				x.st.LastReturned = f
-			}
-		}
-		return bhi - blo, true
-	}
+	lo, hi := e.frameRange(info)
 	// LIMIT may stop the scan early; ramped shards keep the worst-case
 	// speculative work small when the limit is satisfied quickly.
-	x.st.Pos, _ = runScan(x.par, x.st.Pos, x.Total(), units, limit >= 0,
-		x.scanTrace(e.exec, &x.res.Stats), produce, batch)
-	return x.err
+	return newScan(e.exec, info.Kind.String(), "exhaustive", par, hi-lo, info.Limit >= 0,
+		e.newExhaustiveKernel(info, lo)), nil
 }
 
-func (x *exhaustiveExec) Snapshot() ([]byte, error) {
-	if x.err != nil {
-		return nil, fmt.Errorf("core: cannot suspend errored execution: %w", x.err)
+// detectArena runs the detector over frames [lo, hi).
+func (e *Engine) detectArena(lo, hi int) *detArena {
+	a := &detArena{ends: make([]int32, 0, hi-lo)}
+	// A Counter reuses the track-index scratch across the range's frames;
+	// its detections are identical to Detector.Detect's.
+	c := e.DTest.NewCounter()
+	for f := lo; f < hi; f++ {
+		a.dets = c.Detect(f, a.dets)
+		a.ends = append(a.ends, int32(len(a.dets)))
 	}
-	st := x.st
-	st.Tracker = x.tracker.Snapshot()
-	st.Result = *resultToState(x.res)
-	return json.Marshal(&st)
+	return a
 }
 
-func (x *exhaustiveExec) Restore(state []byte) error {
+func (k *exhaustiveKernel) produce(lo, hi int) *detArena {
+	a := k.e.detectArena(k.lo+lo, k.lo+hi)
+	if !k.preEval {
+		return a
+	}
+	var row Row
+	start := 0
+	for i, end := range a.ends {
+		for j := start; j < int(end); j++ {
+			row = Row{Timestamp: k.lo + lo + i}
+			rowFromDetection(&row, 0, &a.dets[j])
+			ok, err := evalPredicate(k.info.Stmt.Where, &row)
+			if err != nil {
+				// Record the error and stop: a.matched's length marks the
+				// erroring row's position and a.ends ends at its frame, and
+				// the merge surfaces the error only when (and if) a serial
+				// scan would have reached that row — a LIMIT satisfied
+				// earlier still returns its rows.
+				a.err, a.ends = err, a.ends[:i+1]
+				return a
+			}
+			a.matched = append(a.matched, ok)
+		}
+		start = int(end)
+	}
+	return a
+}
+
+func (k *exhaustiveKernel) merge(m *Stats, fold bool, blo, bhi, off0 int, a *detArena) (int, int, bool, error) {
+	where, limit, gap := k.info.Stmt.Where, k.info.Limit, k.info.Gap
+	hits := 0
+	for i := blo; i < bhi; i++ {
+		off := off0 + (i - blo)
+		if off >= len(a.ends) {
+			// Pre-evaluation stopped inside this product: a serial scan
+			// surfacing the error never reaches this frame.
+			return i - blo + 1, hits, false, a.err
+		}
+		f := k.lo + i
+		if m != nil {
+			m.addDetection(k.fullCost)
+		}
+		detsStart := 0
+		if off > 0 {
+			detsStart = int(a.ends[off-1])
+		}
+		dets := a.frame(off)
+		var ids []int
+		if fold {
+			ids = k.tracker.Advance(f, dets)
+		}
+		frameMatched := false
+		for j := range dets {
+			var ok bool
+			if k.preEval {
+				if detsStart+j >= len(a.matched) {
+					// The row whose predicate evaluation errored.
+					return i - blo + 1, hits, false, a.err
+				}
+				ok = a.matched[detsStart+j]
+			} else {
+				// trackid predicates need the tracker's identities, so they
+				// only ever run folding (density order is infeasible).
+				row := Row{Timestamp: f}
+				rowFromDetection(&row, ids[j], &dets[j])
+				var err error
+				if ok, err = evalPredicate(where, &row); err != nil {
+					return i - blo + 1, hits, false, err
+				}
+			}
+			if !ok {
+				continue
+			}
+			hits++
+			if !fold || gap > 0 && f-k.last < gap {
+				continue
+			}
+			frameMatched = true
+			row := Row{Timestamp: f}
+			rowFromDetection(&row, ids[j], &dets[j])
+			k.rows = append(k.rows, row)
+			k.truth = append(k.truth, dets[j].TruthID())
+			if limit >= 0 && len(k.rows) >= limit {
+				return i - blo + 1, hits, true, nil
+			}
+		}
+		if frameMatched && gap > 0 {
+			k.last = f
+		}
+	}
+	return bhi - blo, hits, false, nil
+}
+
+func (k *exhaustiveKernel) save(p *scanProgress) ([]byte, error) {
+	return json.Marshal(&exhaustiveState{Pos: p.pos, Finished: p.finished, LastReturned: k.last,
+		Tracker: k.tracker.Snapshot(),
+		Result:  resultState{Kind: k.info.Kind.String(), Rows: k.rows, TruthIDs: k.truth, Stats: p.stats}})
+}
+
+func (k *exhaustiveKernel) load(state []byte, p *scanProgress) error {
 	var st exhaustiveState
 	if err := json.Unmarshal(state, &st); err != nil {
 		return err
 	}
-	x.st = st
-	x.tracker = track.FromState(st.Tracker)
-	x.res = st.Result.toResult()
+	*p = scanProgress{pos: st.Pos, finished: st.Finished, stats: st.Result.Stats}
+	k.last, k.tracker = st.LastReturned, track.FromState(st.Tracker)
+	k.rows, k.truth = st.Result.Rows, st.Result.TruthIDs
 	return nil
 }
 
-func (x *exhaustiveExec) Result() (*Result, error) {
-	if x.err != nil {
-		return nil, x.err
-	}
-	if !x.Done() {
-		return nil, fmt.Errorf("core: exhaustive scan suspended at frame %d of %d", x.st.Pos, x.Total())
-	}
-	return resultToState(x.res).toResult(), nil
+func (k *exhaustiveKernel) finish(res *Result) {
+	res.Rows = append([]Row(nil), k.rows...)
+	res.evalTruthIDs = append([]int(nil), k.truth...)
 }
 
 // rowFromDetection fills a Row from a detection, leaving Timestamp to the

@@ -35,7 +35,7 @@ func TestShardRangesLayout(t *testing.T) {
 
 func TestRampShardRangesLayout(t *testing.T) {
 	for _, n := range []int{0, 1, rampSpan, rampSpan + 1, 10*shardSpan + 5} {
-		shards := rampShardRanges(n)
+		shards := resumeShards(0, n, true)
 		covered := 0
 		span := rampSpan
 		for i, s := range shards {
@@ -56,7 +56,7 @@ func TestRampShardRangesLayout(t *testing.T) {
 	}
 	// The first shard of a LIMIT scan must be small: a limit satisfied in
 	// the first frames should not pay a full shardSpan of speculation.
-	if s := rampShardRanges(10 * shardSpan); s[0].hi-s[0].lo != rampSpan {
+	if s := resumeShards(0, 10*shardSpan, true); s[0].hi-s[0].lo != rampSpan {
 		t.Errorf("first ramp shard spans %d, want %d", s[0].hi-s[0].lo, rampSpan)
 	}
 }

@@ -6,8 +6,10 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/frameql"
+	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/specnn"
 	"repro/internal/stats"
@@ -123,16 +125,19 @@ func pick(info *frameql.Info, cands []candidate) (*candidate, bool, error) {
 }
 
 // runChosen executes the picked candidate to completion through the
-// resumable execution layer — the one-shot path. Ground-truth labels
+// resumable execution layer — the one-shot path — recording prep, scan
+// and finalize spans under root (nil when untraced). Ground-truth labels
 // observed while sampling are published for the next query regardless of
 // the outcome (Execution.RunTo commits them on completion and on error);
 // mid-query lookups saw only the pre-query snapshot, keeping executions
 // deterministic.
-func (e *Engine) runChosen(info *frameql.Info, cands []candidate, chosen *candidate, forced bool, par int) (*Result, error) {
+func (e *Engine) runChosen(info *frameql.Info, cands []candidate, chosen *candidate, forced bool, par int, root *obs.Span) (*Result, error) {
+	prepStart := time.Now()
 	x, err := e.newExecution(info, cands, chosen, forced, par)
 	if err != nil {
 		return nil, err
 	}
+	x.attachTrace(root, time.Since(prepStart), "prep")
 	if err := x.RunTo(-1); err != nil {
 		return nil, err
 	}
@@ -143,6 +148,7 @@ func (e *Engine) runChosen(info *frameql.Info, cands []candidate, chosen *candid
 // physical plan instead of the cost-based pick — the hint path the
 // comparison baselines run through.
 func (e *Engine) ExecuteForced(info *frameql.Info, parallelism int, names ...string) (*Result, error) {
+	e = e.pin()
 	cands, err := e.planCandidates(info, parallelism)
 	if err != nil {
 		return nil, err
@@ -151,7 +157,7 @@ func (e *Engine) ExecuteForced(info *frameql.Info, parallelism int, names ...str
 	if err != nil {
 		return nil, err
 	}
-	return e.runChosen(info, cands, chosen, true, e.effectiveParallelism(parallelism))
+	return e.runChosen(info, cands, chosen, true, e.effectiveParallelism(parallelism), nil)
 }
 
 // ExplainPlan enumerates and prices the candidate plans for an analyzed
@@ -160,6 +166,7 @@ func (e *Engine) ExecuteForced(info *frameql.Info, parallelism int, names ...str
 // statistics) the first time a class is seen — the same preparation the
 // query's execution would perform and cache.
 func (e *Engine) ExplainPlan(info *frameql.Info, parallelism int) (*plan.Report, error) {
+	e = e.pin()
 	cands, err := e.planCandidates(info, parallelism)
 	if err != nil {
 		return nil, err

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
 	"testing"
 
 	"repro/internal/frameql"
 	"repro/internal/plan"
 	"repro/internal/specnn"
+	"repro/internal/vidsim"
 )
 
 // resumeCases is one query per plan family (plus fallback and hint-forced
@@ -427,5 +430,95 @@ func TestAppendLiveSemantics(t *testing.T) {
 	}
 	if added != 0 || full.StreamEpoch() != 0 {
 		t.Fatalf("full engine append: added %d, epoch %d", added, full.StreamEpoch())
+	}
+}
+
+// parentCursor is one record of testdata/cursors_pr13.json: a mid-scan
+// and a completed cursor of one (family, plan), in wire form.
+type parentCursor struct {
+	Name  string          `json:"name"`
+	Query string          `json:"query"`
+	Index []vidsim.Class  `json:"index,omitempty"`
+	Mark  int             `json:"mark"`
+	Mid   json.RawMessage `json:"mid"`
+	Done  json.RawMessage `json:"done"`
+}
+
+// TestResumeParentCursors resumes cursors that the executors of PR 13
+// (commit cd13c64, before the scan operator replaced the per-family
+// execs) suspended on testEngine's configuration at parallelism 4, each
+// after one warming run: one mid-scan (the density-limit ones mid-chunk)
+// and one completed cursor per scan plan. plan.Cursor carries no version
+// field, so a renamed JSON tag in a family's state would decode to zero
+// values and silently restart the scan; this requires instead that every
+// resumed Result — answer, rows, full cost meter — is bit-identical to an
+// uninterrupted run. The file is frozen: a deliberate cursor format
+// change must keep decoding it, not re-record it.
+func TestResumeParentCursors(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains models")
+	}
+	data, err := os.ReadFile("testdata/cursors_pr13.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cases []parentCursor
+	if err := json.Unmarshal(data, &cases); err != nil {
+		t.Fatal(err)
+	}
+	e := testEngine(t, "taipei")
+	for _, tc := range cases {
+		t.Run(tc.Name, func(t *testing.T) {
+			for _, c := range tc.Index {
+				if err := e.BuildIndex([]vidsim.Class{c}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			info, err := frameql.Analyze(tc.Query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Warm preparation, as the recording did: the cursors carry
+			// the charges of a warm engine.
+			if _, err := e.ExecuteParallel(info, 1); err != nil {
+				t.Fatal(err)
+			}
+			want, err := e.ExecuteParallel(info, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range []struct {
+				label string
+				wire  []byte
+				done  bool
+			}{{"mid-scan", tc.Mid, false}, {"completed", tc.Done, true}} {
+				cur, err := plan.DecodeCursor(w.wire)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cur.Plan != want.Stats.Plan {
+					t.Fatalf("%s cursor is of plan %q, the query now runs %q", w.label, cur.Plan, want.Stats.Plan)
+				}
+				x, err := e.ResumeQuery(cur)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if x.Pos() != cur.Units || x.Done() != w.done {
+					t.Fatalf("%s cursor restored at unit %d done=%v, recorded unit %d done=%v",
+						w.label, x.Pos(), x.Done(), cur.Units, w.done)
+				}
+				if !w.done && cur.Units != tc.Mark {
+					t.Fatalf("mid-scan cursor at unit %d, recorded mark %d", cur.Units, tc.Mark)
+				}
+				if err := x.RunTo(-1); err != nil {
+					t.Fatal(err)
+				}
+				got, err := x.Result()
+				if err != nil {
+					t.Fatal(err)
+				}
+				resultsIdentical(t, tc.Name+": "+w.label+" parent cursor vs uninterrupted", want, got)
+			}
+		})
 	}
 }

@@ -216,7 +216,6 @@ type scrubExecState struct {
 // order re-ranks the whole population, so a cursor restored onto a grown
 // stream restarts the search deterministically over the new ranking.
 type scrubExec struct {
-	traceHook
 	e        *Engine
 	info     *frameql.Info
 	reqs     []scrub.Requirement

@@ -287,7 +287,7 @@ type trackAgg struct {
 // ExecuteSelectionPlan runs a selection query under an explicit filter
 // plan at the engine's configured parallelism.
 func (e *Engine) ExecuteSelectionPlan(info *frameql.Info, plan SelectionPlan) (*Result, error) {
-	return e.executeSelectionPlan(info, plan, e.parallelism())
+	return e.pin().executeSelectionPlan(info, plan, e.parallelism())
 }
 
 // selArena is the per-shard product of the selection scan: per-frame
@@ -366,6 +366,12 @@ func (p *selPrep) charge(st *Stats) {
 	}
 }
 
+// conjunction is the label threshold expressed as a conjunction, for zone
+// consults; it needs a trained label filter.
+func (p *selPrep) conjunction() []index.Conjunct {
+	return []index.Conjunct{{Head: p.labelFilter.Head, Threshold: p.labelFilter.Threshold, Tail1: true}}
+}
+
 // selectionPrep splits predicates and trains the filters a selection plan
 // uses: spatial bounds become the ROI, duration constraints the temporal
 // step, content predicates frame-level threshold filters, and the class
@@ -418,7 +424,7 @@ func (e *Engine) selectionPrep(info *frameql.Info, plan SelectionPlan) (*selPrep
 				// Threshold computation scans the held-out day with the
 				// cheap frame UDF.
 				p.charges = append(p.charges, selCharge{
-					train:    float64(minInt(e.HeldOut.Frames, e.opts.HeldOutSample)) * feature.CostSeconds,
+					train:    float64(min(e.HeldOut.Frames, e.opts.HeldOutSample)) * feature.CostSeconds,
 					hasTrain: true,
 					note:     fmt.Sprintf("content: %s >= %.2f (selectivity %.3f)", cf.UDF, cf.Threshold, cf.Selectivity),
 				})
@@ -476,7 +482,7 @@ func (e *Engine) executeSelectionPlan(info *frameql.Info, selPlan SelectionPlan,
 
 // openSelectionPlan prepares filters for an explicit selection plan and
 // opens its resumable execution.
-func (e *Engine) openSelectionPlan(info *frameql.Info, selPlan SelectionPlan, par int) (*selectionExec, error) {
+func (e *Engine) openSelectionPlan(info *frameql.Info, selPlan SelectionPlan, par int) (*scanExec[*selArena], error) {
 	prep, err := e.selectionPrep(info, selPlan)
 	if err != nil {
 		return nil, err
@@ -509,91 +515,68 @@ type selectionState struct {
 	Stats   Stats           `json:"stats"`
 }
 
-// selectionExec runs a selection query with prepared filters. The
-// executor guarantees no false positives: every returned row is
+// selectionKernel runs a selection query with prepared filters. The
+// plan guarantees no false positives: every returned row is
 // detector-verified, and duration predicates are resolved exactly by
 // probing track boundaries with additional detector calls when sampling
 // leaves them ambiguous (§3: "BLAZEIT can always ensure no false
 // positives by running the most accurate method on the relevant frames").
 //
-// The scan shards across par workers: each shard runs the cheap-filter
-// cascade (feature extraction, content filters, specialized-network label
-// filter) and the ROI detector over its frame range with its own
-// evaluator and buffers, while the merge replays cost charging, advances
-// the entity-resolution tracker, and assembles per-track state serially
-// per visited frame in frame order. Duration probing runs at
-// finalization on the merged tracks in ascending track-ID order, so the
-// Result is bit-identical at every parallelism level. Progress units are
-// visited (stride-sampled) frames; a grown live stream continues the
-// scan on the same stride grid over the new suffix.
-type selectionExec struct {
-	traceHook
+// produce runs the cheap-filter cascade (feature extraction, content
+// filters, specialized-network label filter) and the ROI detector over a
+// visited-frame range with its own evaluator and buffers; merge replays
+// cost charging, advances the entity-resolution tracker, and assembles
+// per-track state serially per visited frame in frame order. Duration
+// probing runs at finalization on the merged tracks in ascending track-ID
+// order, so the Result is bit-identical at every parallelism level.
+// Visited frames are stride-sampled (lo + i·step); a grown live stream
+// continues the scan on the same stride grid over the new suffix.
+type selectionKernel struct {
 	e       *Engine
 	info    *frameql.Info
 	plan    SelectionPlan
 	prep    *selPrep
-	par     int
-	st      selectionState
+	lo      int
 	tracker *track.Tracker
 	tracks  map[int]*trackAgg
-	err     error
 }
 
-func (x *selectionExec) meter() *Stats { return &x.st.Stats }
-
-func (e *Engine) newSelectionExec(info *frameql.Info, selPlan SelectionPlan, prep *selPrep, par int) *selectionExec {
+// newSelectionKernel builds the kernel over frames lo, lo+step, ….
+func (e *Engine) newSelectionKernel(info *frameql.Info, selPlan SelectionPlan, prep *selPrep, lo int) *selectionKernel {
 	cutoff := track.DefaultCutoff
 	if prep.step > 1 {
 		// Sampled frames are step apart; inter-frame motion scales with the
 		// gap, so the matching cutoff must loosen accordingly.
 		cutoff = 0.35
 	}
-	x := &selectionExec{
-		e: e, info: info, plan: selPlan, prep: prep, par: par,
-		tracker: track.New(cutoff, 2*prep.step),
-		tracks:  make(map[int]*trackAgg),
-	}
-	x.st.Stats.Plan = planName(selPlan)
-	prep.charge(&x.st.Stats)
+	return &selectionKernel{e: e, info: info, plan: selPlan, prep: prep, lo: lo,
+		tracker: track.New(cutoff, 2*prep.step), tracks: make(map[int]*trackAgg)}
+}
+
+func (e *Engine) newSelectionExec(info *frameql.Info, selPlan SelectionPlan, prep *selPrep, par int) *scanExec[*selArena] {
+	lo, hi := e.frameRange(info)
+	x := newScan(e.exec, info.Kind.String(), planName(selPlan), par, (hi-lo+prep.step-1)/prep.step, false,
+		e.newSelectionKernel(info, selPlan, prep, lo))
+	prep.charge(&x.stats)
 	return x
 }
 
-func (x *selectionExec) Total() int {
-	lo, hi := x.e.frameRange(x.info)
-	if hi <= lo {
-		return 0
-	}
-	return (hi - lo + x.prep.step - 1) / x.prep.step
+// cascade resolves which filter stages this plan's scan runs.
+func (k *selectionKernel) cascade() (hasContent, hasLabel, labelFirst bool) {
+	hasContent = len(k.prep.contentFilters) > 0
+	hasLabel = k.prep.labelFilter != nil
+	return hasContent, hasLabel, k.plan.LabelFirst && hasContent && hasLabel
 }
 
-func (x *selectionExec) Pos() int   { return x.st.Pos }
-func (x *selectionExec) Done() bool { return x.st.Pos >= x.Total() }
-
-func (x *selectionExec) RunTo(units int) error {
-	if x.err != nil {
-		return x.err
-	}
-	e, info, plan, prep := x.e, x.info, x.plan, x.prep
-	class := prep.class
-	target := prep.target
-	roi := prep.roi
-	detCost := prep.detCost
-	step := prep.step
-	contentFilters := prep.contentFilters
+func (k *selectionKernel) produce(sLo, sHi int) *selArena {
+	e, plan, prep := k.e, k.plan, k.prep
+	lo, step := k.lo, prep.step
 	labelFilter := prep.labelFilter
-	model := prep.model
-	presence := prep.presence
-
-	hasContent := len(contentFilters) > 0
-	hasLabel := labelFilter != nil
-	labelFirst := plan.LabelFirst && hasContent && hasLabel
+	hasContent, hasLabel, labelFirst := k.cascade()
 	headIdx := -1
 	if hasLabel {
 		headIdx = labelFilter.Head
 	}
-
-	lo, _ := e.frameRange(info)
-
 	// With a materialized segment the label filter reads the index's exact
 	// presence-tail column (bit-identical to Evaluator.TailProb) instead of
 	// running the network per frame, and chunks whose zone map proves the
@@ -603,267 +586,261 @@ func (x *selectionExec) RunTo(units int) error {
 	// charge replay — and therefore the whole Result — is unchanged.
 	seg := prep.seg
 	useSeg := seg != nil && hasLabel && !plan.NoScopeOracle
-	produce := func(s shard) *selArena {
-		a := &selArena{flags: make([]uint8, 0, s.hi-s.lo)}
-		a.ends = make([]int32, 0, s.hi-s.lo)
-		var ev *specnn.Evaluator
-		if !plan.NoScopeOracle && (hasContent || hasLabel) {
-			if useSeg {
-				if hasContent {
-					// Raw descriptors only: the network never runs here.
-					ev = specnn.NewEvaluator(nil, e.Test)
-				}
-			} else {
-				ev = specnn.NewEvaluator(model, e.Test)
+
+	a := &selArena{flags: make([]uint8, 0, sHi-sLo)}
+	a.ends = make([]int32, 0, sHi-sLo)
+	var ev *specnn.Evaluator
+	if !plan.NoScopeOracle && (hasContent || hasLabel) {
+		if useSeg {
+			if hasContent {
+				// Raw descriptors only: the network never runs here.
+				ev = specnn.NewEvaluator(nil, e.Test)
 			}
+		} else {
+			ev = specnn.NewEvaluator(prep.model, e.Test)
 		}
-		// With a segment the label threshold reads the current chunk's
-		// exact presence-tail column, fetched once per chunk range (the
-		// chunk-vector read); the per-frame accessor stays selectable for
-		// the equivalence suite. Both read the same float64 storage.
-		var t1col []float64
-		t1lo := -1
-		labelPass := func(f int) bool {
-			if useSeg {
-				if t1col != nil {
-					return t1col[f-t1lo] >= labelFilter.Threshold
-				}
-				return seg.Tail1(headIdx, f) >= labelFilter.Threshold
-			}
-			return ev.TailProb(headIdx, 1) >= labelFilter.Threshold
-		}
-		// canSkip applies only where the label filter is the first stage
-		// that would touch the frame, so a skip elides real work without
-		// changing any flag the merge replays charges from. The consult
-		// routes through the conjunction kernel so the temporal path and
-		// the density schedule refute identical chunk sets.
-		canSkip := zoneSkipsEnabled && useSeg && (labelFirst || !hasContent)
-		var conj []index.Conjunct
-		if canSkip {
-			conj = []index.Conjunct{{Head: headIdx, Threshold: labelFilter.Threshold, Tail1: true}}
-		}
-		c := e.DTest.NewCounter()
-		var scratch []detect.Detection
-		visit := func(f int) (uint8, bool) {
-			var fl uint8
-			if plan.NoScopeOracle {
-				if presence[f] > 0 {
-					fl = selDetected
-				}
-			} else if labelFirst {
-				// Reordered cascade: the network gates first, content
-				// checks reuse its feature extraction on survivors.
-				if !useSeg {
-					ev.Seek(f)
-				}
-				pass := labelPass(f)
-				if pass {
-					if useSeg {
-						ev.Seek(f)
-					}
-					raw := ev.Raw()
-					for _, cf := range contentFilters {
-						if !cf.Pass(raw) {
-							pass = false
-							break
-						}
-					}
-				}
-				if pass {
-					fl |= selDetected
-				}
-			} else {
-				pass := true
-				if hasContent {
-					ev.Seek(f)
-					raw := ev.Raw()
-					for _, cf := range contentFilters {
-						if !cf.Pass(raw) {
-							pass = false
-							break
-						}
-					}
-					if pass {
-						fl |= selContentPass
-					}
-				}
-				if pass && hasLabel {
-					if !hasContent && !useSeg {
-						ev.Seek(f)
-					}
-					if !labelPass(f) {
-						pass = false
-					}
-				}
-				if pass {
-					fl |= selDetected
-				}
-			}
-			if fl&selDetected != 0 {
-				scratch = c.DetectROI(f, roi, scratch[:0])
-				start := len(a.dets)
-				// Keep all detections of the target class for identity.
-				for j := range scratch {
-					if scratch[j].Class == class {
-						a.dets = append(a.dets, scratch[j])
-					}
-				}
-				for j := start; j < len(a.dets); j++ {
-					ok, err := filters.ObjectMatches(&a.dets[j], target)
-					if err != nil {
-						a.err = err
-						return fl, false
-					}
-					a.matched = append(a.matched, ok)
-				}
-			}
-			return fl, true
-		}
-		// The shard walks index-chunk-aligned ranges of its visited
-		// frames: one zone-map consultation per chunk proves a whole
-		// range's label rejection without decoding its column (predicate
-		// pushdown), and surviving ranges fetch the chunk's tail column
-		// once.
-		for i := s.lo; i < s.hi; {
-			iEnd := s.hi
-			if useSeg {
-				f := lo + i*step
-				ci := index.ChunkOf(f)
-				chunkHi := (ci + 1) * index.ChunkFrames
-				// First visited index whose frame leaves the chunk.
-				if ce := i + (chunkHi-f+step-1)/step; ce < iEnd {
-					iEnd = ce
-				}
-				if canSkip && seg.CanSkipConjunction(ci, conj) {
-					// Proven label rejection for the whole range: same zero
-					// cascade bits, no per-frame work. Count each skipped
-					// chunk once per scan — at the visited frame where the
-					// whole scan first enters it — so shard boundaries
-					// straddling a chunk never double-count it.
-					var fl uint8
-					if i == 0 || index.ChunkOf(f-step) != ci {
-						fl = selChunkFirst
-					}
-					for ; i < iEnd; i++ {
-						a.flags = append(a.flags, fl|selSkipped)
-						a.ends = append(a.ends, int32(len(a.dets)))
-						fl = 0
-					}
-					continue
-				}
-				if vectorScanEnabled {
-					end := chunkHi
-					if fr := seg.Frames(); end > fr {
-						end = fr
-					}
-					t1lo = ci * index.ChunkFrames
-					t1col = seg.Tail1Range(headIdx, t1lo, end)
-				} else {
-					t1col = nil
-				}
-			}
-			for ; i < iEnd; i++ {
-				fl, ok := visit(lo + i*step)
-				if !ok {
-					return a
-				}
-				a.flags = append(a.flags, fl)
-				a.ends = append(a.ends, int32(len(a.dets)))
-			}
-		}
-		return a
 	}
-	batch := func(blo, bhi, off0 int, a *selArena) (int, bool) {
-		for i := blo; i < bhi; i++ {
-			if a.err != nil {
-				x.err = a.err
-				return i - blo + 1, false
+	// With a segment the label threshold reads the current chunk's
+	// exact presence-tail column, fetched once per chunk range (the
+	// chunk-vector read); the per-frame accessor stays selectable for
+	// the equivalence suite. Both read the same float64 storage.
+	var t1col []float64
+	t1lo := -1
+	labelPass := func(f int) bool {
+		if useSeg {
+			if t1col != nil {
+				return t1col[f-t1lo] >= labelFilter.Threshold
 			}
-			off := off0 + (i - blo)
+			return seg.Tail1(headIdx, f) >= labelFilter.Threshold
+		}
+		return ev.TailProb(headIdx, 1) >= labelFilter.Threshold
+	}
+	contentPass := func() bool {
+		raw := ev.Raw()
+		for _, cf := range prep.contentFilters {
+			if !cf.Pass(raw) {
+				return false
+			}
+		}
+		return true
+	}
+	// canSkip applies only where the label filter is the first stage
+	// that would touch the frame, so a skip elides real work without
+	// changing any flag the merge replays charges from. The consult
+	// routes through the conjunction kernel so the temporal path and
+	// the density schedule refute identical chunk sets.
+	canSkip := useSeg && (labelFirst || !hasContent)
+	var conj []index.Conjunct
+	if canSkip {
+		conj = prep.conjunction()
+	}
+	c := e.DTest.NewCounter()
+	var scratch []detect.Detection
+	visit := func(f int) (uint8, bool) {
+		var fl uint8
+		if plan.NoScopeOracle {
+			if prep.presence[f] > 0 {
+				fl = selDetected
+			}
+		} else if labelFirst {
+			// Reordered cascade: the network gates first, content
+			// checks reuse its feature extraction on survivors.
+			if !useSeg {
+				ev.Seek(f)
+			}
+			if labelPass(f) {
+				if useSeg {
+					ev.Seek(f)
+				}
+				if contentPass() {
+					fl |= selDetected
+				}
+			}
+		} else {
+			pass := true
+			if hasContent {
+				ev.Seek(f)
+				if pass = contentPass(); pass {
+					fl |= selContentPass
+				}
+			}
+			if pass && hasLabel {
+				if !hasContent && !useSeg {
+					ev.Seek(f)
+				}
+				pass = labelPass(f)
+			}
+			if pass {
+				fl |= selDetected
+			}
+		}
+		if fl&selDetected != 0 {
+			scratch = c.DetectROI(f, prep.roi, scratch[:0])
+			start := len(a.dets)
+			// Keep all detections of the target class for identity.
+			for j := range scratch {
+				if scratch[j].Class == prep.class {
+					a.dets = append(a.dets, scratch[j])
+				}
+			}
+			for j := start; j < len(a.dets); j++ {
+				ok, err := filters.ObjectMatches(&a.dets[j], prep.target)
+				if err != nil {
+					a.err = err
+					return fl, false
+				}
+				a.matched = append(a.matched, ok)
+			}
+		}
+		return fl, true
+	}
+	// The range walks index-chunk-aligned ranges of its visited
+	// frames: one zone-map consultation per chunk proves a whole
+	// range's label rejection without decoding its column (predicate
+	// pushdown), and surviving ranges fetch the chunk's tail column
+	// once.
+	for i := sLo; i < sHi; {
+		iEnd := sHi
+		if useSeg {
 			f := lo + i*step
-			fl := a.flags[off]
+			ci := index.ChunkOf(f)
+			chunkHi := (ci + 1) * index.ChunkFrames
+			// First visited index whose frame leaves the chunk.
+			iEnd = min(iEnd, i+(chunkHi-f+step-1)/step)
+			if canSkip && zoneRefutes(seg, ci, conj) {
+				// Proven label rejection for the whole range: same zero
+				// cascade bits, no per-frame work. Count each skipped
+				// chunk once per scan — at the visited frame where the
+				// whole scan first enters it — so shard boundaries
+				// straddling a chunk never double-count it.
+				var fl uint8
+				if i == 0 || index.ChunkOf(f-step) != ci {
+					fl = selChunkFirst
+				}
+				for ; i < iEnd; i++ {
+					a.flags = append(a.flags, fl|selSkipped)
+					a.ends = append(a.ends, int32(len(a.dets)))
+					fl = 0
+				}
+				continue
+			}
+			t1col = nil
+			if vectorScanEnabled {
+				t1lo = ci * index.ChunkFrames
+				t1col = seg.Tail1Range(headIdx, t1lo, min(chunkHi, seg.Frames()))
+			}
+		}
+		for ; i < iEnd; i++ {
+			fl, ok := visit(lo + i*step)
+			if !ok {
+				return a
+			}
+			a.flags = append(a.flags, fl)
+			a.ends = append(a.ends, int32(len(a.dets)))
+		}
+	}
+	return a
+}
+
+func (k *selectionKernel) merge(m *Stats, fold bool, blo, bhi, off0 int, a *selArena) (int, int, bool, error) {
+	hasContent, hasLabel, labelFirst := k.cascade()
+	hits := 0
+	for i := blo; i < bhi; i++ {
+		if a.err != nil {
+			return i - blo + 1, hits, false, a.err
+		}
+		off := off0 + (i - blo)
+		f := k.lo + i*k.prep.step
+		fl := a.flags[off]
+		if m != nil {
 			if fl&selChunkFirst != 0 {
-				x.st.Stats.IndexChunksSkipped++
-				x.st.Stats.ConjunctionChunksSkipped++
+				m.IndexChunksSkipped++
+				m.ConjunctionChunksSkipped++
 			}
 			if fl&selSkipped != 0 {
-				x.st.Stats.IndexFramesSkipped++
+				m.IndexFramesSkipped++
 			}
 			// The charge replay reads only the cascade bits: a zone-skipped
 			// frame replays exactly the charges of a label rejection.
-			fl &= selContentPass | selDetected
 			switch {
-			case plan.NoScopeOracle:
+			case k.plan.NoScopeOracle:
 				// Oracle knowledge is free.
 			case labelFirst:
 				// Every visited frame pays feature extraction and network
 				// inference; content checks on survivors reuse both.
-				x.st.Stats.FilterSeconds += feature.CostSeconds
-				x.st.Stats.FilterSeconds += specnn.InferenceCostSeconds
+				m.FilterSeconds += feature.CostSeconds
+				m.FilterSeconds += specnn.InferenceCostSeconds
 			default:
 				// Replay the cascade's filter charges exactly as a serial
 				// scan would interleave them.
 				if hasContent {
-					x.st.Stats.FilterSeconds += feature.CostSeconds
+					m.FilterSeconds += feature.CostSeconds
 				}
 				if hasLabel && (!hasContent || fl&selContentPass != 0) {
 					if !hasContent {
-						x.st.Stats.FilterSeconds += feature.CostSeconds
+						m.FilterSeconds += feature.CostSeconds
 					}
-					x.st.Stats.FilterSeconds += specnn.InferenceCostSeconds
+					m.FilterSeconds += specnn.InferenceCostSeconds
 				}
-			}
-			if fl&selDetected == 0 {
-				continue
-			}
-			x.st.Stats.addDetection(detCost)
-			classDets := a.frame(off)
-			matched := a.frameMatched(off)
-			ids := x.tracker.Advance(f, classDets)
-			for j := range classDets {
-				if !matched[j] {
-					continue
-				}
-				d := &classDets[j]
-				id := ids[j]
-				ta := x.tracks[id]
-				if ta == nil {
-					ta = &trackAgg{firstMatch: f, firstBox: d.Box, truthID: d.TruthID()}
-					x.tracks[id] = ta
-				}
-				ta.lastMatch = f
-				ta.lastBox = d.Box
-				ta.rows = append(ta.rows, Row{
-					Timestamp:  f,
-					Class:      d.Class,
-					Mask:       d.Box,
-					TrackID:    id,
-					Content:    d.Color,
-					Confidence: d.Confidence,
-				})
 			}
 		}
-		return bhi - blo, true
+		if fl&selDetected == 0 {
+			continue
+		}
+		if m != nil {
+			m.addDetection(k.prep.detCost)
+		}
+		classDets := a.frame(off)
+		matched := a.frameMatched(off)
+		var ids []int
+		if fold {
+			ids = k.tracker.Advance(f, classDets)
+		}
+		for j := range classDets {
+			if !matched[j] {
+				continue
+			}
+			hits++
+			if !fold {
+				continue
+			}
+			d := &classDets[j]
+			id := ids[j]
+			ta := k.tracks[id]
+			if ta == nil {
+				ta = &trackAgg{firstMatch: f, firstBox: d.Box, truthID: d.TruthID()}
+				k.tracks[id] = ta
+			}
+			ta.lastMatch = f
+			ta.lastBox = d.Box
+			ta.rows = append(ta.rows, Row{
+				Timestamp:  f,
+				Class:      d.Class,
+				Mask:       d.Box,
+				TrackID:    id,
+				Content:    d.Color,
+				Confidence: d.Confidence,
+			})
+		}
 	}
-	x.st.Pos, _ = runScan(x.par, x.st.Pos, x.Total(), units, false,
-		x.scanTrace(e.exec, &x.st.Stats), produce, batch)
-	return x.err
+	return bhi - blo, hits, false, nil
 }
 
-func (x *selectionExec) Snapshot() ([]byte, error) {
-	if x.err != nil {
-		return nil, fmt.Errorf("core: cannot suspend errored execution: %w", x.err)
-	}
-	st := x.st
-	st.Tracker = x.tracker.Snapshot()
-	ids := make([]int, 0, len(x.tracks))
-	for id := range x.tracks {
+// trackIDs returns the scan's track IDs in ascending order — the order
+// serialization and finalization both walk.
+func (k *selectionKernel) trackIDs() []int {
+	ids := make([]int, 0, len(k.tracks))
+	for id := range k.tracks {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
-	st.Tracks = make([]selTrackState, 0, len(ids))
-	for _, id := range ids {
-		ta := x.tracks[id]
+	return ids
+}
+
+func (k *selectionKernel) save(p *scanProgress) ([]byte, error) {
+	st := selectionState{Pos: p.pos, Tracker: k.tracker.Snapshot(), Stats: p.stats}
+	for _, id := range k.trackIDs() {
+		ta := k.tracks[id]
 		st.Tracks = append(st.Tracks, selTrackState{
 			ID: id, FirstMatch: ta.firstMatch, LastMatch: ta.lastMatch,
 			FirstBox: ta.firstBox, LastBox: ta.lastBox,
@@ -873,55 +850,41 @@ func (x *selectionExec) Snapshot() ([]byte, error) {
 	return json.Marshal(&st)
 }
 
-func (x *selectionExec) Restore(state []byte) error {
+func (k *selectionKernel) load(state []byte, p *scanProgress) error {
 	var st selectionState
 	if err := json.Unmarshal(state, &st); err != nil {
 		return err
 	}
-	x.st = st
-	x.tracker = track.FromState(st.Tracker)
-	x.tracks = make(map[int]*trackAgg, len(st.Tracks))
+	*p, k.tracker = scanProgress{pos: st.Pos, stats: st.Stats}, track.FromState(st.Tracker)
+	k.tracks = make(map[int]*trackAgg, len(st.Tracks))
 	for _, ts := range st.Tracks {
-		x.tracks[ts.ID] = &trackAgg{
+		k.tracks[ts.ID] = &trackAgg{
 			firstMatch: ts.FirstMatch, lastMatch: ts.LastMatch,
 			firstBox: ts.FirstBox, lastBox: ts.LastBox,
-			truthID: ts.TruthID, rows: append([]Row(nil), ts.Rows...),
+			truthID: ts.TruthID, rows: ts.Rows,
 		}
 	}
 	return nil
 }
 
-// Result finalizes the scan: duration predicates are resolved — probing
+// finish finalizes the scan: duration predicates are resolved — probing
 // boundaries when sampling left them ambiguous — in ascending track-ID
 // order so probe charges and evaluation metadata are deterministic, rows
 // sort chronologically, and LIMIT/GAP apply. Finalization never mutates
 // scan state: probe charges land on the returned result's meter only, so
 // a standing query that ingests more frames and re-finalizes probes
 // against the new horizon exactly as a fresh query would.
-func (x *selectionExec) Result() (*Result, error) {
-	if x.err != nil {
-		return nil, x.err
-	}
-	if !x.Done() {
-		return nil, fmt.Errorf("core: selection scan suspended at visited frame %d of %d", x.st.Pos, x.Total())
-	}
-	e, info, prep := x.e, x.info, x.prep
+func (k *selectionKernel) finish(res *Result) {
+	e, info, prep := k.e, k.info, k.prep
 	lo, hi := e.frameRange(info)
-	res := &Result{Kind: info.Kind.String(), Stats: x.st.Stats}
-	res.Stats.Notes = append([]string(nil), x.st.Stats.Notes...)
-
 	minDur := info.MinDurationFrames
-	trackIDs := make([]int, 0, len(x.tracks))
-	for id := range x.tracks {
-		trackIDs = append(trackIDs, id)
-	}
-	sort.Ints(trackIDs)
+	trackIDs := k.trackIDs()
 	if info.Limit >= 0 && selLimitSettleEnabled {
-		x.settleLimited(res, trackIDs, minDur, lo, hi)
-		return res, nil
+		k.settleLimited(res, trackIDs, minDur, lo, hi)
+		return
 	}
 	for _, id := range trackIDs {
-		ta := x.tracks[id]
+		ta := k.tracks[id]
 		qualified := false
 		if minDur <= 1 {
 			qualified = true
@@ -942,9 +905,8 @@ func (x *selectionExec) Result() (*Result, error) {
 	sortRows(res)
 	applyLimitGap(res, info.Limit, info.Gap)
 	if info.Limit >= 0 {
-		x.trimToContributing(res)
+		k.trimToContributing(res)
 	}
-	return res, nil
 }
 
 // Track settlement statuses for LIMIT finalization.
@@ -966,12 +928,12 @@ const (
 // for never-returned tracks elided (strictly fewer detector calls, never
 // more: each kept-row track is probed at most once, exactly as the
 // reference probes it).
-func (x *selectionExec) settleLimited(res *Result, trackIDs []int, minDur, lo, hi int) {
-	e, info, prep := x.e, x.info, x.prep
-	status := make(map[int]int, len(x.tracks))
+func (k *selectionKernel) settleLimited(res *Result, trackIDs []int, minDur, lo, hi int) {
+	e, info, prep := k.e, k.info, k.prep
+	status := make(map[int]int, len(k.tracks))
 	var rows []Row
 	for _, id := range trackIDs {
-		ta := x.tracks[id]
+		ta := k.tracks[id]
 		st := selTrackQualified
 		if minDur > 1 {
 			if span := ta.lastMatch - ta.firstMatch + 1; span < minDur {
@@ -1010,7 +972,7 @@ func (x *selectionExec) settleLimited(res *Result, trackIDs []int, minDur, lo, h
 		st := status[row.TrackID]
 		if st == selTrackAmbiguous {
 			// First returnable row of an ambiguous track: settle it now.
-			ta := x.tracks[row.TrackID]
+			ta := k.tracks[row.TrackID]
 			if e.probeDuration(ta, prep.target, prep.roi, prep.detCost, minDur, lo, hi, &res.Stats) {
 				st = selTrackQualified
 			} else {
@@ -1033,14 +995,14 @@ func (x *selectionExec) settleLimited(res *Result, trackIDs []int, minDur, lo, h
 			continue
 		}
 		res.TrackIDs = append(res.TrackIDs, id)
-		res.evalTruthIDs = append(res.evalTruthIDs, x.tracks[id].truthID)
+		res.evalTruthIDs = append(res.evalTruthIDs, k.tracks[id].truthID)
 	}
 }
 
 // trimToContributing rewrites a LIMIT result's track metadata to the
 // tracks that contribute returned rows: a qualified track whose every row
 // was trimmed away is not part of the answer.
-func (x *selectionExec) trimToContributing(res *Result) {
+func (k *selectionKernel) trimToContributing(res *Result) {
 	seen := make(map[int]bool, len(res.TrackIDs))
 	for i := range res.Rows {
 		seen[res.Rows[i].TrackID] = true
@@ -1166,13 +1128,6 @@ func b2i(b bool) int {
 		return 1
 	}
 	return 0
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // sortRows orders result rows chronologically and track IDs ascending.

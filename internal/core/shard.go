@@ -1,15 +1,11 @@
 package core
 
 import (
-	"fmt"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/index"
-	"repro/internal/obs"
 )
 
 // This file is the engine's parallel execution layer: every plan family
@@ -60,14 +56,6 @@ func shardRanges(n int) []shard {
 	return shardRangesSpan(n, shardSpan)
 }
 
-// rampShardRanges splits n visited frames into shards whose spans double
-// from rampSpan up to shardSpan — the layout for early-exit (LIMIT)
-// scans. Like shardRanges, the layout depends only on n, never on the
-// parallelism level.
-func rampShardRanges(n int) []shard {
-	return shardRangesSpan(n, rampSpan)
-}
-
 func shardRangesSpan(n, first int) []shard {
 	if n <= 0 {
 		return nil
@@ -89,8 +77,10 @@ func shardRangesSpan(n, first int) []shard {
 }
 
 // resumeShards lays out a scan over visited frames [pos, hi): contiguous
-// spans sized like shardRanges — or, for early-exit (LIMIT) scans, like
-// rampShardRanges with the ramp restarting at the resume point. Scan-plan
+// spans sized like shardRanges — or, for early-exit (LIMIT) scans, spans
+// doubling from rampSpan up to shardSpan, the ramp restarting at the
+// resume point. Like shardRanges, the layout depends only on the range,
+// never on the parallelism level. Scan-plan
 // outputs never depend on shard grouping: produce is pure per frame and
 // consumption is per frame in frame order, so a resumed scan may use a
 // fresh layout over the remaining range without disturbing bit-identity;
@@ -106,25 +96,6 @@ func resumeShards(pos, hi int, ramp bool) []shard {
 		shards[i].hi += pos
 	}
 	return shards
-}
-
-// scanObs bundles what one sharded scan reports to observability: the
-// engine's exec counters (always) and, when the execution is traced, the
-// current RunTo's span plus the family's live cost meter — read for
-// per-shard simulated-cost deltas, never written. A nil span selects the
-// untraced fast path, which is byte-for-byte the pre-tracing code.
-type scanObs struct {
-	counters *execCounters
-	span     *obs.Span
-	meter    *Stats
-}
-
-// timedVal carries a shard product with the worker-side wall time spent
-// producing it, so traced scans attribute produce vs merge time per shard
-// without mutating spans off the caller's goroutine.
-type timedVal[T any] struct {
-	v      T
-	wallNS int64
 }
 
 // batchFrames is the number of visited frames per consume batch: the
@@ -144,110 +115,6 @@ func chunkEnd(b, hi int) int {
 	return e
 }
 
-// runScan drives one resumable sharded frame scan: produce runs per shard
-// on the worker pool (pure, concurrent), and batch consumes one
-// chunk-aligned vector of visited frames [blo, bhi) at a time, strictly
-// in frame order, on the caller's goroutine — off0 is blo's offset within
-// its shard's product. batch returns how many of its frames it consumed
-// and whether the scan should continue; returning (consumed, false) with
-// consumed < bhi-blo finishes the plan early on the exact frame boundary
-// blo+consumed (LIMIT satisfied, predicate error). A completed batch must
-// report consumed == bhi-blo. The scan covers visited frames [pos, stop)
-// of a total of n (stop < 0 or stop > n means n); runScan returns the
-// next unconsumed frame position and whether the plan finished early.
-//
-// Frame-granular consumption accounting is what keeps plan executions
-// suspendable at any frame boundary: stopping at a watermark just ends
-// the batch loop at a shard edge (shards never cross the stop), an early
-// exit reports its exact position through consumed, and the resumed scan
-// re-produces the remainder from pure inputs.
-func runScan[T any](par, pos, n, stop int, ramp bool, ob *scanObs,
-	produce func(s shard) T, batch func(blo, bhi, off0 int, v T) (consumed int, ok bool)) (newPos int, finished bool) {
-	if ob == nil {
-		ob = &scanObs{}
-	}
-	if stop < 0 || stop > n {
-		stop = n
-	}
-	if pos >= stop {
-		return pos, false
-	}
-	cur := pos
-	countChunk := func() {
-		if ob.counters != nil {
-			ob.counters.chunks.Add(1)
-		}
-	}
-	if ob.span == nil {
-		runSharded(par, resumeShards(pos, stop, ramp), ob.counters, produce,
-			func(s shard, v T) bool {
-				for b := s.lo; b < s.hi; {
-					e := chunkEnd(b, s.hi)
-					countChunk()
-					consumed, ok := batch(b, e, b-s.lo, v)
-					cur = b + consumed
-					if !ok {
-						finished = true
-						return false
-					}
-					b = e
-				}
-				return true
-			})
-		return cur, finished
-	}
-	// Traced: wrap produce to time it on the worker, and attach one child
-	// span per consumed shard with produce/merge wall time, the chunk
-	// batches and frames it merged, and the cost-meter delta its
-	// consumption charged. Span mutation stays on the caller's goroutine
-	// (consume is sequential), so tracing adds no synchronization to the
-	// scan.
-	tproduce := func(s shard) timedVal[T] {
-		t0 := time.Now()
-		v := produce(s)
-		return timedVal[T]{v: v, wallNS: time.Since(t0).Nanoseconds()}
-	}
-	runSharded(par, resumeShards(pos, stop, ramp), ob.counters, tproduce,
-		func(s shard, tv timedVal[T]) bool {
-			sp := ob.span.Child("shard")
-			sp.SetAttr("shard", strconv.Itoa(s.index))
-			sp.SetAttr("range", fmt.Sprintf("[%d,%d)", s.lo, s.hi))
-			sp.SetAttr("produce_ms", strconv.FormatFloat(float64(tv.wallNS)/1e6, 'g', -1, 64))
-			var sim0 float64
-			var det0, ch0, fr0 int
-			if ob.meter != nil {
-				sim0 = ob.meter.TotalSeconds()
-				det0 = ob.meter.DetectorCalls
-				ch0 = ob.meter.IndexChunksSkipped
-				fr0 = ob.meter.IndexFramesSkipped
-			}
-			ok := true
-			for b := s.lo; b < s.hi; {
-				e := chunkEnd(b, s.hi)
-				countChunk()
-				consumed, okb := batch(b, e, b-s.lo, tv.v)
-				cur = b + consumed
-				sp.Frames += consumed
-				sp.Chunks++
-				if !okb {
-					finished = true
-					ok = false
-					break
-				}
-				b = e
-			}
-			if ob.meter != nil {
-				sp.SimSeconds = ob.meter.TotalSeconds() - sim0
-				sp.DetectorCalls = ob.meter.DetectorCalls - det0
-				sp.ChunksSkipped = ob.meter.IndexChunksSkipped - ch0
-				sp.FramesSkipped = ob.meter.IndexFramesSkipped - fr0
-			}
-			sp.End()
-			return ok
-		})
-	return cur, finished
-}
-
 // ResolveParallelism applies the engine's parallelism default:
 // non-positive means GOMAXPROCS. Exported so front ends (the serve layer)
 // report the same effective worker count plans actually run with.
@@ -258,8 +125,8 @@ func ResolveParallelism(p int) int {
 	return p
 }
 
-// runSharded executes produce over the given shard layout (shardRanges
-// or rampShardRanges) on `workers` goroutines and feeds each product to
+// runSharded executes produce over the given shard layout on `workers`
+// goroutines and feeds each product to
 // consume in shard order on the calling goroutine. consume returns false
 // to stop early (LIMIT satisfied); remaining shards are then abandoned.
 // produce must be pure and safe to call concurrently for distinct shards;

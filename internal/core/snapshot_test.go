@@ -1,9 +1,12 @@
 package core
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/frameql"
+	"repro/internal/plan"
 )
 
 // TestQueryPinnedBeforeAppend is the snapshot-isolation contract in
@@ -99,6 +102,148 @@ func TestQueryPinnedBeforeAppend(t *testing.T) {
 		startHorizon = appended.Horizon()
 		if control.Horizon() != startHorizon {
 			t.Fatalf("engines diverged: %d vs %d", control.Horizon(), startHorizon)
+		}
+	}
+}
+
+// TestForcedAndExplainPinUnderIngest pins that the entry points which do
+// not go through ExecuteParallel — ExecuteForced (and with it every
+// baselines.go wrapper), ExplainPlan and ExecuteSelectionPlan — pin the
+// published snapshot too: called while AppendLive runs, each must answer
+// exactly as the same call does on an engine standing still at the
+// horizon it observed. Unpinned they read the master video, whose frame
+// count AppendLive writes without synchronisation, which -race reports.
+func TestForcedAndExplainPinUnderIngest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates streams")
+	}
+	opts := Options{Scale: 0.01, Seed: 1, LiveStart: 0.5}
+	live, err := NewEngine("taipei", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	control, err := NewEngine("taipei", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Plans that need no training, and whose detector-call count is the
+	// horizon the call ran against.
+	agg, err := frameql.Analyze(`SELECT FCOUNT(*) FROM taipei WHERE class='car'`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := frameql.Analyze(`SELECT * FROM taipei WHERE class='bus'`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forced := func(e *Engine) (*Result, error) { return e.ExecuteForced(agg, 2, "naive-exhaustive") }
+	naive := func(e *Engine) (*Result, error) { return e.ExecuteSelectionPlan(sel, NaivePlan()) }
+	explainedHorizon := func(rep *plan.Report) int {
+		for _, c := range rep.Candidates {
+			if c.Name == "naive-exhaustive" {
+				return int(c.Estimate.DetectorCalls)
+			}
+		}
+		t.Fatal("EXPLAIN lists no naive-exhaustive candidate")
+		return 0
+	}
+	// estimates strips the calibration columns, which learn from each
+	// engine's own execution history.
+	estimates := func(rep *plan.Report) []plan.Candidate {
+		out := make([]plan.Candidate, len(rep.Candidates))
+		for i, c := range rep.Candidates {
+			out[i] = plan.Candidate{Name: c.Name, Estimate: c.Estimate, Feasible: c.Feasible, Reason: c.Reason, Chosen: c.Chosen}
+		}
+		return out
+	}
+
+	const batches, batch = 10, 48
+	var (
+		wg       sync.WaitGroup
+		stop     = make(chan struct{})
+		results  [2][]*Result
+		reports  []*plan.Report
+		readErrs [3]error
+	)
+	reader := func(i int, call func() error) {
+		defer wg.Done()
+		for n := 0; ; n++ {
+			select {
+			case <-stop:
+				if n >= 3 {
+					return
+				}
+			default:
+			}
+			if readErrs[i] = call(); readErrs[i] != nil {
+				return
+			}
+		}
+	}
+	wg.Add(3)
+	for i, run := range []func(*Engine) (*Result, error){forced, naive} {
+		go reader(i, func() error {
+			res, err := run(live)
+			results[i] = append(results[i], res)
+			return err
+		})
+	}
+	go reader(2, func() error {
+		rep, err := live.ExplainPlan(agg, 2)
+		reports = append(reports, rep)
+		return err
+	})
+	for b := 0; b < batches; b++ {
+		if _, err := live.AppendLive(batch); err != nil {
+			t.Error(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	for _, err := range readErrs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Walk the control engine through the same published horizons.
+	type pinned struct {
+		results [2]*Result
+		report  *plan.Report
+	}
+	want := make(map[int]pinned)
+	for b := 0; b <= batches; b++ {
+		var p pinned
+		for i, run := range []func(*Engine) (*Result, error){forced, naive} {
+			if p.results[i], err = run(control); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if p.report, err = control.ExplainPlan(agg, 2); err != nil {
+			t.Fatal(err)
+		}
+		want[control.Horizon()] = p
+		if _, err := control.AppendLive(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, label := range []string{"ExecuteForced", "ExecuteSelectionPlan"} {
+		for _, got := range results[i] {
+			p, ok := want[got.Stats.DetectorCalls]
+			if !ok {
+				t.Fatalf("%s scanned %d frames, which is no published horizon", label, got.Stats.DetectorCalls)
+			}
+			resultsIdentical(t, label+" under ingest vs standing still", p.results[i], got)
+		}
+	}
+	for _, got := range reports {
+		p, ok := want[explainedHorizon(got)]
+		if !ok {
+			t.Fatalf("ExplainPlan priced %d frames, which is no published horizon", explainedHorizon(got))
+		}
+		if !reflect.DeepEqual(estimates(got), estimates(p.report)) {
+			t.Errorf("ExplainPlan under ingest at horizon %d differs from the standing engine's:\n%+v\n%+v",
+				explainedHorizon(got), estimates(got), estimates(p.report))
 		}
 	}
 }

@@ -7,14 +7,14 @@ import (
 	"repro/internal/frameql"
 	"repro/internal/index"
 	"repro/internal/obs"
-	"repro/internal/plan"
 )
 
-// This file threads query-level tracing through the execution layer:
-// traced entry points (ExecuteParallelTraced, AdvanceTraced) record a
-// span tree — plan selection, preparation charges, each RunTo's sharded
-// scan with per-shard produce/merge timing, finalization — onto an
-// obs.Trace the caller owns.
+// This file threads query-level tracing through the execution layer: the
+// entry points (ExecuteParallelTraced here, AdvanceTraced in exec.go)
+// record a span tree — plan selection, preparation charges, each RunTo's
+// sharded scan with per-shard produce/merge timing, finalization — onto
+// an obs.Trace the caller owns. An untraced execution runs the same code
+// with nil spans.
 //
 // Tracing is answer-neutral by construction: every hook only *reads*
 // wall-clock time and the execution's already-charged cost meter. No span
@@ -24,32 +24,34 @@ import (
 // every parallelism level. The golden and determinism suites pin this.
 
 // execTrace is one traced execution's hookup: the execution root span
-// plus the span of the RunTo call currently in flight, which family
-// execs attach per-shard child spans to through their traceHook.
+// plus the span of the RunTo call currently in flight, which the scan
+// operator attaches per-shard child spans to. A nil *execTrace is an
+// untraced execution: its spans are nil, and nil spans absorb every call.
 type execTrace struct {
 	root *obs.Span
 	scan *obs.Span // in-flight RunTo's span; nil between calls
 }
 
-// traceHook is embedded in the family execs whose RunTo drives runScan;
-// it receives the execution's trace (when one is attached) and hands
-// runScan its observation bundle.
-type traceHook struct {
-	tr *execTrace
+func (t *execTrace) rootSpan() *obs.Span {
+	if t == nil {
+		return nil
+	}
+	return t.root
 }
 
-func (h *traceHook) setTrace(t *execTrace) { h.tr = t }
-
-// scanTrace bundles the exec counters with the current scan span and the
-// family's live cost meter. Untraced executions get a bundle with a nil
-// span, which runScan treats as the plain fast path.
-func (h *traceHook) scanTrace(counters *execCounters, meter *Stats) *scanObs {
-	ob := &scanObs{counters: counters}
-	if h.tr != nil {
-		ob.span = h.tr.scan
-		ob.meter = meter
+func (t *execTrace) scanSpan() *obs.Span {
+	if t == nil {
+		return nil
 	}
-	return ob
+	return t.scan
+}
+
+// rootOf returns a trace's root span, nil for a nil trace.
+func rootOf(tr *obs.Trace) *obs.Span {
+	if tr == nil {
+		return nil
+	}
+	return tr.Root
 }
 
 // metered exposes a family exec's live cost meter for span deltas. The
@@ -63,6 +65,33 @@ func (x *Execution) execMeter() *Stats {
 		return m.meter()
 	}
 	return nil
+}
+
+// meterMark is one reading of a cost meter; a span records what the meter
+// charged between a mark and the span's end.
+type meterMark struct {
+	sim                 float64
+	det, chunks, frames int
+}
+
+// markMeter reads m (the zero mark for a nil meter).
+func markMeter(m *Stats) meterMark {
+	if m == nil {
+		return meterMark{}
+	}
+	return meterMark{m.TotalSeconds(), m.DetectorCalls, m.IndexChunksSkipped, m.IndexFramesSkipped}
+}
+
+// charged records on sp what m has charged since the mark. A nil span or
+// meter records nothing.
+func (k meterMark) charged(sp *obs.Span, m *Stats) {
+	if sp == nil || m == nil {
+		return
+	}
+	sp.SimSeconds = m.TotalSeconds() - k.sim
+	sp.DetectorCalls = m.DetectorCalls - k.det
+	sp.ChunksSkipped = m.IndexChunksSkipped - k.chunks
+	sp.FramesSkipped = m.IndexFramesSkipped - k.frames
 }
 
 func fmtSeconds(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
@@ -91,20 +120,9 @@ func (x *Execution) attachTrace(root *obs.Span, prepWall time.Duration, prepName
 	prep := root.Child(prepName)
 	// The construction already happened; shift the span back over it.
 	wallMS := float64(prepWall.Nanoseconds()) / 1e6
-	if prep != nil {
-		if prep.StartMS >= wallMS {
-			prep.StartMS -= wallMS
-		} else {
-			prep.StartMS = 0
-		}
-	}
-	if m := x.execMeter(); m != nil {
-		prep.SimSeconds = m.TotalSeconds()
-		prep.DetectorCalls = m.DetectorCalls
-		prep.ChunksSkipped = m.IndexChunksSkipped
-		prep.FramesSkipped = m.IndexFramesSkipped
-	}
-	if prep != nil && wallMS > 0 {
+	prep.StartMS = max(prep.StartMS-wallMS, 0)
+	meterMark{}.charged(prep, x.execMeter())
+	if wallMS > 0 {
 		prep.DurMS = wallMS
 	} else {
 		prep.End()
@@ -114,12 +132,9 @@ func (x *Execution) attachTrace(root *obs.Span, prepWall time.Duration, prepName
 // scanScope captures the meter and progress baselines at the start of one
 // traced RunTo, so the scan span records deltas.
 type scanScope struct {
-	sp      *obs.Span
-	pos0    int
-	sim0    float64
-	det0    int
-	chunks0 int
-	frames0 int
+	sp   *obs.Span
+	pos0 int
+	mark meterMark
 }
 
 // traceScanStart opens the scan span for one RunTo (nil when untraced).
@@ -131,15 +146,8 @@ func (x *Execution) traceScanStart(units int) *scanScope {
 	if units >= 0 {
 		sp.SetAttr("units_requested", strconv.Itoa(units))
 	}
-	sc := &scanScope{sp: sp, pos0: x.ex.Pos()}
-	if m := x.execMeter(); m != nil {
-		sc.sim0 = m.TotalSeconds()
-		sc.det0 = m.DetectorCalls
-		sc.chunks0 = m.IndexChunksSkipped
-		sc.frames0 = m.IndexFramesSkipped
-	}
 	x.tr.scan = sp
-	return sc
+	return &scanScope{sp: sp, pos0: x.ex.Pos(), mark: markMeter(x.execMeter())}
 }
 
 // traceScanEnd closes the RunTo's scan span with progress and meter
@@ -150,37 +158,25 @@ func (x *Execution) traceScanEnd(sc *scanScope, err error) {
 	}
 	x.tr.scan = nil
 	sc.sp.Frames = x.ex.Pos() - sc.pos0
-	if m := x.execMeter(); m != nil {
-		sc.sp.SimSeconds = m.TotalSeconds() - sc.sim0
-		sc.sp.DetectorCalls = m.DetectorCalls - sc.det0
-		sc.sp.ChunksSkipped = m.IndexChunksSkipped - sc.chunks0
-		sc.sp.FramesSkipped = m.IndexFramesSkipped - sc.frames0
-	}
-	if err != nil {
-		sc.sp.Fail(err)
-	}
+	sc.mark.charged(sc.sp, x.execMeter())
+	sc.sp.Fail(err)
 	sc.sp.End()
 }
 
 // traceFinalize annotates the trace with the finalized result: the cost
 // charged during finalization itself (adaptive sampling settles its
 // per-sample cost and selection confirms tracks at Result time, after the
-// scan span closed — preSim/preDet are the meter baselines captured when
-// finalization began), plus the cost-vs-estimate comparison the planner's
-// feedback loop and the slow-query log read. With those deltas, prep +
-// scan + finalize sim-seconds reconcile to the result's full meter.
-func (x *Execution) traceFinalize(fin *obs.Span, res *Result, preSim float64, preDet int) {
+// scan span closed — pre is the meter reading taken when finalization
+// began), plus the cost-vs-estimate comparison the planner's feedback
+// loop and the slow-query log read. With those deltas, prep + scan +
+// finalize sim-seconds reconcile to the result's full meter.
+func (x *Execution) traceFinalize(fin *obs.Span, res *Result, pre meterMark) {
 	if fin == nil {
 		return
 	}
-	if d := res.Stats.TotalSeconds() - preSim; d > 0 {
-		fin.SimSeconds = d
-	}
-	if d := res.Stats.DetectorCalls - preDet; d > 0 {
-		fin.DetectorCalls = d
-	}
-	fin.ChunksSkipped = res.Stats.IndexChunksSkipped
-	fin.FramesSkipped = res.Stats.IndexFramesSkipped
+	// The finalize span reports the execution's whole skip totals.
+	pre.chunks, pre.frames = 0, 0
+	pre.charged(fin, &res.Stats)
 	fin.End()
 	root := x.tr.root
 	root.SetAttr("actual_sim_seconds", fmtSeconds(res.Stats.TotalSeconds()))
@@ -197,15 +193,12 @@ func (x *Execution) traceFinalize(fin *obs.Span, res *Result, preSim float64, pr
 }
 
 // ExecuteParallelTraced is ExecuteParallel recording a span tree onto tr
-// (plan selection → prep charges → sharded scan → finalize). A nil trace
-// degrades to ExecuteParallel. The Result is bit-identical to the
-// untraced execution's — tracing reads the meter, never charges it.
+// (plan selection → prep charges → sharded scan → finalize); with a nil
+// trace it is ExecuteParallel, through this same body. The Result is
+// bit-identical either way — tracing reads the meter, never charges it.
 func (e *Engine) ExecuteParallelTraced(info *frameql.Info, parallelism int, tr *obs.Trace) (*Result, error) {
-	if tr == nil {
-		return e.ExecuteParallel(info, parallelism)
-	}
 	e = e.pin()
-	root := tr.Root
+	root := rootOf(tr)
 	e.traceSnapshotAttrs(root)
 	planSp := root.Child("plan")
 	cands, err := e.planCandidates(info, parallelism)
@@ -225,42 +218,14 @@ func (e *Engine) ExecuteParallelTraced(info *frameql.Info, parallelism int, tr *
 		planSp.SetAttr("forced", "true")
 	}
 	planSp.End()
-
-	prepStart := time.Now()
-	x, err := e.newExecution(info, cands, chosen, forced, e.effectiveParallelism(parallelism))
-	if err != nil {
-		return nil, err
-	}
-	x.attachTrace(root, time.Since(prepStart), "prep")
-	if err := x.RunTo(-1); err != nil {
-		return nil, err
-	}
-	return x.Result()
-}
-
-// AdvanceTraced is Advance recording a span tree onto tr: ingest
-// catch-up, cursor resume (re-plan plus state restore, carrying the
-// standing query's preparation charges) — or, at a drift-triggered
-// re-plan boundary, the replan span and a fresh open of the switched
-// pick — the incremental scan, finalize, and re-suspension. A plan
-// switch stamps plan_switched / plan_switched_from / plan_switches on
-// the root. A nil trace degrades to Advance.
-func (e *Engine) AdvanceTraced(cur *plan.Cursor, tr *obs.Trace) (*Result, *plan.Cursor, error) {
-	if tr == nil {
-		return e.Advance(cur)
-	}
-	e = e.pin()
-	root := tr.Root
-	root.SetAttr("standing", "true")
-	e.traceSnapshotAttrs(root)
-	return e.advanceImpl(cur, root)
+	return e.runChosen(info, cands, chosen, forced, e.effectiveParallelism(parallelism), root)
 }
 
 // traceSnapshotAttrs stamps a live engine's pinned snapshot identity onto
 // an execution's root span: the epoch the execution reads, and how many
 // of its visible frames live in the unsealed ingest tail.
 func (e *Engine) traceSnapshotAttrs(root *obs.Span) {
-	if !e.Live() {
+	if root == nil || !e.Live() {
 		return
 	}
 	sn := e.snap.Load()
