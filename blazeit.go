@@ -295,7 +295,7 @@ func (s *System) LiveStats() LiveStats {
 func (s *System) Append(n int) (int, error) { return s.eng.AppendLive(n) }
 
 // StandingQuery is a registered continuous query over a live stream: a
-// pinned plan cursor plus its latest answer. After Append extends the
+// resident execution plus its latest answer. After Append extends the
 // stream, Advance brings the answer up to the new horizon — scan plans
 // pay only the new frames; population-dependent plans (adaptive
 // sampling, confidence-ranked scrubbing) re-run deterministically — and
@@ -306,13 +306,12 @@ func (s *System) Append(n int) (int, error) { return s.eng.AppendLive(n) }
 // re-enumerates with the planner's current calibration and may switch
 // plans (see PlanSwitches); hinted queries keep their plan for life.
 type StandingQuery struct {
-	sys    *System
-	cursor *Cursor
-	last   *Result
+	exec *core.Execution
+	last *Result
 }
 
-// Subscribe registers a standing query: the query is planned, executed to
-// the stream's current horizon, and suspended into a cursor for
+// Subscribe registers a standing query: the query is planned and executed
+// to the stream's current horizon, and its execution stays open for
 // incremental advancement.
 func (s *System) Subscribe(q string) (*StandingQuery, error) {
 	info, err := frameql.Analyze(q)
@@ -330,22 +329,22 @@ func (s *System) Subscribe(q string) (*StandingQuery, error) {
 	if err != nil {
 		return nil, err
 	}
-	cur, err := x.Suspend()
-	if err != nil {
-		return nil, err
-	}
-	return &StandingQuery{sys: s, cursor: cur, last: res}, nil
+	return &StandingQuery{exec: x, last: res}, nil
 }
 
 // ResumeSubscription reattaches a standing query from a cursor — the
 // restart path: a cursor suspended in a previous session continues on a
 // system opened with the same stream configuration.
 func (s *System) ResumeSubscription(cur *Cursor) (*StandingQuery, error) {
-	res, ncur, err := s.eng.Advance(cur)
+	x, err := s.eng.ResumeQuery(cur)
 	if err != nil {
 		return nil, err
 	}
-	return &StandingQuery{sys: s, cursor: ncur, last: res}, nil
+	res, err := x.Advance(nil)
+	if err != nil {
+		return nil, err
+	}
+	return &StandingQuery{exec: x, last: res}, nil
 }
 
 // Advance brings the standing query up to the stream's current horizon
@@ -353,14 +352,10 @@ func (s *System) ResumeSubscription(cur *Cursor) (*StandingQuery, error) {
 // advance it returns the current answer without touching the engine —
 // polling in a loop is free until something is ingested.
 func (sq *StandingQuery) Advance() (*Result, error) {
-	if sq.cursor.Done && sq.sys.eng.Horizon() <= sq.cursor.Horizon {
-		return sq.last, nil
-	}
-	res, ncur, err := sq.sys.eng.Advance(sq.cursor)
+	res, err := sq.exec.Advance(nil)
 	if err != nil {
 		return nil, err
 	}
-	sq.cursor = ncur
 	sq.last = res
 	return res, nil
 }
@@ -371,11 +366,12 @@ func (sq *StandingQuery) Result() *Result { return sq.last }
 // PlanSwitches reports how many drift-triggered plan switches this
 // standing query has made over its lifetime (always zero for
 // hint-forced queries, which never re-plan).
-func (sq *StandingQuery) PlanSwitches() int { return sq.cursor.PlanSwitches }
+func (sq *StandingQuery) PlanSwitches() int { return sq.exec.PlanSwitches() }
 
-// Cursor returns the standing query's serializable cursor (persist it to
-// resume the subscription in a later session).
-func (sq *StandingQuery) Cursor() *Cursor { return sq.cursor }
+// Cursor serializes the standing query into a cursor — encoded here, on
+// demand, not per advance (persist it to resume the subscription in a
+// later session).
+func (sq *StandingQuery) Cursor() (*Cursor, error) { return sq.exec.Suspend() }
 
 // Advance resumes an arbitrary cursor on this system, runs it to the
 // stream's current horizon, and returns the result with the re-suspended

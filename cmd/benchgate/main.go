@@ -34,6 +34,20 @@
 // so the ratio may not exceed serveHitRatioCap (12) — a hit path that goes
 // back to re-encoding its reply reads 45 or more.
 //
+// BENCH_plan also carries, per family, the wall time of planning a query
+// shape the engine has seen before (plan_ns_per_op) next to a warm
+// execution of it (exec_ns_warm, which plans too). ROADMAP's target is that
+// planning vanishes from the warm path: a family fails when warm planning
+// takes planNsCap (100 µs) or more, or more than planShareCap (5 %) of the
+// warm execution. The share is judged only where the warm execution is
+// itself at least planNsCap/planShareCap (2 ms) long: below that the ratio
+// reads how cheap the execution is (scrubbing's warm search is under
+// 0.1 ms), not how dear the planning, and the absolute cap alone binds.
+// BENCH_live's advance_speedup_vs_rescan — a standing query's advance over
+// re-running it from frame 0 after each ingest batch — must reach
+// advanceSpeedupFloor (3); an advance that re-plans and re-encodes per
+// batch reads 1.06. Both are within-run, judged without a baseline.
+//
 // Planner-calibration records (BENCH_plan) carry both a raw and a
 // calibrated estimate error per family. Both are deterministic simulated
 // quantities, so they gate like sim_seconds: within a run, a family whose
@@ -92,6 +106,10 @@ type benchFile struct {
 	// within-run quantities, judged without a baseline.
 	SparseNoHintPlan               string  `json:"sparse_nohint_plan"`
 	SparseNoHintFramesScannedRatio float64 `json:"sparse_nohint_frames_scanned_ratio"`
+	// AdvanceSpeedupVsRescan is BENCH_live's summary: wall time of
+	// re-executing a scan-family standing query from frame 0 after each
+	// ingest batch over advancing it. Within-run, judged against a floor.
+	AdvanceSpeedupVsRescan float64 `json:"advance_speedup_vs_rescan"`
 	// SparseLimitNoHintSpeedup is BENCH_plan's end-to-end graduation
 	// summary: cold temporal simulated cost over the calibrated
 	// cost-chosen plan's. Below 1 means calibration picked a worse plan.
@@ -295,6 +313,45 @@ func checkServeHitRatio(name string, cur *benchFile) (failure string) {
 	return ""
 }
 
+const (
+	// planNsCap is ROADMAP's target for planning a repeated query shape.
+	planNsCap = 100e3
+	// planShareCap bounds warm planning as a share of a warm execution.
+	planShareCap = 0.05
+	// advanceSpeedupFloor is the least a standing query's advance must beat
+	// a re-execution from frame 0 by.
+	advanceSpeedupFloor = 3
+)
+
+// checkPlanCost judges BENCH_plan's warm planning cost per family and
+// BENCH_live's advance speedup — both within-run, so no baseline is needed
+// and files without the fields are never judged.
+func checkPlanCost(name string, cur *benchFile) (failures []string) {
+	for _, rec := range cur.Records {
+		planNs, okP := num(rec, "plan_ns_per_op")
+		execNs, okE := num(rec, "exec_ns_warm")
+		if !okP || !okE {
+			continue
+		}
+		if planNs >= planNsCap {
+			failures = append(failures, fmt.Sprintf(
+				"%s: %s plans a repeated shape in %.0f µs (cap %.0f µs) — prepared state is being recomputed per plan",
+				name, recordKey(rec), planNs/1e3, planNsCap/1e3))
+		}
+		if execNs >= planNsCap/planShareCap && planNs/execNs > planShareCap {
+			failures = append(failures, fmt.Sprintf(
+				"%s: %s warm planning is %.1f%% of a warm execution (cap %.0f%%)",
+				name, recordKey(rec), 100*planNs/execNs, 100*planShareCap))
+		}
+	}
+	if r := cur.AdvanceSpeedupVsRescan; r > 0 && r < advanceSpeedupFloor {
+		failures = append(failures, fmt.Sprintf(
+			"%s: advancing a standing query is %.2fx a rescan from frame 0 (floor %dx) — the advance is not paying for its suffix only",
+			name, r, advanceSpeedupFloor))
+	}
+	return failures
+}
+
 // checkCalibration applies the within-run calibration gates, which are
 // deterministic and machine-neutral so no baseline is needed. Per record:
 // a calibrated estimate error exceeding the raw error by more than calTol
@@ -391,7 +448,7 @@ func main() {
 			fmt.Println("FAIL", f)
 			failed = true
 		}
-		for _, f := range checkCalibration(name, cur, *calTol, *nohintFloor) {
+		for _, f := range append(checkCalibration(name, cur, *calTol, *nohintFloor), checkPlanCost(name, cur)...) {
 			fmt.Println("FAIL", f)
 			failed = true
 		}

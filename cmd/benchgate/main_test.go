@@ -299,3 +299,37 @@ func TestCompareCalibratedErrorBaseline(t *testing.T) {
 		t.Fatalf("improvement/within-tolerance judged: %v", v.failures)
 	}
 }
+
+// TestCheckPlanCost pins the within-run planning gates: the absolute cap
+// on planning a repeated shape, the share of a warm execution (judged only
+// where that execution is long enough for the share to mean planning), and
+// the floor on a standing query's advance over a rescan.
+func TestCheckPlanCost(t *testing.T) {
+	planRec := func(fam string, planNs, execNs float64) map[string]any {
+		return map[string]any{"family": fam, "plan_ns_per_op": planNs, "exec_ns_warm": execNs}
+	}
+	retraining := file(0.05, planRec("selection", 581e6, 360e6), planRec("binary-detection", 15.4e6, 22.6e6))
+	if fs := checkPlanCost("BENCH_plan.json", retraining); len(fs) != 4 {
+		t.Fatalf("planning that re-trains per plan: %v, want a cap and a share failure per family", fs)
+	}
+	prepared := file(0.05,
+		planRec("selection", 12e3, 45e6),
+		planRec("scrubbing", 6e3, 90e3), // 6.7% of an execution that is itself 90 µs: not judged
+		planRec("aggregate", 12e3, 560e3))
+	if fs := checkPlanCost("BENCH_plan.json", prepared); len(fs) != 0 {
+		t.Fatalf("prepared planning judged: %v", fs)
+	}
+	slowShare := file(0.05, planRec("distinct-count", 90e3, 1e6), planRec("exhaustive", 99e3, 3e6))
+	if fs := checkPlanCost("BENCH_plan.json", slowShare); len(fs) != 0 {
+		t.Fatalf("under the cap, and 3.3%% of a 3 ms execution: %v", fs)
+	}
+	if fs := checkPlanCost("BENCH_live.json", &benchFile{Scale: 0.05, AdvanceSpeedupVsRescan: 1.06}); len(fs) != 1 || !strings.Contains(fs[0], "1.06x") {
+		t.Fatalf("advance speedup 1.06 vs floor 3: %v", fs)
+	}
+	if fs := checkPlanCost("BENCH_live.json", &benchFile{Scale: 0.05, AdvanceSpeedupVsRescan: 11}); len(fs) != 0 {
+		t.Fatalf("advance speedup 11 judged: %v", fs)
+	}
+	if fs := checkPlanCost("BENCH_index.json", file(0.05, rec("agg", 1, 100, 10))); len(fs) != 0 {
+		t.Fatalf("file without the fields judged: %v", fs)
+	}
+}

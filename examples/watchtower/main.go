@@ -53,7 +53,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("subscribed: alert plan %s, estimate plan %s\n",
-		alert.Cursor().Plan, traffic.Cursor().Plan)
+		alert.Result().Stats.Plan, traffic.Result().Stats.Plan)
 	fmt.Printf("at frame %6d: %3d alert frames; boats/frame %.3f\n",
 		sys.LiveStats().HorizonFrames, len(alert.Result().Frames), traffic.Result().Value)
 

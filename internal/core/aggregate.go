@@ -9,6 +9,7 @@ import (
 	"repro/internal/aqp"
 	"repro/internal/detect"
 	"repro/internal/frameql"
+	"repro/internal/index"
 	"repro/internal/plan"
 	"repro/internal/specnn"
 	"repro/internal/track"
@@ -28,7 +29,7 @@ func aggDesc(name, detail string) plan.Description {
 // the requested confidence, every sampled estimator requires an ERROR
 // WITHIN tolerance — and the cost model prices sampling need from cached
 // held-out count statistics.
-func (e *Engine) enumerateAggregate(info *frameql.Info, par int) ([]candidate, error) {
+func (e *Engine) enumerateAggregate(info *frameql.Info, par int, u *prepUse) ([]candidate, error) {
 	if len(info.Classes) != 1 {
 		return nil, fmt.Errorf("core: aggregate queries need exactly one class predicate, got %v", info.Classes)
 	}
@@ -49,12 +50,12 @@ func (e *Engine) enumerateAggregate(info *frameql.Info, par int) ([]candidate, e
 	}
 	naiveCand := candidate{Plan: naivePlan, MarginalSeconds: naivePlan.est.DetectorSeconds, Accuracy: exactAccuracy}
 
-	base := e.baseStats(class)
+	base := e.baseStats(u, class)
 	noScopePlan := &costedPlan{
 		desc: aggDesc("noscope-oracle", "detector on exactly the frames the presence oracle marks occupied (§10.1.1)"),
 		est: plan.Cost{
-			DetectorCalls:   base.presence * float64(pop),
-			DetectorSeconds: base.presence * float64(pop) * full,
+			DetectorCalls:   base.Presence * float64(pop),
+			DetectorSeconds: base.Presence * float64(pop) * full,
 		},
 		open: func() (plan.Execution[*Result], error) {
 			return e.newAggScanExec(info, class, par, "noscope-oracle", true), nil
@@ -82,8 +83,8 @@ func (e *Engine) enumerateAggregate(info *frameql.Info, par int) ([]candidate, e
 	}
 
 	eps := *info.ErrorWithin
-	rangeK := float64(e.Train.MaxCount(class) + 1)
-	aqpN := plan.AdaptiveSamples(base.stdCount, eps, info.Confidence, rangeK, pop)
+	rangeK := e.countRange(u, class)
+	aqpN := plan.AdaptiveSamples(base.StdCount, eps, info.Confidence, rangeK, pop)
 	aqpPlan := &costedPlan{
 		desc: aqpDesc,
 		est:  plan.Cost{DetectorCalls: float64(aqpN), DetectorSeconds: float64(aqpN) * full},
@@ -107,11 +108,11 @@ func (e *Engine) enumerateAggregate(info *frameql.Info, par int) ([]candidate, e
 		}, nil
 	}
 
-	held, err := e.heldOutErrors(class, model)
+	held, err := e.heldOutErrors(u, class, model)
 	if err != nil {
 		return nil, err
 	}
-	pWithin := e.biasWithin(class, held.errs, eps)
+	pWithin := e.biasWithin(u, class, model, held.Errs, eps)
 	inf, infCost, err := e.Inference([]vidsim.Class{class}, e.Test)
 	if err != nil {
 		return nil, err
@@ -119,10 +120,10 @@ func (e *Engine) enumerateAggregate(info *frameql.Info, par int) ([]candidate, e
 	head := model.HeadIndex(class)
 	prep := aggPrep{
 		model: model, trainCost: trainCost,
-		heldCost: held.cost, pWithin: pWithin,
+		heldCost: held.Cost, pWithin: pWithin,
 		inf: inf, infCost: infCost, head: head,
 	}
-	prepCharges := plan.Cost{TrainSeconds: trainCost + held.cost, SpecNNSeconds: infCost}
+	prepCharges := plan.Cost{TrainSeconds: trainCost + held.Cost, SpecNNSeconds: infCost}
 
 	rewritePlan := &costedPlan{
 		desc: rewriteDesc,
@@ -145,8 +146,8 @@ func (e *Engine) enumerateAggregate(info *frameql.Info, par int) ([]candidate, e
 			"P(held-out error < %.3g) = %.3f, below required confidence %.2f", eps, pWithin, info.Confidence)
 	}
 
-	resid := e.residStats(class, model)
-	cvN := plan.AdaptiveSamples(resid.residStd, eps, info.Confidence, rangeK, pop)
+	resid := e.residStats(u, class, model)
+	cvN := plan.AdaptiveSamples(resid.ResidStd, eps, info.Confidence, rangeK, pop)
 	cvEst := prepCharges
 	cvEst.DetectorCalls = float64(cvN)
 	cvEst.DetectorSeconds = float64(cvN) * full
@@ -235,10 +236,10 @@ func (e *Engine) newAggScanExec(info *frameql.Info, class vidsim.Class, par int,
 }
 
 func (k *aggScanKernel) produce(lo, hi int) []int32 {
-	c := k.e.DTest.NewCounter()
 	if k.presence == nil {
-		return c.CountRange(lo, hi, k.class, make([]int32, 0, hi-lo))
+		return k.e.detectorCounts(k.class, lo, hi)
 	}
+	c := k.e.DTest.NewCounter()
 	counts := make([]int32, hi-lo)
 	for f := lo; f < hi; f++ {
 		if k.presence[f] != 0 {
@@ -277,6 +278,8 @@ func (k *aggScanKernel) load(state []byte, p *scanProgress) error {
 	*p, k.sum = scanProgress{pos: st.Pos, stats: st.Stats}, st.Sum
 	return nil
 }
+
+func (k *aggScanKernel) adopt(prev scanKernel[[]int32]) { k.sum = prev.(*aggScanKernel).sum }
 
 func (k *aggScanKernel) finish(res *Result) {
 	res.Value = k.e.scaleAggregate(k.info, float64(k.sum)/float64(k.e.Test.Frames))
@@ -402,6 +405,39 @@ func (e *Engine) enumerateDistinct(info *frameql.Info, par int) ([]candidate, er
 	return cands, nil
 }
 
+// detectorCounts returns the reference detector's count of the class at
+// each test-day frame of [lo, hi) — Counter.CountRange's values — reading
+// sealed index chunks from the label store's dense count column. A chunk
+// the range covers whole is wholly visible to this snapshot, hence sealed:
+// its counts are computed once and stored for every later exact scan; the
+// unsealed tail and chunks covered in part are computed. Only real CPU
+// work is elided — callers still charge the meter per frame.
+func (e *Engine) detectorCounts(class vidsim.Class, lo, hi int) []int32 {
+	labels := e.idx.Labels(e.Test.Day)
+	out := make([]int32, 0, hi-lo)
+	var c *detect.Counter
+	for f := lo; f < hi; {
+		cLo := index.ChunkOf(f) * index.ChunkFrames
+		end := min(hi, cLo+index.ChunkFrames)
+		if col := labels.DenseCounts(class, index.ChunkOf(f)); col != nil {
+			out = append(out, col[f-cLo:end-cLo]...)
+			f = end
+			continue
+		}
+		if c == nil {
+			c = e.DTest.NewCounter()
+		}
+		n := len(out)
+		for ; f < end; f++ {
+			out = append(out, int32(c.CountAt(f, class)))
+		}
+		if len(out)-n == index.ChunkFrames {
+			labels.FillDense(class, index.ChunkOf(cLo), append([]int32(nil), out[n:]...))
+		}
+	}
+	return out
+}
+
 // concurrentCountMeasure returns a goroutine-safe measure function for the
 // detector's per-frame count of a class, with per-worker Counter buffers
 // pooled. Cost is not charged here — sampled plans charge per sample in
@@ -448,11 +484,21 @@ func (e *Engine) samplingOptions(info *frameql.Info, class vidsim.Class, par int
 	return aqp.Options{
 		ErrorTarget: *info.ErrorWithin,
 		Confidence:  info.Confidence,
-		Range:       float64(e.Train.MaxCount(class) + 1),
+		Range:       e.countRange(&prepUse{family: info.Kind.String()}, class),
 		Population:  e.Test.Frames,
 		Seed:        e.opts.Seed + 11,
 		Parallelism: par,
 	}
+}
+
+// countRange is the range K sampling bounds its estimate with: the training
+// day's maximum count of the class plus one — a scan of the labeled day,
+// so it is a prepared product like the held-out statistics.
+func (e *Engine) countRange(u *prepUse, class vidsim.Class) float64 {
+	k, _ := prepared(e, u, e.shapeKey("train-range", nil, class), func() (float64, error) {
+		return float64(e.Train.MaxCount(class) + 1), nil
+	})
+	return k
 }
 
 // scaleAggregate converts a frame-averaged count into the query's output
@@ -542,6 +588,11 @@ func (k *distinctKernel) load(state []byte, p *scanProgress) error {
 		k.distinct[id] = true
 	}
 	return nil
+}
+
+func (k *distinctKernel) adopt(prev scanKernel[*detArena]) {
+	o := prev.(*distinctKernel)
+	k.tracker, k.distinct = o.tracker, o.distinct
 }
 
 func (k *distinctKernel) finish(res *Result) { res.Value = float64(len(k.distinct)) }

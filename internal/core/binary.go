@@ -16,7 +16,7 @@ import (
 // exact scan. The cascade's verification need is priced by measuring, on
 // the held-out day, how many frames score inside the uncertain band
 // between the cascade thresholds.
-func (e *Engine) enumerateBinary(info *frameql.Info, par int) ([]candidate, error) {
+func (e *Engine) enumerateBinary(info *frameql.Info, par int, u *prepUse) ([]candidate, error) {
 	class := vidsim.Class(info.Classes[0])
 	fnrBudget, fprBudget := 0.0, 0.0
 	if info.FNRWithin != nil {
@@ -60,30 +60,37 @@ func (e *Engine) enumerateBinary(info *frameql.Info, par int) ([]candidate, erro
 	}
 	head := model.HeadIndex(class)
 
-	infHeld, heldCost, err := e.Inference([]vidsim.Class{class}, e.HeldOut)
+	segHeld, heldCost, err := e.segment([]vidsim.Class{class}, e.HeldOut)
 	if err != nil {
 		return nil, err
 	}
-	lowT, highT := e.binaryThresholds(infHeld, head, class, fnrBudget, fprBudget)
+	infHeld := segHeld.Inference()
+	th, err := prepared(e, u, e.shapeKey("binary", model, heldModelFP(e, segHeld), class, fnrBudget, fprBudget), func() (*binaryBand, error) {
+		th := &binaryBand{}
+		th.LowT, th.HighT = e.binaryThresholds(infHeld, head, class, fnrBudget, fprBudget)
+		// Uncertain-band fraction on the held-out day prices the cascade's
+		// verification volume; detector labels there are offline.
+		band := 0
+		for f := 0; f < infHeld.Frames(); f++ {
+			if s := infHeld.TailProb(head, f, 1); s >= th.LowT && s < th.HighT {
+				band++
+			}
+		}
+		if infHeld.Frames() > 0 {
+			th.BandFrac = float64(band) / float64(infHeld.Frames())
+		}
+		return th, nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	segTest, infCost, err := e.segment([]vidsim.Class{class}, e.Test)
 	if err != nil {
 		return nil, err
 	}
-	// Uncertain-band fraction on the held-out day prices the cascade's
-	// verification volume; detector labels there are offline.
-	band := 0
-	for f := 0; f < infHeld.Frames(); f++ {
-		if s := infHeld.TailProb(head, f, 1); s >= lowT && s < highT {
-			band++
-		}
-	}
-	bandFrac := 0.0
-	if infHeld.Frames() > 0 {
-		bandFrac = float64(band) / float64(infHeld.Frames())
-	}
-	verifyEst := bandFrac * float64(span)
+	verifyEst := th.BandFrac * float64(span)
 	prep := binaryPrep{trainCost: trainCost, heldCost: heldCost, infCost: infCost,
-		lowT: lowT, highT: highT, seg: segTest, head: head}
+		lowT: th.LowT, highT: th.HighT, seg: segTest, head: head}
 	cascadePlan := &costedPlan{
 		desc: cascadeDesc,
 		est: plan.Cost{
@@ -112,7 +119,7 @@ func (e *Engine) enumerateBinary(info *frameql.Info, par int) ([]candidate, erro
 	}
 	cands := []candidate{cascadeCand, binaryExactCand(exactPlan, info)}
 	if info.Limit >= 0 {
-		cands = append(cands, e.densityBinaryCand(info, class, &prep, bandFrac, par))
+		cands = append(cands, e.densityBinaryCand(info, class, &prep, th.BandFrac, par))
 	}
 	return cands, nil
 }
@@ -238,14 +245,14 @@ func (p *binaryPrep) conjunction() []index.Conjunct {
 }
 
 func (k *binaryKernel) produce(lo, hi int) []binVerdict {
-	c := k.e.DTest.NewCounter()
 	verdicts := make([]binVerdict, hi-lo)
 	if k.prep == nil {
-		for i, n := range c.CountRange(k.lo+lo, k.lo+hi, k.class, nil) {
+		for i, n := range k.e.detectorCounts(k.class, k.lo+lo, k.lo+hi) {
 			verdicts[i] = binVerdict{verified: true, positive: n > 0}
 		}
 		return verdicts
 	}
+	c := k.e.DTest.NewCounter()
 	// The range walks index-chunk-aligned frame ranges: one zone-map
 	// consultation per chunk decides whether the chunk's columns are read
 	// at all (predicate pushdown — a skipped chunk's scores are never
@@ -356,8 +363,15 @@ func (k *binaryKernel) load(state []byte, p *scanProgress) error {
 	return nil
 }
 
+func (k *binaryKernel) adopt(prev scanKernel[[]binVerdict]) {
+	o := prev.(*binaryKernel)
+	k.last, k.verified, k.frames = o.last, o.verified, o.frames
+}
+
+// finish returns a view of the returned frames: they are append-only, so a
+// capacity-capped slice stays valid while the scan continues.
 func (k *binaryKernel) finish(res *Result) {
-	res.Frames = append([]int(nil), k.frames...)
+	res.Frames = k.frames[:len(k.frames):len(k.frames)]
 	if k.prep != nil {
 		lo, hi := k.e.frameRange(k.info)
 		res.Stats.note("verified %d of %d frames in the uncertain band", k.verified, hi-lo)

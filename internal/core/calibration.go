@@ -361,9 +361,10 @@ func (e *Engine) detectDrift(info *frameql.Info, chosen *candidate, rep *plan.Re
 			return true
 		}
 	}
+	u := &prepUse{family: info.Kind.String()}
 	for _, c := range info.Classes {
 		class := vidsim.Class(c)
-		held := e.baseStats(class).presence
+		held := e.baseStats(u, class).Presence
 		live, ok := e.liveWindowPresence(class)
 		if !ok || held <= 0 {
 			continue

@@ -43,26 +43,42 @@ import (
 //     with current calibration and may switch plans, opening the new pick
 //     fresh so the advanced answer stays exactly a fresh query's answer.
 //
-// Advance extends a completed cursor over a live stream's newly appended
+// Advance extends a completed execution over a live stream's newly appended
 // frames: scan families (exhaustive, selection, distinct, naive
-// aggregates, binary, sequential scrubbing) continue from their suspended
+// aggregates, binary, sequential scrubbing) continue from their
 // accumulators and pay only the new suffix, while population-dependent
 // families (adaptive sampling, control variates, specialized rewrite,
 // importance-ordered scrubbing) deterministically re-run over the
 // extended population — in both cases producing exactly what a fresh
 // execution of the same query over the extended stream produces.
+//
+// A standing query is a resident Execution: it stays open for the
+// subscription's lifetime, and each Advance re-pins it to the newly
+// published snapshot and moves its accumulator, in memory, onto the plan
+// re-opened there. A cursor is that execution serialized, produced only
+// when it has to leave the process (Suspend); Engine.Advance(cursor) is
+// resume, the same resident advance, suspend.
 
 // Execution is one resumable query execution: a planned (or resumed)
 // candidate with its enumeration context, driving the family's exec.
 type Execution struct {
+	// master is the engine the execution was begun on; e is its view pinned
+	// at the snapshot the execution reads, which Advance moves forward.
+	master *Engine
 	e      *Engine
 	info   *frameql.Info
 	cands  []candidate
 	chosen *candidate
 	forced bool
 	par    int
-	ex     plan.Execution[*Result]
-	final  *Result
+	// ex is the open family exec; nil after an advance failed part-way, so
+	// the next one opens the pinned plan afresh rather than continue from an
+	// accumulator that may hold half a batch.
+	ex    plan.Execution[*Result]
+	final *Result
+	// replanAt and switches are the drift protocol's state (the cursor's
+	// ReplanAtHorizon and PlanSwitches).
+	replanAt, switches int
 	// tr is the attached trace hookup (nil for untraced executions); see
 	// trace.go. Tracing reads the meter and wall clock only — it never
 	// alters the execution's answer or simulated cost.
@@ -76,13 +92,14 @@ func (e *Engine) newExecution(info *frameql.Info, cands []candidate, chosen *can
 		return nil, err
 	}
 	e.exec.queries.Add(1)
-	return &Execution{e: e, info: info, cands: cands, chosen: chosen, forced: forced, par: par, ex: ex}, nil
+	return &Execution{master: e, e: e, info: info, cands: cands, chosen: chosen, forced: forced, par: par, ex: ex}, nil
 }
 
 // BeginQuery plans an analyzed query and opens a resumable execution of
 // the picked (or hinted) candidate without running it. parallelism 0 uses
 // the engine default.
 func (e *Engine) BeginQuery(info *frameql.Info, parallelism int) (*Execution, error) {
+	master := e
 	e = e.pin()
 	cands, err := e.planCandidates(info, parallelism)
 	if err != nil {
@@ -92,7 +109,11 @@ func (e *Engine) BeginQuery(info *frameql.Info, parallelism int) (*Execution, er
 	if err != nil {
 		return nil, err
 	}
-	return e.newExecution(info, cands, chosen, forced, e.effectiveParallelism(parallelism))
+	x, err := e.newExecution(info, cands, chosen, forced, e.effectiveParallelism(parallelism))
+	if err == nil {
+		x.master = master
+	}
+	return x, err
 }
 
 // RunTo executes until at least `units` of the plan's progress units are
@@ -114,7 +135,7 @@ func (x *Execution) RunTo(units int) error {
 
 // Done reports whether the execution has completed for the stream's
 // current horizon.
-func (x *Execution) Done() bool { return x.ex.Done() }
+func (x *Execution) Done() bool { return x.ex != nil && x.ex.Done() }
 
 // Pos returns the progress units consumed; Total the units the current
 // input holds (-1 when unknown up front, as for adaptive sampling).
@@ -128,8 +149,11 @@ func (x *Execution) Total() int { return x.ex.Total() }
 // no answer yet) and is repeatable: advancing the execution further and
 // calling Result again yields the updated outcome.
 func (x *Execution) Result() (*Result, error) {
+	if x.ex == nil {
+		return nil, fmt.Errorf("core: execution of %q failed its last advance; advance it again first", x.PlanName())
+	}
 	if !x.ex.Done() {
-		return nil, fmt.Errorf("core: execution of %q suspended at unit %d; Result requires completion", x.chosen.Plan.Describe().Name, x.ex.Pos())
+		return nil, fmt.Errorf("core: execution of %q suspended at unit %d; Result requires completion", x.PlanName(), x.ex.Pos())
 	}
 	if x.final != nil {
 		return x.final, nil
@@ -161,39 +185,64 @@ func (x *Execution) Result() (*Result, error) {
 // Suspend serializes the execution into a cursor that ResumeQuery (here
 // or in a restarted process over the same stream configuration) can
 // continue from. Labels observed so far are published, as they would be
-// at execution end.
+// at execution end. This is the only place an execution's state is
+// encoded: a resident standing query suspends when it has to leave the
+// process, not per advance.
 func (x *Execution) Suspend() (*plan.Cursor, error) {
+	if x.ex == nil {
+		return nil, fmt.Errorf("core: cannot suspend %q after a failed advance; advance it again first", x.PlanName())
+	}
 	state, err := x.ex.Snapshot()
 	if err != nil {
 		return nil, err
 	}
 	x.e.idx.CommitLabels()
 	return &plan.Cursor{
-		Family:      x.info.Kind.String(),
-		Plan:        x.chosen.Plan.Describe().Name,
-		Query:       x.info.Stmt.String(),
-		Parallelism: x.par,
-		Horizon:     x.e.Test.Frames,
-		Units:       x.ex.Pos(),
-		Done:        x.ex.Done(),
-		Forced:      x.forced,
-		State:       state,
+		Family:          x.info.Kind.String(),
+		Plan:            x.PlanName(),
+		Query:           x.info.Stmt.String(),
+		Parallelism:     x.par,
+		Horizon:         x.Horizon(),
+		Units:           x.ex.Pos(),
+		Done:            x.ex.Done(),
+		Forced:          x.forced,
+		ReplanAtHorizon: x.replanAt,
+		PlanSwitches:    x.switches,
+		State:           state,
 	}, nil
 }
 
+// PlanName returns the physical plan the execution is pinned to.
+func (x *Execution) PlanName() string { return x.chosen.Plan.Describe().Name }
+
+// Horizon returns the stream frame count of the snapshot the execution
+// reads: what its answer covers once Done.
+func (x *Execution) Horizon() int { return x.e.Test.Frames }
+
+// PlanSwitches counts the execution's drift-triggered plan switches;
+// ReplanAtHorizon, when nonzero, is the chunk-aligned horizon at which a
+// pending drift re-plan will re-enumerate.
+func (x *Execution) PlanSwitches() int    { return x.switches }
+func (x *Execution) ReplanAtHorizon() int { return x.replanAt }
+
 // ResumeQuery re-opens a suspended execution from its cursor: the
-// canonical query is re-planned, the cursor's pinned candidate is forced,
-// and the family exec restores its accumulator snapshot.
+// canonical query is re-planned against the current snapshot, the cursor's
+// pinned candidate is forced, and the family exec restores its accumulator
+// snapshot.
 func (e *Engine) ResumeQuery(cur *plan.Cursor) (*Execution, error) {
+	return e.resume(cur, nil)
+}
+
+// resume is ResumeQuery recording onto root (nil when untraced): index
+// catch-up when the stream has grown past the cursor, then the re-plan and
+// state restore as the "resume" preparation span.
+func (e *Engine) resume(cur *plan.Cursor, root *obs.Span) (*Execution, error) {
+	master := e
 	e = e.pin()
 	info, err := frameql.Analyze(cur.Query)
 	if err != nil {
 		return nil, fmt.Errorf("core: resuming cursor: %w", err)
 	}
-	return e.resumeAnalyzed(info, cur)
-}
-
-func (e *Engine) resumeAnalyzed(info *frameql.Info, cur *plan.Cursor) (*Execution, error) {
 	if cur.Horizon > e.Test.Frames {
 		// The cursor covers frames this engine cannot see (a restart with
 		// an earlier LiveStart, or the wrong stream configuration).
@@ -201,6 +250,10 @@ func (e *Engine) resumeAnalyzed(info *frameql.Info, cur *plan.Cursor) (*Executio
 		// over invisible frames; refuse rather than answer wrongly.
 		return nil, fmt.Errorf("core: cursor covers horizon %d but the stream's visible horizon is %d; re-open the stream at or beyond the cursor's horizon (or subscribe afresh)", cur.Horizon, e.Test.Frames)
 	}
+	if err := e.catchUp(info, cur.Horizon, root); err != nil {
+		return nil, err
+	}
+	start := time.Now()
 	cands, err := e.planCandidates(info, cur.Parallelism)
 	if err != nil {
 		return nil, err
@@ -218,115 +271,39 @@ func (e *Engine) resumeAnalyzed(info *frameql.Info, cur *plan.Cursor) (*Executio
 			return nil, fmt.Errorf("core: restoring cursor state for %s: %w", cur.Plan, err)
 		}
 	}
+	x.master, x.replanAt, x.switches = master, cur.ReplanAtHorizon, cur.PlanSwitches
+	x.attachTrace(root, time.Since(start), "resume")
 	return x, nil
 }
 
 // Advance brings a standing query's cursor up to the stream's current
-// horizon: newly appended test-day frames are ingested into every open
-// index segment the query reads, the suspended execution resumes — scan
-// plans continue over the new suffix only; population-dependent plans
-// re-run deterministically over the extended population — runs to
-// completion, and re-suspends. The returned Result is exactly what a
-// fresh execution of the same query over the extended stream returns
-// (answers, rows, frames, and the scan-accumulated cost meter; one-time
-// preparation charges reflect what the standing query actually paid when
-// it first planned, which a fresh query on the same warm engine also
-// pays). A cursor already at the horizon re-derives the identical result
-// (re-planning included, since the result must be finalized against plan
-// state the cursor does not carry); callers polling in a loop should
-// check the horizon first, as the serving tier's /poll and the public
-// StandingQuery.Advance do.
-//
-// Cost-picked cursors additionally run the drift protocol: after each
-// advance the engine checks whether the execution's actual cost left the
-// calibrated estimate's accuracy band or the live window's re-measured
-// presence left the band around the held-out presence (calibration.go);
-// if so, the next chunk-aligned horizon is recorded in the cursor, and
-// the first Advance at or past that boundary re-enumerates and may switch
-// plans. A switch opens the new pick fresh over the pinned horizon, so
-// the advanced answer remains bitwise-equal to a fresh query's.
+// horizon: the suspended execution resumes against the published snapshot,
+// advances (Execution.Advance), and re-suspends. The returned Result is
+// exactly what a fresh execution of the same query over the extended
+// stream returns (answers, rows, frames, and the scan-accumulated cost
+// meter; one-time preparation charges reflect what the standing query
+// actually paid when it first planned, which a fresh query on the same
+// warm engine also pays). A cursor already at the horizon re-derives the
+// identical result (re-planning included, since the result must be
+// finalized against plan state the cursor does not carry); callers polling
+// in a loop should keep the Execution resident instead, as the serving
+// tier's /poll and the public StandingQuery.Advance do.
 func (e *Engine) Advance(cur *plan.Cursor) (*Result, *plan.Cursor, error) {
 	return e.AdvanceTraced(cur, nil)
 }
 
 // AdvanceTraced is Advance recording a span tree onto tr: ingest
 // catch-up, cursor resume (re-plan plus state restore, carrying the
-// standing query's preparation charges) — or, at a drift-triggered
-// re-plan boundary, the replan span and a fresh open of the switched
-// pick — the incremental scan, finalize, and re-suspension. A plan
-// switch stamps plan_switched / plan_switched_from / plan_switches on
-// the root. With a nil trace it is Advance, through this same body: obs
-// spans are nil-safe, so the span calls become no-ops.
+// standing query's preparation charges), what Execution.Advance records,
+// and re-suspension. With a nil trace it is Advance, through this same
+// body: obs spans are nil-safe, so the span calls become no-ops.
 func (e *Engine) AdvanceTraced(cur *plan.Cursor, tr *obs.Trace) (*Result, *plan.Cursor, error) {
-	e = e.pin()
 	root := rootOf(tr)
-	root.SetAttr("standing", "true")
-	e.traceSnapshotAttrs(root)
-	info, err := frameql.Analyze(cur.Query)
+	x, err := e.resume(cur, root)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: advancing cursor: %w", err)
-	}
-	if e.Test.Frames > cur.Horizon {
-		ing := root.Child("ingest-catchup")
-		ing.SetAttr("from_horizon", strconv.Itoa(cur.Horizon))
-		ing.SetAttr("to_horizon", strconv.Itoa(e.Test.Frames))
-		if err := e.ingestForQuery(info); err != nil {
-			ing.Fail(err)
-			return nil, nil, err
-		}
-		ing.End()
-	}
-	// Work on a copy: the replan protocol consumes the boundary marker and
-	// the caller's cursor must stay untouched on error.
-	cc := *cur
-	cur = &cc
-	switched := false
-	prevPlan := cur.Plan
-	var x *Execution
-	prepName := "resume"
-	if !cur.Forced && cur.ReplanAtHorizon > 0 && e.Test.Frames >= cur.ReplanAtHorizon {
-		rp := root.Child("replan")
-		rp.SetAttr("incumbent", cur.Plan)
-		rp.SetAttr("boundary", strconv.Itoa(cur.ReplanAtHorizon))
-		cands, err := e.planCandidates(info, cur.Parallelism)
-		if err != nil {
-			rp.Fail(err)
-			return nil, nil, err
-		}
-		chosen, err := plan.Choose(cands)
-		if err != nil {
-			rp.Fail(err)
-			return nil, nil, err
-		}
-		name := chosen.Plan.Describe().Name
-		rp.SetAttr("chosen", name)
-		rp.End()
-		cur.ReplanAtHorizon = 0
-		if name != cur.Plan {
-			// Switch: open the new pick fresh over the pinned horizon —
-			// exactly what a fresh query at this horizon computes.
-			switched = true
-			prepName = "replan-open"
-			prepStart := time.Now()
-			x, err = e.newExecution(info, cands, chosen, false, cur.Parallelism)
-			if err != nil {
-				return nil, nil, err
-			}
-			x.attachTrace(root, time.Since(prepStart), prepName)
-		}
-	}
-	if x == nil {
-		resumeStart := time.Now()
-		x, err = e.resumeAnalyzed(info, cur)
-		if err != nil {
-			return nil, nil, err
-		}
-		x.attachTrace(root, time.Since(resumeStart), prepName)
-	}
-	if err := x.RunTo(-1); err != nil {
 		return nil, nil, err
 	}
-	res, err := x.Result()
+	res, err := x.advance(root)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -337,33 +314,147 @@ func (e *Engine) AdvanceTraced(cur *plan.Cursor, tr *obs.Trace) (*Result, *plan.
 		return nil, nil, err
 	}
 	sus.End()
-	ncur.PlanSwitches = cur.PlanSwitches
-	ncur.ReplanAtHorizon = cur.ReplanAtHorizon
-	if switched {
-		ncur.PlanSwitches++
-		root.SetAttr("plan_switched", "true")
-		root.SetAttr("plan_switched_from", prevPlan)
-	}
-	if !cur.Forced && !switched && ncur.ReplanAtHorizon == 0 &&
-		e.detectDrift(info, x.chosen, res.PlanReport) {
-		ncur.ReplanAtHorizon = replanBoundary(e.Test.Frames)
-	}
-	if ncur.PlanSwitches > 0 {
-		root.SetAttr("plan_switches", strconv.Itoa(ncur.PlanSwitches))
-	}
-	if ncur.ReplanAtHorizon > 0 {
-		root.SetAttr("replan_at_horizon", strconv.Itoa(ncur.ReplanAtHorizon))
-	}
 	return res, ncur, nil
 }
 
-// ingestForQuery extends every already-materialized test-day segment the
-// query's class sets address to the stream's current horizon, so resumed
-// executions (importance ranking, cascade scoring, label-filter columns)
-// read index columns that cover every visible frame. Segments are only
-// ever extended, never built here: a query whose plan did not pay for a
-// segment must not trigger a whole-day inference on advance.
-func (e *Engine) ingestForQuery(info *frameql.Info) error {
+// Advance brings the execution up to the engine's published snapshot and
+// returns its answer there — the standing query's step, and all of it:
+// no query text is analyzed and nothing is encoded. When the stream has
+// grown, the plan is re-priced and re-opened against the new snapshot
+// (enumeration reads the prepared store, so this costs microseconds) and
+// takes over the accumulator in memory: scan plans then run the appended
+// suffix only, population-dependent plans re-run deterministically. On an
+// unchanged stream it returns the answer it already has.
+//
+// Cost-picked executions additionally run the drift protocol: after each
+// advance the engine checks whether the execution's actual cost left the
+// calibrated estimate's accuracy band or the live window's re-measured
+// presence left the band around the held-out presence (calibration.go);
+// if so, the next chunk-aligned horizon is recorded, and the first
+// Advance at or past that boundary re-enumerates and may switch plans. A
+// switch opens the new pick fresh over the pinned horizon, so the advanced
+// answer remains bitwise-equal to a fresh query's.
+//
+// An error leaves the execution usable: the next Advance opens the pinned
+// plan afresh over the snapshot it finds, which is again a fresh query's
+// answer. Advance records a span tree onto tr when it is non-nil: ingest
+// catch-up, the re-pin as "resume" (or "replan" and "replan-open" at a
+// switch), the incremental scan, and finalize.
+func (x *Execution) Advance(tr *obs.Trace) (*Result, error) {
+	return x.advance(rootOf(tr))
+}
+
+func (x *Execution) advance(root *obs.Span) (res *Result, err error) {
+	defer func() {
+		if res == nil {
+			// Also on a panic out of a scan worker: the accumulator may hold
+			// part of a batch.
+			x.ex, x.final = nil, nil
+		}
+		x.detachTrace()
+	}()
+	e := x.master.pin()
+	root.SetAttr("standing", "true")
+	e.traceSnapshotAttrs(root)
+	grown := e.Test.Frames > x.e.Test.Frames
+	if !grown && x.final != nil {
+		return x.final, nil
+	}
+	if err := e.catchUp(x.info, x.e.Test.Frames, root); err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	prevPlan, prepName, switched := x.PlanName(), "resume", false
+	var cands []candidate
+	var chosen *candidate
+	if !x.forced && x.replanAt > 0 && e.Test.Frames >= x.replanAt {
+		rp := root.Child("replan")
+		rp.SetAttr("incumbent", prevPlan)
+		rp.SetAttr("boundary", strconv.Itoa(x.replanAt))
+		if cands, err = e.planCandidates(x.info, x.par); err == nil {
+			chosen, err = plan.Choose(cands)
+		}
+		if err != nil {
+			rp.Fail(err)
+			return nil, err
+		}
+		rp.SetAttr("chosen", chosen.Plan.Describe().Name)
+		rp.End()
+		x.replanAt = 0
+		if switched = chosen.Plan.Describe().Name != prevPlan; switched {
+			prepName = "replan-open"
+			start = time.Now()
+		}
+	}
+	if grown || switched || x.ex == nil {
+		if cands == nil {
+			if cands, err = e.planCandidates(x.info, x.par); err == nil {
+				chosen, err = plan.Force(cands, prevPlan)
+			}
+			if err != nil {
+				return nil, err
+			}
+		}
+		nx, err := chosen.Plan.Open()
+		if err != nil {
+			return nil, err
+		}
+		e.exec.queries.Add(1)
+		// A switched or re-opened plan starts fresh over the pinned horizon —
+		// exactly what a fresh query at this horizon computes. Otherwise the
+		// plan continues from the accumulator it had at the older snapshot.
+		if a, ok := nx.(interface {
+			adopt(prev plan.Execution[*Result])
+		}); ok && !switched && x.ex != nil {
+			a.adopt(x.ex)
+		}
+		x.e, x.ex, x.final = e, nx, nil
+		if switched {
+			x.switches++
+		}
+	}
+	if cands != nil {
+		x.cands, x.chosen = cands, chosen
+	}
+	if x.tr == nil || grown || switched {
+		x.attachTrace(root, time.Since(start), prepName)
+	}
+	if err := x.RunTo(-1); err != nil {
+		return nil, err
+	}
+	if res, err = x.Result(); err != nil {
+		return nil, err
+	}
+	if switched {
+		root.SetAttr("plan_switched", "true")
+		root.SetAttr("plan_switched_from", prevPlan)
+	}
+	if !x.forced && !switched && x.replanAt == 0 && e.detectDrift(x.info, x.chosen, res.PlanReport) {
+		x.replanAt = replanBoundary(e.Test.Frames)
+	}
+	if x.switches > 0 {
+		root.SetAttr("plan_switches", strconv.Itoa(x.switches))
+	}
+	if x.replanAt > 0 {
+		root.SetAttr("replan_at_horizon", strconv.Itoa(x.replanAt))
+	}
+	return res, nil
+}
+
+// catchUp extends every already-materialized test-day segment the query's
+// class sets address to the pinned horizon when the stream has grown past
+// from, as the "ingest-catchup" span — so resumed executions (importance
+// ranking, cascade scoring, label-filter columns) read index columns that
+// cover every visible frame. Segments are only ever extended, never built
+// here: a query whose plan did not pay for a segment must not trigger a
+// whole-day inference on advance.
+func (e *Engine) catchUp(info *frameql.Info, from int, root *obs.Span) error {
+	if e.Test.Frames <= from {
+		return nil
+	}
+	ing := root.Child("ingest-catchup")
+	ing.SetAttr("from_horizon", strconv.Itoa(from))
+	ing.SetAttr("to_horizon", strconv.Itoa(e.Test.Frames))
 	var sets [][]vidsim.Class
 	if info.Kind == frameql.KindScrubbing {
 		if _, classes, err := scrubRequirements(info); err == nil && len(classes) > 1 {
@@ -378,9 +469,11 @@ func (e *Engine) ingestForQuery(info *frameql.Info) error {
 			continue
 		}
 		if _, err := e.idx.Ingest(set, e.Test); err != nil {
+			ing.Fail(err)
 			return err
 		}
 	}
+	ing.End()
 	return nil
 }
 
@@ -405,15 +498,16 @@ func resultToState(r *Result) *resultState {
 	}
 }
 
-// toResult materializes a Result, deep-copying slices so callers may hold
-// the result while the execution continues to grow its state.
+// toResult materializes a Result over the stored answer's slices, which
+// are never written after the answer is stored (a re-run stores a new
+// one); the capacity caps keep a caller's append from reaching them.
 func (st *resultState) toResult() *Result {
 	r := &Result{
 		Kind: st.Kind, Value: st.Value, StdErr: st.StdErr,
-		Frames:       append([]int(nil), st.Frames...),
-		Rows:         append([]Row(nil), st.Rows...),
-		TrackIDs:     append([]int(nil), st.TrackIDs...),
-		evalTruthIDs: append([]int(nil), st.TruthIDs...),
+		Frames:       st.Frames[:len(st.Frames):len(st.Frames)],
+		Rows:         st.Rows[:len(st.Rows):len(st.Rows)],
+		TrackIDs:     st.TrackIDs[:len(st.TrackIDs):len(st.TrackIDs)],
+		evalTruthIDs: st.TruthIDs[:len(st.TruthIDs):len(st.TruthIDs)],
 		Stats:        st.Stats,
 	}
 	r.Stats.Notes = append([]string(nil), st.Stats.Notes...)

@@ -248,9 +248,17 @@ func (k *exhaustiveKernel) load(state []byte, p *scanProgress) error {
 	return nil
 }
 
+func (k *exhaustiveKernel) adopt(prev scanKernel[*detArena]) {
+	o := prev.(*exhaustiveKernel)
+	k.tracker, k.last, k.rows, k.truth = o.tracker, o.last, o.rows, o.truth
+}
+
+// finish returns views of the rows and their truth IDs: both are
+// append-only, so capacity-capped slices stay valid while the scan (a
+// standing query's, over later frames) continues to append past them.
 func (k *exhaustiveKernel) finish(res *Result) {
-	res.Rows = append([]Row(nil), k.rows...)
-	res.evalTruthIDs = append([]int(nil), k.truth...)
+	res.Rows = k.rows[:len(k.rows):len(k.rows)]
+	res.evalTruthIDs = k.truth[:len(k.truth):len(k.truth)]
 }
 
 // rowFromDetection fills a Row from a detection, leaving Timestamp to the

@@ -11,6 +11,7 @@ import (
 	"repro/internal/frameql"
 	"repro/internal/obs"
 	"repro/internal/plan"
+	"repro/internal/scrub"
 	"repro/internal/specnn"
 	"repro/internal/stats"
 	"repro/internal/vidsim"
@@ -72,21 +73,32 @@ func infeasible(desc plan.Description, reason string) candidate {
 // enumerate produces the candidate table for an analyzed query. The
 // switch selects an enumerator per plan family — the successor of the
 // old rule-based dispatch, which jumped straight to one hard-coded plan.
+// Every feasible candidate is stamped with whether the family's prepared
+// state was served from the store or computed by this enumeration.
 func (e *Engine) enumerate(info *frameql.Info, par int) ([]candidate, error) {
+	u := &prepUse{family: info.Kind.String()}
+	var cands []candidate
+	var err error
 	switch info.Kind {
 	case frameql.KindAggregate:
-		return e.enumerateAggregate(info, par)
+		cands, err = e.enumerateAggregate(info, par, u)
 	case frameql.KindDistinct:
-		return e.enumerateDistinct(info, par)
+		cands, err = e.enumerateDistinct(info, par)
 	case frameql.KindScrubbing:
-		return e.enumerateScrubbing(info, par)
+		cands, err = e.enumerateScrubbing(info, par, u)
 	case frameql.KindSelection:
-		return e.enumerateSelection(info, par)
+		cands, err = e.enumerateSelection(info, par, u)
 	case frameql.KindBinary:
-		return e.enumerateBinary(info, par)
+		cands, err = e.enumerateBinary(info, par, u)
 	default:
-		return e.enumerateExhaustive(info, par)
+		cands, err = e.enumerateExhaustive(info, par)
 	}
+	for i := range cands {
+		if cands[i].Infeasible == "" {
+			cands[i].Prepared = u.mark()
+		}
+	}
+	return cands, err
 }
 
 // effectiveParallelism resolves a per-query parallelism override against
@@ -175,28 +187,24 @@ func (e *Engine) ExplainPlan(info *frameql.Info, parallelism int) (*plan.Report,
 	if err != nil {
 		return nil, err
 	}
-	return plan.NewReport(info.Kind.String(), cands, chosen, forced), nil
+	rep := plan.NewReport(info.Kind.String(), cands, chosen, forced)
+	// Store provenance is EXPLAIN's alone: an executed Result's report must
+	// not depend on cache state.
+	for i := range cands {
+		rep.Candidates[i].Prepared = cands[i].Prepared
+	}
+	return rep, nil
 }
 
-// plannerState is the engine's planning cache and accounting: held-out
-// statistics priced once per class (or requirement set) and reused by
-// every enumeration, plus pick counters for observability.
+// plannerState is the engine's planning memory and accounting: the
+// prepared-state store every enumeration reads its held-out products from
+// (prepared.go), the feedback-calibration store, and pick counters for
+// observability.
 type plannerState struct {
+	// prep has its own lock; it is never taken with mu held.
+	prep *prepStore
+
 	mu sync.Mutex
-	// base holds counter-only held-out statistics per class.
-	base map[vidsim.Class]*baseStats
-	// resid holds specialized-network residual statistics per class.
-	resid map[vidsim.Class]*residStats
-	// heldErrs holds HeldOutErrors outputs per class (deterministic, so
-	// one computation serves every execution's charge replay).
-	heldErrs map[vidsim.Class]*heldErrsEntry
-	// bias holds BiasWithin outputs per (class, tolerance).
-	bias map[string]float64
-	// scrub holds requirement-set statistics.
-	scrub map[string]*scrubStatsEntry
-	// cascade holds measured joint pass rates per trained selection
-	// cascade (content filters + label filter).
-	cascade map[string]*cascadeRates
 	// calib holds the feedback-calibration entries per (family, plan):
 	// windowed actual/estimate ratios whose median becomes the
 	// correction factor applied at enumeration time (calibration.go).
@@ -217,15 +225,10 @@ type plannerState struct {
 
 func newPlannerState() *plannerState {
 	return &plannerState{
-		base:     make(map[vidsim.Class]*baseStats),
-		resid:    make(map[vidsim.Class]*residStats),
-		heldErrs: make(map[vidsim.Class]*heldErrsEntry),
-		bias:     make(map[string]float64),
-		scrub:    make(map[string]*scrubStatsEntry),
-		cascade:  make(map[string]*cascadeRates),
-		calib:    make(map[string]*calibEntry),
-		famErr:   make(map[string]*errWindow),
-		picks:    make(map[string]map[string]uint64),
+		prep:   newPrepStore(),
+		calib:  make(map[string]*calibEntry),
+		famErr: make(map[string]*errWindow),
+		picks:  make(map[string]map[string]uint64),
 	}
 }
 
@@ -275,14 +278,27 @@ type PlannerStats struct {
 	// Calibrations maps "family|plan" → lifetime feedback observation
 	// count in the calibration store.
 	Calibrations map[string]uint64
+	// Prepared maps family → prepared-state store lookups (prepared.go);
+	// PreparedEntries is the store's current size, never above its cap.
+	Prepared        map[string]PreparedStat
+	PreparedEntries int
 }
 
 // PlannerStats returns a snapshot of the engine's planner accounting.
 func (e *Engine) PlannerStats() PlannerStats {
 	p := e.planner
+	p.prep.mu.Lock()
+	prep := make(map[string]PreparedStat, len(p.prep.stats))
+	for fam, st := range p.prep.stats {
+		prep[fam] = *st
+	}
+	entries := len(p.prep.entries)
+	p.prep.mu.Unlock()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	s := PlannerStats{
+		Prepared:           prep,
+		PreparedEntries:    entries,
 		Planned:            p.planned,
 		Forced:             p.forced,
 		Picks:              make(map[string]map[string]uint64, len(p.picks)),
@@ -324,44 +340,33 @@ func planStride(frames, capN int) int {
 // Detector labels for the held-out day are part of the offline labeled
 // set, so computing them charges nothing.
 type baseStats struct {
-	// meanCount and stdCount describe the per-frame count distribution.
-	meanCount, stdCount float64
-	// presence is the fraction of frames containing the class.
-	presence float64
+	// MeanCount and StdCount describe the per-frame count distribution.
+	MeanCount, StdCount float64
+	// Presence is the fraction of frames containing the class.
+	Presence float64
 }
 
-func (e *Engine) baseStats(class vidsim.Class) *baseStats {
-	e.planner.mu.Lock()
-	if s, ok := e.planner.base[class]; ok {
-		e.planner.mu.Unlock()
-		return s
-	}
-	e.planner.mu.Unlock()
-
-	stride := planStride(e.HeldOut.Frames, e.opts.HeldOutSample)
-	c := e.DHeld.NewCounter()
-	var acc stats.Online
-	present := 0
-	n := 0
-	for f := 0; f < e.HeldOut.Frames; f += stride {
-		m := c.CountAt(f, class)
-		acc.Add(float64(m))
-		if m > 0 {
-			present++
+func (e *Engine) baseStats(u *prepUse, class vidsim.Class) *baseStats {
+	s, _ := prepared(e, u, e.shapeKey("base", nil, class), func() (*baseStats, error) {
+		stride := planStride(e.HeldOut.Frames, e.opts.HeldOutSample)
+		c := e.DHeld.NewCounter()
+		var acc stats.Online
+		present := 0
+		n := 0
+		for f := 0; f < e.HeldOut.Frames; f += stride {
+			m := c.CountAt(f, class)
+			acc.Add(float64(m))
+			if m > 0 {
+				present++
+			}
+			n++
 		}
-		n++
-	}
-	s := &baseStats{meanCount: acc.Mean(), stdCount: acc.StdDev()}
-	if n > 0 {
-		s.presence = float64(present) / float64(n)
-	}
-	e.planner.mu.Lock()
-	if prev, ok := e.planner.base[class]; ok {
-		s = prev
-	} else {
-		e.planner.base[class] = s
-	}
-	e.planner.mu.Unlock()
+		s := &baseStats{MeanCount: acc.Mean(), StdCount: acc.StdDev()}
+		if n > 0 {
+			s.Presence = float64(present) / float64(n)
+		}
+		return s, nil
+	})
 	return s
 }
 
@@ -370,93 +375,60 @@ func (e *Engine) baseStats(class vidsim.Class) *baseStats {
 // residual (expected count − detector count) prices the control-variates
 // estimator's sampling need.
 type residStats struct {
-	residStd float64
-	corr     float64
+	ResidStd float64
+	Corr     float64
 }
 
-func (e *Engine) residStats(class vidsim.Class, model *specnn.CountModel) *residStats {
-	e.planner.mu.Lock()
-	if s, ok := e.planner.resid[class]; ok {
-		e.planner.mu.Unlock()
-		return s
-	}
-	e.planner.mu.Unlock()
-
-	head := model.HeadIndex(class)
-	stride := planStride(e.HeldOut.Frames, e.opts.HeldOutSample)
-	ev := specnn.NewEvaluator(model, e.HeldOut)
-	c := e.DHeld.NewCounter()
-	var mt stats.OnlineCov
-	var res stats.Online
-	for f := 0; f < e.HeldOut.Frames; f += stride {
-		m := float64(c.CountAt(f, class))
-		ev.Seek(f)
-		probs := ev.Probs()[head]
-		t := 0.0
-		for cnt, p := range probs {
-			t += float64(cnt) * p
+func (e *Engine) residStats(u *prepUse, class vidsim.Class, model *specnn.CountModel) *residStats {
+	s, _ := prepared(e, u, e.shapeKey("resid", model, class), func() (*residStats, error) {
+		head := model.HeadIndex(class)
+		stride := planStride(e.HeldOut.Frames, e.opts.HeldOutSample)
+		ev := specnn.NewEvaluator(model, e.HeldOut)
+		c := e.DHeld.NewCounter()
+		var mt stats.OnlineCov
+		var res stats.Online
+		for f := 0; f < e.HeldOut.Frames; f += stride {
+			m := float64(c.CountAt(f, class))
+			ev.Seek(f)
+			probs := ev.Probs()[head]
+			t := 0.0
+			for cnt, p := range probs {
+				t += float64(cnt) * p
+			}
+			mt.Add(m, t)
+			res.Add(t - m)
 		}
-		mt.Add(m, t)
-		res.Add(t - m)
-	}
-	s := &residStats{residStd: res.StdDev(), corr: mt.Correlation()}
-	e.planner.mu.Lock()
-	if prev, ok := e.planner.resid[class]; ok {
-		s = prev
-	} else {
-		e.planner.resid[class] = s
-	}
-	e.planner.mu.Unlock()
+		return &residStats{ResidStd: res.StdDev(), Corr: mt.Correlation()}, nil
+	})
 	return s
 }
 
-// heldErrsEntry caches specnn.HeldOutErrors for one class. The errors and
+// heldErrsEntry holds specnn.HeldOutErrors for one class. The errors and
 // their simulated cost are deterministic per engine, so one computation
 // serves both planning (feasibility of query rewriting) and the exact
 // charge replay every aggregate execution performs.
 type heldErrsEntry struct {
-	errs []float64
-	cost float64
+	Errs []float64
+	Cost float64
 }
 
-func (e *Engine) heldOutErrors(class vidsim.Class, model *specnn.CountModel) (*heldErrsEntry, error) {
-	e.planner.mu.Lock()
-	if s, ok := e.planner.heldErrs[class]; ok {
-		e.planner.mu.Unlock()
-		return s, nil
-	}
-	e.planner.mu.Unlock()
-
-	errs, cost, err := specnn.HeldOutErrors(model, e.HeldOut, e.DHeld, class, e.opts.HeldOutSample, e.opts.Seed+3)
-	if err != nil {
-		return nil, err
-	}
-	s := &heldErrsEntry{errs: errs, cost: cost}
-	e.planner.mu.Lock()
-	if prev, ok := e.planner.heldErrs[class]; ok {
-		s = prev
-	} else {
-		e.planner.heldErrs[class] = s
-	}
-	e.planner.mu.Unlock()
-	return s, nil
+func (e *Engine) heldOutErrors(u *prepUse, class vidsim.Class, model *specnn.CountModel) (*heldErrsEntry, error) {
+	return prepared(e, u, e.shapeKey("held-errs", model, class), func() (*heldErrsEntry, error) {
+		errs, cost, err := specnn.HeldOutErrors(model, e.HeldOut, e.DHeld, class, e.opts.HeldOutSample, e.opts.Seed+3)
+		if err != nil {
+			return nil, err
+		}
+		return &heldErrsEntry{Errs: errs, Cost: cost}, nil
+	})
 }
 
-// biasWithin caches BiasWithin per (class, tolerance) — the bootstrap is
-// deterministic, and repeated queries with the same tolerance reuse it.
-func (e *Engine) biasWithin(class vidsim.Class, errs []float64, tol float64) float64 {
-	key := fmt.Sprintf("%s|%g", class, tol)
-	e.planner.mu.Lock()
-	if v, ok := e.planner.bias[key]; ok {
-		e.planner.mu.Unlock()
-		return v
-	}
-	e.planner.mu.Unlock()
-
-	v := specnn.BiasWithin(errs, tol, 500, e.opts.Seed+4)
-	e.planner.mu.Lock()
-	e.planner.bias[key] = v
-	e.planner.mu.Unlock()
+// biasWithin is BiasWithin per (class, tolerance) over the model's held-out
+// errors — the bootstrap is deterministic, and repeated queries with the
+// same tolerance reuse it.
+func (e *Engine) biasWithin(u *prepUse, class vidsim.Class, model *specnn.CountModel, errs []float64, tol float64) float64 {
+	v, _ := prepared(e, u, e.shapeKey("bias", model, class, tol), func() (float64, error) {
+		return specnn.BiasWithin(errs, tol, 500, e.opts.Seed+4), nil
+	})
 	return v
 }
 
@@ -466,35 +438,30 @@ func (e *Engine) biasWithin(class vidsim.Class, errs []float64, tol float64) flo
 // the match outcomes ranked by the same combined confidence score the
 // importance plan searches in.
 type scrubStatsEntry struct {
-	matchRate         float64
-	presentRate       float64
-	matchGivenPresent float64
-	rankedMatches     []bool
+	MatchRate         float64
+	PresentRate       float64
+	MatchGivenPresent float64
+	RankedMatches     []bool
 }
 
-func scrubStatsKey(reqs []scrubReq) string {
+// scrubReqsKey renders a requirement list in query order (scores sum in
+// that order, and float addition does not commute across three terms).
+func scrubReqsKey(reqs []scrub.Requirement) string {
 	parts := make([]string, len(reqs))
 	for i, r := range reqs {
 		parts[i] = fmt.Sprintf("%s:%d", r.Class, r.N)
 	}
-	sort.Strings(parts)
 	return strings.Join(parts, ",")
 }
 
-type scrubReq struct {
-	Class vidsim.Class
-	N     int
+func (e *Engine) scrubPlanStats(u *prepUse, reqs []scrub.Requirement, model *specnn.CountModel) *scrubStatsEntry {
+	s, _ := prepared(e, u, e.shapeKey("scrub-stats", model, scrubReqsKey(reqs)), func() (*scrubStatsEntry, error) {
+		return e.measureScrubStats(reqs, model), nil
+	})
+	return s
 }
 
-func (e *Engine) scrubPlanStats(reqs []scrubReq, model *specnn.CountModel) *scrubStatsEntry {
-	key := scrubStatsKey(reqs)
-	e.planner.mu.Lock()
-	if s, ok := e.planner.scrub[key]; ok {
-		e.planner.mu.Unlock()
-		return s
-	}
-	e.planner.mu.Unlock()
-
+func (e *Engine) measureScrubStats(reqs []scrub.Requirement, model *specnn.CountModel) *scrubStatsEntry {
 	stride := planStride(e.HeldOut.Frames, e.opts.HeldOutSample)
 	c := e.DHeld.NewCounter()
 	var ev *specnn.Evaluator
@@ -541,26 +508,19 @@ func (e *Engine) scrubPlanStats(reqs []scrubReq, model *specnn.CountModel) *scru
 	}
 	s := &scrubStatsEntry{}
 	if len(rows) > 0 {
-		s.matchRate = float64(matches) / float64(len(rows))
-		s.presentRate = float64(present) / float64(len(rows))
+		s.MatchRate = float64(matches) / float64(len(rows))
+		s.PresentRate = float64(present) / float64(len(rows))
 	}
 	if present > 0 {
-		s.matchGivenPresent = float64(matches) / float64(present)
+		s.MatchGivenPresent = float64(matches) / float64(present)
 	}
 	if model != nil {
 		sort.SliceStable(rows, func(i, j int) bool { return rows[i].score > rows[j].score })
-		s.rankedMatches = make([]bool, len(rows))
+		s.RankedMatches = make([]bool, len(rows))
 		for i, r := range rows {
-			s.rankedMatches[i] = r.match
+			s.RankedMatches[i] = r.match
 		}
 	}
-	e.planner.mu.Lock()
-	if prev, ok := e.planner.scrub[key]; ok {
-		s = prev
-	} else {
-		e.planner.scrub[key] = s
-	}
-	e.planner.mu.Unlock()
 	return s
 }
 
@@ -568,25 +528,25 @@ func (e *Engine) scrubPlanStats(reqs []scrubReq, model *specnn.CountModel) *scru
 // importance (confidence-ranked) order: the match precision among the
 // top-scored held-out frames, floored at the overall match rate.
 func (s *scrubStatsEntry) importanceHitRate(limit int) float64 {
-	if len(s.rankedMatches) == 0 {
-		return s.matchRate
+	if len(s.RankedMatches) == 0 {
+		return s.MatchRate
 	}
 	top := limit
 	if top < 16 {
 		top = 16
 	}
-	if top > len(s.rankedMatches) {
-		top = len(s.rankedMatches)
+	if top > len(s.RankedMatches) {
+		top = len(s.RankedMatches)
 	}
 	hits := 0
-	for _, m := range s.rankedMatches[:top] {
+	for _, m := range s.RankedMatches[:top] {
 		if m {
 			hits++
 		}
 	}
 	rate := float64(hits) / float64(top)
-	if rate < s.matchRate {
-		rate = s.matchRate
+	if rate < s.MatchRate {
+		rate = s.MatchRate
 	}
 	return rate
 }

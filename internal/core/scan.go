@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/index"
 	"repro/internal/obs"
+	"repro/internal/plan"
 )
 
 // This file is the scan operator: the one resumable execution every
@@ -41,6 +42,10 @@ type scanKernel[P any] interface {
 	// operator's progress in the family's cursor format.
 	save(p *scanProgress) ([]byte, error)
 	load(state []byte, p *scanProgress) error
+	// adopt takes over the accumulator of prev — this family's kernel over
+	// an earlier snapshot of the same stream — sharing it, not copying: what
+	// load(prev.save()) restores, without the encoding.
+	adopt(prev scanKernel[P])
 	// finish writes the accumulator's answer into res, charging res's
 	// meter for any settlement work; it never mutates the accumulator.
 	finish(res *Result)
@@ -197,6 +202,21 @@ func (x *scanExec[P]) Restore(state []byte) error {
 	d.schedPos, d.inChunk, d.raw = st.SchedPos, st.InChunk, st.Raw
 	d.kept, d.lastAttemptRaw = map[int]P{}, -1
 	return nil
+}
+
+// adopt continues prev — the same plan's scan of an earlier snapshot of the
+// stream — as Restore continues its Snapshot, minus the encoding: the
+// temporal ramp takes prev's position, meter and accumulator and so has
+// only the appended frames left to visit; a density order keeps its fresh
+// state and restarts, its schedule being a function of the whole
+// population.
+func (x *scanExec[P]) adopt(prev plan.Execution[*Result]) {
+	o := prev.(*scanExec[P])
+	if x.den != nil || o.err != nil {
+		return
+	}
+	x.scanProgress = o.scanProgress
+	x.k.adopt(o.k)
 }
 
 func (x *scanExec[P]) Result() (*Result, error) {

@@ -99,6 +99,8 @@ func (k *toyKernel) load(state []byte, p *scanProgress) error {
 	return nil
 }
 
+func (k *toyKernel) adopt(prev scanKernel[[]int]) { k.toyFold = prev.(*toyKernel).toyFold }
+
 func (k *toyKernel) finish(res *Result) { res.Frames = append([]int(nil), k.frames...) }
 
 // toySchedule is one visit order over frames [lo, hi): nil chunks is the

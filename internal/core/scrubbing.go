@@ -23,7 +23,7 @@ func scrubDesc(name, detail string) plan.Description {
 // Verification need is priced from cached held-out match statistics —
 // the match rate for sequential order, the top-confidence precision for
 // importance order.
-func (e *Engine) enumerateScrubbing(info *frameql.Info, par int) ([]candidate, error) {
+func (e *Engine) enumerateScrubbing(info *frameql.Info, par int, u *prepUse) ([]candidate, error) {
 	reqs, classes, err := scrubRequirements(info)
 	if err != nil {
 		return nil, err
@@ -40,13 +40,9 @@ func (e *Engine) enumerateScrubbing(info *frameql.Info, par int) ([]candidate, e
 	if modelErr != nil {
 		model = nil
 	}
-	planReqs := make([]scrubReq, len(reqs))
-	for i, r := range reqs {
-		planReqs[i] = scrubReq{Class: r.Class, N: r.N}
-	}
-	ss := e.scrubPlanStats(planReqs, model)
+	ss := e.scrubPlanStats(u, reqs, model)
 
-	seqProbes := plan.GeometricProbes(limit, ss.matchRate, span)
+	seqProbes := plan.GeometricProbes(limit, ss.MatchRate, span)
 	seqPlan := &costedPlan{
 		desc: scrubDesc("scrub-sequential", "detector verification in frame order (§7.1 default)"),
 		est:  plan.Cost{DetectorCalls: float64(seqProbes), DetectorSeconds: float64(seqProbes) * full},
@@ -56,7 +52,7 @@ func (e *Engine) enumerateScrubbing(info *frameql.Info, par int) ([]candidate, e
 	}
 	seqCand := candidate{Plan: seqPlan, MarginalSeconds: seqPlan.est.DetectorSeconds, Accuracy: scrubAccuracy}
 
-	nsProbes := plan.GeometricProbes(limit, ss.matchGivenPresent, int(ss.presentRate*float64(span)))
+	nsProbes := plan.GeometricProbes(limit, ss.MatchGivenPresent, int(ss.PresentRate*float64(span)))
 	noScopePlan := &costedPlan{
 		desc: scrubDesc("scrub-noscope-oracle", "verification only where the presence oracle reports every class (§10.1.1)"),
 		est:  plan.Cost{DetectorCalls: float64(nsProbes), DetectorSeconds: float64(nsProbes) * full},
@@ -89,13 +85,20 @@ func (e *Engine) enumerateScrubbing(info *frameql.Info, par int) ([]candidate, e
 	if err != nil {
 		return nil, err
 	}
-	order, chunksSkipped, framesSkipped, err := rankFromSegment(seg, reqs)
+	ireqs, err := scrubIndexReqs(seg, reqs)
 	if err != nil {
 		return nil, err
 	}
-	if lo > 0 || hi < e.Test.Frames {
-		order = scrub.FilterOrder(order, func(f int) bool { return f >= lo && f < hi })
+	// The shape's importance order is resident: a stream that has grown
+	// since it was ranked scores and sorts the appended frames only.
+	ranking, err := prepared(e, u, e.shapeKey("scrub-rank", seg.Model(), scrubReqsKey(reqs)), func() (*scrubRanking, error) {
+		return &scrubRanking{}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	order := ranking.at(seg, ireqs)
+	chunksSkipped, framesSkipped := seg.RankSkips(ireqs)
 	impProbes := plan.GeometricProbes(limit, ss.importanceHitRate(limit), span)
 	impPrep := scrubPrep{
 		trainCost: trainCost, infCost: infCost, order: order,
@@ -127,24 +130,19 @@ func (e *Engine) enumerateScrubbing(info *frameql.Info, par int) ([]candidate, e
 	return []candidate{impCand, seqCand, noScopeCand}, nil
 }
 
-// rankFromSegment builds the importance order from the materialized
-// segment's columns: descending combined-confidence score with the
-// paper's sum combiner, bit-identical to scrub.RankByConfidence over the
-// same inference, while chunks whose zone maps prove a zero score for
-// every requirement skip the per-frame score computation (their frames
-// sort into the zero-score tail by frame order either way).
-func rankFromSegment(seg *index.Segment, reqs []scrub.Requirement) (order []int32, chunksSkipped, framesSkipped int, err error) {
+// scrubIndexReqs resolves scrubbing requirements to the segment model's
+// heads.
+func scrubIndexReqs(seg *index.Segment, reqs []scrub.Requirement) ([]index.Req, error) {
 	model := seg.Model()
 	ireqs := make([]index.Req, len(reqs))
 	for i, r := range reqs {
 		h := model.HeadIndex(r.Class)
 		if h < 0 {
-			return nil, 0, 0, &scrub.MissingHeadError{Class: r.Class}
+			return nil, &scrub.MissingHeadError{Class: r.Class}
 		}
 		ireqs[i] = index.Req{Head: h, N: r.N}
 	}
-	order, chunksSkipped, framesSkipped = seg.RankSum(ireqs)
-	return order, chunksSkipped, framesSkipped, nil
+	return ireqs, nil
 }
 
 // scrubPrep carries the importance plan's enumeration products: the
@@ -239,7 +237,12 @@ func (e *Engine) newScrubExec(info *frameql.Info, reqs []scrub.Requirement, limi
 	var order []int32
 	switch kind {
 	case scrubOrderImportance:
+		// The resident ranking covers the whole pinned day; a windowed query
+		// searches its frames in the same relative order.
 		order = prep.order
+		if lo > 0 || hi < e.Test.Frames {
+			order = scrub.FilterOrder(order, func(f int) bool { return f >= lo && f < hi })
+		}
 	case scrubOrderNoScope:
 		presences := make([][]int32, len(prep.classes))
 		for i, c := range prep.classes {
@@ -313,7 +316,9 @@ func (x *scrubExec) RunTo(units int) error {
 	return nil
 }
 
-func (x *scrubExec) Snapshot() ([]byte, error) {
+// state is the search's suspension in struct form — what Snapshot encodes
+// and what a later snapshot's execution of the same plan adopts.
+func (x *scrubExec) state() scrubExecState {
 	st := x.st
 	st.Horizon = x.e.Test.Frames
 	st.Search = x.searcher.State()
@@ -324,6 +329,11 @@ func (x *scrubExec) Snapshot() ([]byte, error) {
 			st.PrefetchWindow = append([]bool(nil), p.results[sp:p.ready]...)
 		}
 	}
+	return st
+}
+
+func (x *scrubExec) Snapshot() ([]byte, error) {
+	st := x.state()
 	return json.Marshal(&st)
 }
 
@@ -332,13 +342,21 @@ func (x *scrubExec) Restore(state []byte) error {
 	if err := json.Unmarshal(state, &st); err != nil {
 		return err
 	}
+	x.restore(st)
+	return nil
+}
+
+// adopt continues prev, the same plan's search over an earlier snapshot.
+func (x *scrubExec) adopt(prev plan.Execution[*Result]) { x.restore(prev.(*scrubExec).state()) }
+
+func (x *scrubExec) restore(st scrubExecState) {
 	x.restoredReady, x.restoredWin = 0, nil
 	if x.kind == scrubOrderImportance && st.Horizon != x.e.Test.Frames {
 		// The stream grew: the confidence ranking interleaves old and new
 		// frames, so the suspended frontier is meaningless over the new
 		// order. Keep the freshly opened search over the re-ranked
 		// population — deterministic, and exactly what a fresh query runs.
-		return nil
+		return
 	}
 	x.st = st
 	x.st.PrefetchReady, x.st.PrefetchWindow = 0, nil
@@ -348,7 +366,6 @@ func (x *scrubExec) Restore(state []byte) error {
 		x.restoredReady = st.PrefetchReady
 		x.restoredWin = st.PrefetchWindow
 	}
-	return nil
 }
 
 func (x *scrubExec) Result() (*Result, error) {
@@ -362,7 +379,9 @@ func (x *scrubExec) Result() (*Result, error) {
 		res.Stats.note("search exhausted after %d verifications with %d/%d found",
 			sr.Verified, len(sr.Frames), x.limit)
 	}
-	res.Frames = append([]int(nil), sr.Frames...)
+	// Found frames are append-only: a capacity-capped view stays valid while
+	// the search continues.
+	res.Frames = sr.Frames[:len(sr.Frames):len(sr.Frames)]
 	return res, nil
 }
 

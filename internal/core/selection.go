@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/detect"
 	"repro/internal/feature"
@@ -61,9 +60,9 @@ func selDesc(name, detail string) plan.Description {
 // selectivities), the filterless scan, and the gated presence-oracle
 // baseline. Training the filters is part of planning; the executed
 // variant replays the training charges exactly.
-func (e *Engine) enumerateSelection(info *frameql.Info, par int) ([]candidate, error) {
+func (e *Engine) enumerateSelection(info *frameql.Info, par int, u *prepUse) ([]candidate, error) {
 	allPlan := AllFilters()
-	prep, err := e.selectionPrep(info, allPlan)
+	prep, err := e.selectionPrep(info, allPlan, u)
 	if err != nil {
 		return nil, err
 	}
@@ -128,11 +127,11 @@ func (e *Engine) enumerateSelection(info *frameql.Info, par int) ([]candidate, e
 		Accuracy:        exactAccuracy,
 	})
 
-	base := e.baseStats(prep.class)
+	base := e.baseStats(u, prep.class)
 	nsPlan := SelectionPlan{NoScopeOracle: true}
 	nsEst := plan.Cost{
-		DetectorCalls:   base.presence * float64(span),
-		DetectorSeconds: base.presence * float64(span) * full,
+		DetectorCalls:   base.Presence * float64(span),
+		DetectorSeconds: base.Presence * float64(span) * full,
 	}
 	nsCost := &costedPlan{
 		desc: selDesc("selection-noscope-oracle", "detector on exactly the frames the presence oracle marks occupied (§10.1.1)"),
@@ -158,51 +157,46 @@ func (e *Engine) enumerateSelection(info *frameql.Info, par int) ([]candidate, e
 // correlated — multiplying individual selectivities would badly
 // underestimate the joint pass rate, so the cascade is measured jointly.
 type cascadeRates struct {
-	// content is the fraction of frames passing every content filter.
-	content float64
-	// joint is the fraction passing content and label filters together —
+	// Content is the fraction of frames passing every content filter.
+	Content float64
+	// Joint is the fraction passing content and label filters together —
 	// the frames the detector runs on.
-	joint float64
+	Joint float64
 }
 
-// cascadeKey identifies a trained cascade by its thresholds.
-func (p *selPrep) cascadeKey() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s", p.class)
-	for _, cf := range p.contentFilters {
-		fmt.Fprintf(&sb, "|%s>=%g", cf.UDF, cf.Threshold)
-	}
-	if p.labelFilter != nil {
-		fmt.Fprintf(&sb, "|label>=%g", p.labelFilter.Threshold)
-	}
-	return sb.String()
-}
-
-// measureCascade computes (and caches) the cascade's joint pass rates on
+// trainSelection is the work behind one selection shape in the prepared
+// store: content predicates become frame-level threshold filters, the
+// class predicate the specialized-network label filter (no held-out
+// segment: no label stage), and the trained cascade's joint pass rates are measured on
 // a strided sample of the held-out day — cheap planning work charged to
 // nobody, like every held-out statistic.
-func (e *Engine) measureCascade(prep *selPrep) *cascadeRates {
-	key := prep.cascadeKey()
-	e.planner.mu.Lock()
-	if r, ok := e.planner.cascade[key]; ok {
-		e.planner.mu.Unlock()
-		return r
+func (e *Engine) trainSelection(target filters.Target, useContent bool, model *specnn.CountModel, segHeld *index.Segment) *selProducts {
+	prod := &selProducts{Rates: cascadeRates{Content: 1, Joint: 1}}
+	if useContent {
+		for _, pred := range target.Preds {
+			if pred.Arg != "content" {
+				continue
+			}
+			if cf := filters.TrainContentFilter(e.HeldOut, e.DHeld, target, pred, e.opts.HeldOutSample); cf != nil {
+				prod.Content = append(prod.Content, cf)
+			}
+		}
 	}
-	e.planner.mu.Unlock()
-
+	if segHeld != nil {
+		prod.Label = filters.TrainLabelFilter(e.HeldOut, e.DHeld, model, segHeld.Inference(), target, e.opts.HeldOutSample)
+	}
+	if len(prod.Content) == 0 && prod.Label == nil {
+		return prod
+	}
 	stride := planStride(e.HeldOut.Frames, e.opts.HeldOutSample)
-	ev := specnn.NewEvaluator(prep.model, e.HeldOut)
-	head := -1
-	if prep.labelFilter != nil {
-		head = prep.labelFilter.Head
-	}
+	ev := specnn.NewEvaluator(model, e.HeldOut)
 	n, contentPass, jointPass := 0, 0, 0
 	for f := 0; f < e.HeldOut.Frames; f += stride {
 		n++
 		ev.Seek(f)
 		pass := true
 		raw := ev.Raw()
-		for _, cf := range prep.contentFilters {
+		for _, cf := range prod.Content {
 			if !cf.Pass(raw) {
 				pass = false
 				break
@@ -210,7 +204,7 @@ func (e *Engine) measureCascade(prep *selPrep) *cascadeRates {
 		}
 		if pass {
 			contentPass++
-			if prep.labelFilter != nil && ev.TailProb(head, 1) < prep.labelFilter.Threshold {
+			if prod.Label != nil && ev.TailProb(prod.Label.Head, 1) < prod.Label.Threshold {
 				pass = false
 			}
 		}
@@ -218,19 +212,10 @@ func (e *Engine) measureCascade(prep *selPrep) *cascadeRates {
 			jointPass++
 		}
 	}
-	r := &cascadeRates{content: 1, joint: 1}
 	if n > 0 {
-		r.content = float64(contentPass) / float64(n)
-		r.joint = float64(jointPass) / float64(n)
+		prod.Rates = cascadeRates{Content: float64(contentPass) / float64(n), Joint: float64(jointPass) / float64(n)}
 	}
-	e.planner.mu.Lock()
-	if prev, ok := e.planner.cascade[key]; ok {
-		r = prev
-	} else {
-		e.planner.cascade[key] = r
-	}
-	e.planner.mu.Unlock()
-	return r
+	return prod
 }
 
 // selectionEstimate prices one cascade ordering: each stage charges its
@@ -249,8 +234,8 @@ func (e *Engine) selectionEstimate(prep *selPrep, visited int, labelFirst bool) 
 	}
 	survivors := v
 	if hasContent || hasLabel {
-		rates := e.measureCascade(prep)
-		survivors = v * rates.joint
+		rates := prep.rates
+		survivors = v * rates.Joint
 		switch {
 		case labelFirst && hasContent && hasLabel:
 			// Label first: every visited frame pays feature extraction plus
@@ -263,7 +248,7 @@ func (e *Engine) selectionEstimate(prep *selPrep, visited int, labelFirst bool) 
 			if hasLabel {
 				reachLabel := v
 				if hasContent {
-					reachLabel = v * rates.content
+					reachLabel = v * rates.Content
 				} else {
 					est.FilterSeconds += v * feature.CostSeconds
 				}
@@ -339,6 +324,7 @@ type selPrep struct {
 	contentFilters []*filters.ContentFilter
 	labelFilter    *filters.LabelFilter
 	model          *specnn.CountModel
+	rates          cascadeRates
 	presence       []int32
 	charges        []selCharge
 	// seg is the test day's materialized index segment when one already
@@ -372,13 +358,15 @@ func (p *selPrep) conjunction() []index.Conjunct {
 	return []index.Conjunct{{Head: p.labelFilter.Head, Threshold: p.labelFilter.Threshold, Tail1: true}}
 }
 
-// selectionPrep splits predicates and trains the filters a selection plan
-// uses: spatial bounds become the ROI, duration constraints the temporal
-// step, content predicates frame-level threshold filters, and the class
-// predicate the specialized-network label filter. Every training charge
-// and optimizer note is recorded for replay instead of applied, so
-// planning can price candidates before any execution exists.
-func (e *Engine) selectionPrep(info *frameql.Info, plan SelectionPlan) (*selPrep, error) {
+// selectionPrep splits predicates and prepares the filters a selection
+// plan uses: spatial bounds become the ROI, duration constraints the
+// temporal step, and the trained content and label filters come from the
+// prepared store (trainSelection on a shape's first sighting). Every
+// training charge and optimizer note is recorded for replay instead of
+// applied, so planning can price candidates before any execution exists;
+// the store holds the filters, never the charges — Model and Inference
+// are asked on every call for what this caller owes.
+func (e *Engine) selectionPrep(info *frameql.Info, plan SelectionPlan, u *prepUse) (*selPrep, error) {
 	if len(info.Classes) != 1 {
 		return nil, fmt.Errorf("core: selection requires exactly one class predicate, got %v", info.Classes)
 	}
@@ -414,48 +402,50 @@ func (e *Engine) selectionPrep(info *frameql.Info, plan SelectionPlan) (*selPrep
 		note("temporal: step %d from duration >= %d frames", p.step, info.MinDurationFrames)
 	}
 
-	if plan.UseContent {
-		for _, pred := range info.UDFs {
-			if pred.Arg != "content" {
-				continue
-			}
-			cf := filters.TrainContentFilter(e.HeldOut, e.DHeld, p.target, pred, e.opts.HeldOutSample)
-			if cf != nil {
-				// Threshold computation scans the held-out day with the
-				// cheap frame UDF.
-				p.charges = append(p.charges, selCharge{
-					train:    float64(min(e.HeldOut.Frames, e.opts.HeldOutSample)) * feature.CostSeconds,
-					hasTrain: true,
-					note:     fmt.Sprintf("content: %s >= %.2f (selectivity %.3f)", cf.UDF, cf.Threshold, cf.Selectivity),
-				})
-				p.contentFilters = append(p.contentFilters, cf)
+	var trainCost, heldCost float64
+	var segHeld *index.Segment
+	var modelErr error
+	if plan.UseLabel {
+		if p.model, trainCost, modelErr = e.Model([]vidsim.Class{class}); modelErr == nil {
+			var err error
+			if segHeld, heldCost, err = e.segment([]vidsim.Class{class}, e.HeldOut); err != nil {
+				return nil, err
 			}
 		}
 	}
-
-	if plan.UseLabel {
-		m, trainCost, err := e.Model([]vidsim.Class{class})
-		if err == nil {
-			p.model = m
-			train(trainCost)
-			infHeld, heldCost, err := e.Inference([]vidsim.Class{class}, e.HeldOut)
-			if err != nil {
-				return nil, err
+	key := e.shapeKey("selection", p.model, heldModelFP(e, segHeld), class, info.UDFs, plan.UseContent, plan.UseLabel)
+	prod, err := prepared(e, u, key, func() (*selProducts, error) {
+		return e.trainSelection(p.target, plan.UseContent, p.model, segHeld), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	p.contentFilters, p.rates = prod.Content, prod.Rates
+	for _, cf := range prod.Content {
+		// Threshold computation scans the held-out day with the cheap
+		// frame UDF.
+		p.charges = append(p.charges, selCharge{
+			train:    float64(min(e.HeldOut.Frames, e.opts.HeldOutSample)) * feature.CostSeconds,
+			hasTrain: true,
+			note:     fmt.Sprintf("content: %s >= %.2f (selectivity %.3f)", cf.UDF, cf.Threshold, cf.Selectivity),
+		})
+	}
+	switch {
+	case !plan.UseLabel:
+	case modelErr != nil:
+		note("label filter unavailable: %v", modelErr)
+	default:
+		train(trainCost)
+		train(heldCost)
+		if p.labelFilter = prod.Label; p.labelFilter != nil {
+			note("label: P(%s >= 1) >= %.3f (selectivity %.3f)",
+				class, p.labelFilter.Threshold, p.labelFilter.Selectivity)
+			p.seg = e.idx.PeekSegment([]vidsim.Class{class}, e.Test)
+			if p.seg != nil && p.seg.Model() != p.model {
+				// A model imported after the segment was built: the
+				// columns no longer mirror this model's outputs.
+				p.seg = nil
 			}
-			train(heldCost)
-			p.labelFilter = filters.TrainLabelFilter(e.HeldOut, e.DHeld, m, infHeld, p.target, e.opts.HeldOutSample)
-			if p.labelFilter != nil {
-				note("label: P(%s >= 1) >= %.3f (selectivity %.3f)",
-					class, p.labelFilter.Threshold, p.labelFilter.Selectivity)
-				p.seg = e.idx.PeekSegment([]vidsim.Class{class}, e.Test)
-				if p.seg != nil && p.seg.Model() != m {
-					// A model imported after the segment was built: the
-					// columns no longer mirror this model's outputs.
-					p.seg = nil
-				}
-			}
-		} else {
-			note("label filter unavailable: %v", err)
 		}
 	}
 
@@ -483,7 +473,7 @@ func (e *Engine) executeSelectionPlan(info *frameql.Info, selPlan SelectionPlan,
 // openSelectionPlan prepares filters for an explicit selection plan and
 // opens its resumable execution.
 func (e *Engine) openSelectionPlan(info *frameql.Info, selPlan SelectionPlan, par int) (*scanExec[*selArena], error) {
-	prep, err := e.selectionPrep(info, selPlan)
+	prep, err := e.selectionPrep(info, selPlan, &prepUse{family: info.Kind.String()})
 	if err != nil {
 		return nil, err
 	}
@@ -865,6 +855,11 @@ func (k *selectionKernel) load(state []byte, p *scanProgress) error {
 		}
 	}
 	return nil
+}
+
+func (k *selectionKernel) adopt(prev scanKernel[*selArena]) {
+	o := prev.(*selectionKernel)
+	k.tracker, k.tracks = o.tracker, o.tracks
 }
 
 // finish finalizes the scan: duration predicates are resolved — probing

@@ -129,6 +129,18 @@ func (x *Execution) attachTrace(root *obs.Span, prepWall time.Duration, prepName
 	}
 }
 
+// detachTrace unhooks a finished trace from a resident execution, so the
+// next advance records onto its own.
+func (x *Execution) detachTrace() {
+	if x.tr == nil {
+		return
+	}
+	x.tr = nil
+	if th, ok := x.ex.(interface{ setTrace(*execTrace) }); ok {
+		th.setTrace(nil)
+	}
+}
+
 // scanScope captures the meter and progress baselines at the start of one
 // traced RunTo, so the scan span records deltas.
 type scanScope struct {

@@ -3,6 +3,7 @@ package index
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/vidsim"
 )
@@ -20,6 +21,18 @@ import (
 // keeps a query's store-hit pattern a pure function of the store state at
 // query start — independent of how its parallel samplers interleave — so
 // executions stay deterministic at every parallelism level.
+//
+// Beside the sparse map the store keeps a dense count column for exact
+// scans: per (class, sealed ChunkFrames-frame chunk), the detector's count
+// of every frame in it. The first exact scan to cover a whole chunk fills
+// it, later scans read it; a chunk that is not yet wholly visible is never
+// stored. The contract is the sparse store's: a count is the value the
+// detector would compute, so nothing a Result or cost meter carries
+// depends on whether the column was hit. The column is memory-only, and
+// it is read without the sparse map's mutex: a column is written once and
+// never changed, and an exact scan reads one per chunk per request, which
+// must not queue behind a sampling plan's per-frame Lookup/Observe traffic
+// (or the other way round) when the two run side by side.
 type LabelStore struct {
 	day int
 
@@ -29,6 +42,16 @@ type LabelStore struct {
 	unsaved   map[vidsim.Class][]int32 // frames committed but not yet persisted
 	hits      uint64
 	misses    uint64
+
+	// dense maps denseKey to the chunk's count column ([]int32), absent
+	// until filled; denseChunks counts its entries.
+	dense       sync.Map
+	denseChunks atomic.Int64
+}
+
+type denseKey struct {
+	class vidsim.Class
+	chunk int
 }
 
 type labelKey struct {
@@ -45,6 +68,32 @@ func newLabelStore(day int) *LabelStore {
 		unsaved:   make(map[vidsim.Class][]int32),
 	}
 }
+
+// DenseCounts returns the detector's count of the class at every frame of
+// the chunk, or nil when no exact scan has filled that chunk. The slice is
+// shared and read-only.
+func (s *LabelStore) DenseCounts(class vidsim.Class, chunk int) []int32 {
+	if col, ok := s.dense.Load(denseKey{class, chunk}); ok {
+		return col.([]int32)
+	}
+	return nil
+}
+
+// FillDense stores a sealed chunk's count column: counts must hold the
+// detector's count for each of the chunk's ChunkFrames frames, and the
+// store keeps the slice. The first fill of a chunk wins (every fill holds
+// the same values).
+func (s *LabelStore) FillDense(class vidsim.Class, chunk int, counts []int32) {
+	if len(counts) != ChunkFrames {
+		return
+	}
+	if _, loaded := s.dense.LoadOrStore(denseKey{class, chunk}, counts); !loaded {
+		s.denseChunks.Add(1)
+	}
+}
+
+// DenseChunks returns how many (class, chunk) count columns are filled.
+func (s *LabelStore) DenseChunks() int { return int(s.denseChunks.Load()) }
 
 // Day returns the day the store labels.
 func (s *LabelStore) Day() int { return s.day }

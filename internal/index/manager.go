@@ -601,6 +601,10 @@ type LabelDayInfo struct {
 	Entries int
 	Hits    uint64
 	Misses  uint64
+	// DenseChunks counts the filled (class, chunk) dense count columns and
+	// DenseBytes their memory.
+	DenseChunks int
+	DenseBytes  int64
 }
 
 // Stats is a snapshot of the tier's activity.
@@ -659,7 +663,9 @@ func (m *Manager) Stats() Stats {
 	sort.Slice(st.Segments, func(i, j int) bool { return st.Segments[i].Key.String() < st.Segments[j].Key.String() })
 	for _, ls := range stores {
 		hits, misses := ls.Hits()
-		st.Labels = append(st.Labels, LabelDayInfo{Day: ls.Day(), Entries: ls.Len(), Hits: hits, Misses: misses})
+		dense := ls.DenseChunks()
+		st.Labels = append(st.Labels, LabelDayInfo{Day: ls.Day(), Entries: ls.Len(), Hits: hits, Misses: misses,
+			DenseChunks: dense, DenseBytes: int64(dense) * ChunkFrames * 4})
 	}
 	sort.Slice(st.Labels, func(i, j int) bool { return st.Labels[i].Day < st.Labels[j].Day })
 	return st

@@ -309,20 +309,12 @@ type Req struct {
 	N    int
 }
 
-// RankSum orders all indexed frames by descending specialized-network
-// confidence for the requirements — the paper's sum combiner, reproducing
-// scrub.RankByConfidence bit for bit — while consulting zone maps to skip
-// the score computation for chunks where every requirement's
-// mass-above-threshold is exactly zero (every frame there scores exactly
-// 0, so the global sort's tie-break orders them identically either way).
-// It returns the order and the number of chunks and frames skipped.
-func (s *Segment) RankSum(reqs []Req) (order []int32, skippedChunks, skippedFrames int) {
-	st := s.st()
-	// Clamp requirement thresholds the way TailProb clamps them; a
-	// requirement at or below zero contributes a constant 1, which no
-	// zone map can zero out.
-	clamped := make([]Req, len(reqs))
-	skipEligible := true
+// clampReqs clamps requirement thresholds the way TailProb clamps them. A
+// requirement at or below zero contributes a constant 1, which no zone map
+// can zero out, so its presence makes every chunk ineligible for skipping.
+func (s *Segment) clampReqs(reqs []Req) (clamped []Req, skipEligible bool) {
+	clamped = make([]Req, len(reqs))
+	skipEligible = true
 	for i, r := range reqs {
 		k := s.model.HeadInfo[r.Head].Classes
 		n := r.N
@@ -334,12 +326,18 @@ func (s *Segment) RankSum(reqs []Req) (order []int32, skippedChunks, skippedFram
 			skipEligible = false
 		}
 	}
+	return clamped, skipEligible
+}
 
-	n := st.frames
-	scores := make([]float32, n)
-	for ci := 0; ci < len(st.zones); ci++ {
-		lo := ci * ChunkFrames
-		hi := lo + st.zones[ci].Frames
+// scoreSum writes the paper's sum-combiner score of frames [lo, hi) into
+// scores (indexed by frame), consulting zone maps to skip the computation
+// for chunks where every requirement's mass-above-threshold is exactly
+// zero: every frame there scores exactly 0, the zero the slice must already
+// hold. It returns the chunks and frames so skipped.
+func (st *segState) scoreSum(clamped []Req, skipEligible bool, lo, hi int, scores []float32) (skippedChunks, skippedFrames int) {
+	for ci := ChunkOf(lo); ci < len(st.zones) && ci*ChunkFrames < hi; ci++ {
+		cLo := max(lo, ci*ChunkFrames)
+		cHi := min(hi, ci*ChunkFrames+st.zones[ci].Frames)
 		skip := skipEligible
 		if skip {
 			for _, r := range clamped {
@@ -350,13 +348,11 @@ func (s *Segment) RankSum(reqs []Req) (order []int32, skippedChunks, skippedFram
 			}
 		}
 		if skip {
-			// Every frame's score is exactly 0 — the zero the slice
-			// already holds.
 			skippedChunks++
-			skippedFrames += st.zones[ci].Frames
+			skippedFrames += cHi - cLo
 			continue
 		}
-		for f := lo; f < hi; f++ {
+		for f := cLo; f < cHi; f++ {
 			var sc float64
 			for _, r := range clamped {
 				sc += st.inf.TailProb(r.Head, f, r.N)
@@ -364,10 +360,12 @@ func (s *Segment) RankSum(reqs []Req) (order []int32, skippedChunks, skippedFram
 			scores[f] = float32(sc)
 		}
 	}
-	order = make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
-	}
+	return skippedChunks, skippedFrames
+}
+
+// sortRanked sorts frames into the ranking's total order: score
+// descending, frame ascending.
+func sortRanked(order []int32, scores []float32) {
 	sort.Slice(order, func(i, j int) bool {
 		si, sj := scores[order[i]], scores[order[j]]
 		if si != sj {
@@ -375,7 +373,120 @@ func (s *Segment) RankSum(reqs []Req) (order []int32, skippedChunks, skippedFram
 		}
 		return order[i] < order[j]
 	})
+}
+
+// RankSum orders all indexed frames by descending specialized-network
+// confidence for the requirements — the paper's sum combiner, reproducing
+// scrub.RankByConfidence bit for bit — while consulting zone maps to skip
+// the score computation for chunks where every requirement's
+// mass-above-threshold is exactly zero (every frame there scores exactly
+// 0, so the global sort's tie-break orders them identically either way).
+// It returns the order and the number of chunks and frames skipped.
+func (s *Segment) RankSum(reqs []Req) (order []int32, skippedChunks, skippedFrames int) {
+	st := s.st()
+	clamped, skipEligible := s.clampReqs(reqs)
+	scores := make([]float32, st.frames)
+	skippedChunks, skippedFrames = st.scoreSum(clamped, skipEligible, 0, st.frames, scores)
+	order = make([]int32, st.frames)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	sortRanked(order, scores)
 	return order, skippedChunks, skippedFrames
+}
+
+// RankSkips is RankSum's skip accounting alone: the chunks (and their
+// frames) of this view whose zone maps prove a zero score for every
+// requirement. It reads zone maps only.
+func (s *Segment) RankSkips(reqs []Req) (skippedChunks, skippedFrames int) {
+	st := s.st()
+	clamped, skipEligible := s.clampReqs(reqs)
+	if !skipEligible {
+		return 0, 0
+	}
+chunks:
+	for ci := range st.zones {
+		for _, r := range clamped {
+			if st.zones[ci].MaxTail[r.Head][r.N] != 0 {
+				continue chunks
+			}
+		}
+		skippedChunks++
+		skippedFrames += st.zones[ci].Frames
+	}
+	return skippedChunks, skippedFrames
+}
+
+// Ranking is RankSum's order over the first Frames frames of a segment,
+// kept with the scores behind it so that a grown segment extends it
+// instead of ranking the whole day again. A Ranking is immutable.
+type Ranking struct {
+	Frames int
+	Order  []int32
+	scores []float32
+}
+
+// ExtendRanking ranks all the segment's frames for the requirements, given
+// the ranking of a prefix of them (nil ranks from scratch): only the frames
+// past prev.Frames are scored and sorted, then merged into prev's order. A
+// frame's score depends on that frame alone and the order is total — score
+// descending, frame ascending — so the merge is RankSum's full sort, bit
+// for bit.
+func (s *Segment) ExtendRanking(prev *Ranking, reqs []Req) *Ranking {
+	st := s.st()
+	from := 0
+	if prev != nil {
+		from = prev.Frames
+	}
+	if from >= st.frames {
+		return prev
+	}
+	clamped, skipEligible := s.clampReqs(reqs)
+	r := &Ranking{Frames: st.frames, scores: make([]float32, st.frames), Order: make([]int32, 0, st.frames)}
+	if prev != nil {
+		copy(r.scores, prev.scores)
+	}
+	st.scoreSum(clamped, skipEligible, from, st.frames, r.scores)
+	fresh := make([]int32, st.frames-from)
+	for i := range fresh {
+		fresh[i] = int32(from + i)
+	}
+	sortRanked(fresh, r.scores)
+	if prev == nil {
+		r.Order = fresh
+		return r
+	}
+	// Every fresh frame is later than every ranked one, so on a score tie
+	// the ranked frame goes first.
+	old, i, j := prev.Order, 0, 0
+	for i < len(old) && j < len(fresh) {
+		if r.scores[fresh[j]] > r.scores[old[i]] {
+			r.Order = append(r.Order, fresh[j])
+			j++
+		} else {
+			r.Order = append(r.Order, old[i])
+			i++
+		}
+	}
+	r.Order = append(append(r.Order, old[i:]...), fresh[j:]...)
+	return r
+}
+
+// Prefix returns the ranking restricted to frames below n — the ranking of
+// a view pinned at n frames, since a total order restricted to a subset is
+// that subset's order. The result aliases the ranking when n covers it and
+// must be treated as read-only.
+func (r *Ranking) Prefix(n int) []int32 {
+	if n >= r.Frames {
+		return r.Order
+	}
+	out := make([]int32, 0, n)
+	for _, f := range r.Order {
+		if int(f) < n {
+			out = append(out, f)
+		}
+	}
+	return out
 }
 
 // validateHeads checks a loaded segment's head table against the model it

@@ -464,6 +464,27 @@ func zeroAll(gs [][]float64) {
 	}
 }
 
+// Fingerprint hashes what the network computes with — layer shapes, weights
+// and biases, bit for bit (FNV-1a) — so two networks with equal fingerprints
+// are the same function. Training state (momentum) is not part of it.
+func (n *Net) Fingerprint() uint64 {
+	h := uint64(14695981039346656037)
+	mix := func(v uint64) { h = (h ^ v) * 1099511628211 }
+	for _, layers := range [][]*dense{n.trunk, n.heads} {
+		for _, l := range layers {
+			mix(uint64(l.In))
+			mix(uint64(l.Out))
+			for _, w := range l.W {
+				mix(math.Float64bits(w))
+			}
+			for _, b := range l.B {
+				mix(math.Float64bits(b))
+			}
+		}
+	}
+	return h
+}
+
 // netState is the gob-serializable form of a Net.
 type netState struct {
 	Cfg   Config

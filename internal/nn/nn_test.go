@@ -277,6 +277,40 @@ func TestSerializationRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFingerprintFollowsWeights: a network keeps its fingerprint through a
+// marshal round trip (momentum is not part of it), and loses it when any
+// weight moves or the initialization differs.
+func TestFingerprintFollowsWeights(t *testing.T) {
+	cfg := Config{Inputs: 4, Hidden: []int{6}, Heads: []HeadSpec{{"h", 3}}, Seed: 21}
+	n := New(cfg)
+	fresh := n.Fingerprint()
+	if New(cfg).Fingerprint() != fresh {
+		t.Fatal("same configuration and seed, different fingerprints")
+	}
+	cfg.Seed = 22
+	if New(cfg).Fingerprint() == fresh {
+		t.Fatal("different initialization, same fingerprint")
+	}
+	if _, err := n.Train([]Sample{{X: []float64{1, 0, -1, 2}, Y: []int{1}}, {X: []float64{0, 1, 1, -1}, Y: []int{2}}}, TrainOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	trained := n.Fingerprint()
+	if trained == fresh {
+		t.Fatal("training moved weights but not the fingerprint")
+	}
+	data, err := n.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m Net
+	if err := m.UnmarshalBinary(data); err != nil {
+		t.Fatal(err)
+	}
+	if m.Fingerprint() != trained {
+		t.Fatal("round trip changed the fingerprint")
+	}
+}
+
 func TestUnmarshalCorrupt(t *testing.T) {
 	var m Net
 	if err := m.UnmarshalBinary([]byte("garbage")); err == nil {

@@ -184,6 +184,11 @@ type Costed[R any] struct {
 	// UpperBoundOnly marks estimates that are upper bounds: early-exit
 	// (LIMIT) scans may cost arbitrarily less than estimated.
 	UpperBoundOnly bool
+	// Prepared records where the enumeration found the candidate family's
+	// prepared planning state: "hit" (served from the engine's store),
+	// "miss" (computed by this enumeration), or empty when the family has
+	// none. Cache provenance, so NewReport leaves it out; EXPLAIN adds it.
+	Prepared string
 }
 
 // Choose picks the feasible, ungated candidate with the lowest marginal
@@ -271,6 +276,10 @@ type Candidate struct {
 	Accuracy float64 `json:"accuracy,omitempty"`
 	// UpperBoundOnly marks upper-bound estimates (early-exit scans).
 	UpperBoundOnly bool `json:"upper_bound_only,omitempty"`
+	// Prepared is EXPLAIN's store provenance for the candidate's planning
+	// state: "hit", "miss", or absent (see Costed.Prepared). Executed
+	// reports never carry it.
+	Prepared string `json:"prepared,omitempty"`
 }
 
 // Report records one planning decision: the candidate table, the pick,

@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/frameql"
 	"repro/internal/obs"
-	"repro/internal/plan"
 )
 
 // This file is the serving layer's continuous-query tier: live streams
@@ -33,25 +32,30 @@ import (
 // subscribe requests are shed with HTTP 429 like any other overload.
 const maxSubscriptions = 1024
 
-// subscription is one standing query: a pinned plan cursor plus its
-// latest answer. Advances serialize on mu, so concurrent polls of one
-// subscription collapse to one engine advance.
+// subscription is one standing query: its execution, kept open for the
+// subscription's lifetime, plus its latest answer. A poll advances the
+// resident execution over whatever was ingested since; nothing is parsed,
+// re-planned from scratch or serialized per poll (a cursor exists only
+// when an execution has to leave the process — core.Execution.Suspend).
+// Advances serialize on mu, so concurrent polls of one subscription
+// collapse to one engine advance.
 type subscription struct {
 	id        string
 	stream    string
 	canonical string
 
-	mu     sync.Mutex
-	cursor *plan.Cursor
-	last   *core.Result
-	seq    uint64 // bumps every time the cursor's horizon advances
+	mu   sync.Mutex
+	exec *core.Execution
+	last *core.Result
+	seq  uint64 // bumps every time the answer's horizon advances
 	// maxRows is the subscription's row cap (0 = server default), applied
 	// to every poll response, not just the initial one.
 	maxRows int
 
-	// horizon mirrors cursor.Horizon for lock-free reads — the epoch-lag
-	// gauge must never block on mu, which an in-flight advance holds
-	// across engine execution.
+	// horizon is the stream frame count last covers: exec.Horizon() as of
+	// the last advance that succeeded. Atomic for lock-free reads — the
+	// epoch-lag gauge must never block on mu, which an in-flight advance
+	// holds across engine execution.
 	horizon atomic.Int64
 }
 
@@ -278,7 +282,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	par := s.resolveParallelism(req.Parallelism)
 	start := time.Now()
 	var res *core.Result
-	var cur *plan.Cursor
+	var x *core.Execution
 	var execErr error
 	poolErr := s.pool.Do(ctx, func() {
 		eng, err := s.reg.Engine(ctx, req.Stream)
@@ -288,19 +292,13 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		}
 		// BeginQuery pins the published snapshot internally; the whole
 		// standing-query bootstrap runs lock-free against ingest.
-		x, err := eng.BeginQuery(info, par)
-		if err != nil {
-			execErr = err
+		if x, execErr = eng.BeginQuery(info, par); execErr != nil {
 			return
 		}
-		if err := x.RunTo(-1); err != nil {
-			execErr = err
+		if execErr = x.RunTo(-1); execErr != nil {
 			return
 		}
-		if res, execErr = x.Result(); execErr != nil {
-			return
-		}
-		cur, execErr = x.Suspend()
+		res, execErr = x.Result()
 	})
 	if done := s.writePoolError(w, poolErr, "subscribe"); done {
 		return
@@ -327,12 +325,12 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		id:        fmt.Sprintf("sub-%d", s.liveSt.nextID),
 		stream:    req.Stream,
 		canonical: canonical,
-		cursor:    cur,
+		exec:      x,
 		last:      res,
 		seq:       1,
 		maxRows:   req.MaxRows,
 	}
-	sub.horizon.Store(int64(cur.Horizon))
+	sub.horizon.Store(int64(x.Horizon()))
 	if s.liveSt.subs == nil {
 		s.liveSt.subs = make(map[string]*subscription)
 	}
@@ -349,8 +347,8 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	writeReply(w, &subscribeResponse{
 		ID: sub.id, Seq: sub.seq,
-		Horizon: cur.Horizon, DayFrames: s.dayFrames(req.Stream),
-		Plan:    cur.Plan,
+		Horizon: x.Horizon(), DayFrames: s.dayFrames(req.Stream),
+		Plan:    x.PlanName(),
 		Updated: true,
 	}, head, wall, "", nil, 0, 0)
 }
@@ -409,8 +407,7 @@ func (s *Server) handlePoll(w http.ResponseWriter, r *http.Request) {
 	var tr *obs.Trace
 	start := time.Now()
 	horizon, open := s.streamHorizon(sub.stream)
-	eng, _ := s.reg.Peek(sub.stream)
-	if open && horizon > sub.cursor.Horizon {
+	if open && horizon > int(sub.horizon.Load()) {
 		ctx := r.Context()
 		if s.cfg.QueryTimeout > 0 {
 			var cancel context.CancelFunc
@@ -425,13 +422,13 @@ func (s *Server) handlePoll(w http.ResponseWriter, r *http.Request) {
 		tr.Root.SetAttr("subscription", sub.id)
 		queueSp := tr.Root.Child("queue")
 		var res *core.Result
-		var ncur *plan.Cursor
 		var advErr error
+		switches := sub.exec.PlanSwitches()
 		poolErr := s.pool.Do(ctx, func() {
 			queueSp.End()
-			// AdvanceTraced pins the published snapshot internally, so
-			// the advance runs lock-free while ingest continues.
-			res, ncur, advErr = eng.AdvanceTraced(sub.cursor, tr)
+			// Advance pins the published snapshot internally, so it runs
+			// lock-free while ingest continues.
+			res, advErr = sub.exec.Advance(tr)
 		})
 		if done := s.writePoolError(w, poolErr, "poll"); done {
 			return
@@ -446,11 +443,10 @@ func (s *Server) handlePoll(w http.ResponseWriter, r *http.Request) {
 		}
 		tr.Finish()
 		s.traces.Add(tr)
-		replanned = ncur.PlanSwitches > sub.cursor.PlanSwitches
-		sub.cursor = ncur
+		replanned = sub.exec.PlanSwitches() > switches
 		sub.last = res
 		sub.seq++
-		sub.horizon.Store(int64(ncur.Horizon))
+		sub.horizon.Store(int64(sub.exec.Horizon()))
 		updated = true
 		s.m.advances.Inc()
 		s.logSlowQuery("advance", sub.stream, sub.canonical, time.Since(start), tr)
@@ -479,12 +475,12 @@ func (s *Server) handlePoll(w http.ResponseWriter, r *http.Request) {
 	}
 	writeReply(w, &subscribeResponse{
 		ID: sub.id, Seq: sub.seq,
-		Horizon: sub.cursor.Horizon, DayFrames: s.dayFrames(sub.stream),
-		Plan:            sub.cursor.Plan,
+		Horizon: int(sub.horizon.Load()), DayFrames: s.dayFrames(sub.stream),
+		Plan:            sub.exec.PlanName(),
 		Updated:         updated,
-		PlanSwitches:    sub.cursor.PlanSwitches,
+		PlanSwitches:    sub.exec.PlanSwitches(),
 		Replanned:       replanned,
-		ReplanAtHorizon: sub.cursor.ReplanAtHorizon,
+		ReplanAtHorizon: sub.exec.ReplanAtHorizon(),
 	}, head, wall, traceID, inline, 0, 0)
 }
 

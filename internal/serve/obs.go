@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/plan"
 )
@@ -251,6 +252,27 @@ func (s *Server) registerCollectors() {
 				}
 			}
 		})
+	r.CollectFunc("blazeit_planner_prepared_total",
+		"Prepared-state store lookups by plan family and outcome (hit, miss; disk_load counts hits first served from a persisted blob).",
+		obs.KindCounter, []string{"family", "outcome"}, func(emit obs.EmitFunc) {
+			for fam, st := range s.preparedStats() {
+				emit(float64(st.Hits), fam, "hit")
+				emit(float64(st.Misses), fam, "miss")
+				emit(float64(st.DiskLoads), fam, "disk_load")
+			}
+		})
+	r.CollectFunc("blazeit_index_dense_chunks", "Filled (class, sealed chunk) detector-count columns across open engines.",
+		obs.KindGauge, nil, func(emit obs.EmitFunc) {
+			var n int
+			s.eachOpenEngine(func(name string) {
+				if eng, ok := s.reg.Peek(name); ok {
+					for _, ld := range eng.IndexStats().Labels {
+						n += ld.DenseChunks
+					}
+				}
+			})
+			emit(float64(n))
+		})
 	r.CollectFunc("blazeit_planner_window_estimate_error",
 		"Sliding-window mean relative estimate error per plan family — the same window the drift detector reads.",
 		obs.KindGauge, []string{"family"}, func(emit obs.EmitFunc) {
@@ -483,6 +505,24 @@ func (s *Server) logSlowQuery(what, stream, canonical string, wall time.Duration
 		}
 	}
 	s.log.Warn("slow "+what, attrs...)
+}
+
+// preparedStats sums the open engines' prepared-state store lookups per
+// plan family — the one source /metrics and /statz both read.
+func (s *Server) preparedStats() map[string]core.PreparedStat {
+	sum := make(map[string]core.PreparedStat)
+	s.eachOpenEngine(func(name string) {
+		if eng, ok := s.reg.Peek(name); ok {
+			for fam, st := range eng.PlannerStats().Prepared {
+				t := sum[fam]
+				t.Hits += st.Hits
+				t.Misses += st.Misses
+				t.DiskLoads += st.DiskLoads
+				sum[fam] = t
+			}
+		}
+	})
+	return sum
 }
 
 // observeEstimateError feeds the planner estimate-error histogram from a

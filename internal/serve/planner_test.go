@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/url"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -149,5 +150,57 @@ func TestStatzPlannerSection(t *testing.T) {
 	}
 	if st.Planner.MeanEstimateError < 0 {
 		t.Fatalf("mean estimate error = %v", st.Planner.MeanEstimateError)
+	}
+}
+
+// TestPreparedStoreIsObservable follows one query shape through the three
+// places an operator can see the prepared-state store: /explain marks the
+// first enumeration's candidates "miss" and a repeat "hit", /statz's
+// planner section counts both per family, and /metrics exports the same
+// counters; an exact scan then shows up as dense count chunks.
+func TestPreparedStoreIsObservable(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	marks := func() map[string]bool {
+		var ex explainResponse
+		getJSON(t, ts.URL+"/explain?stream=taipei&q="+url.QueryEscape(aggQuery), &ex)
+		if ex.Plan == nil {
+			t.Fatal("explain returned no plan section")
+		}
+		m := map[string]bool{}
+		for _, c := range ex.Plan.Candidates {
+			if c.Feasible {
+				m[c.Prepared] = true
+			}
+		}
+		return m
+	}
+	if m := marks(); len(m) != 1 || !m["miss"] {
+		t.Fatalf("first /explain of a shape marks %v, want miss", m)
+	}
+	if m := marks(); len(m) != 1 || !m["hit"] {
+		t.Fatalf("second /explain of the shape marks %v, want hit", m)
+	}
+	var st statzResponse
+	getJSON(t, ts.URL+"/statz", &st)
+	agg := st.Planner.Prepared["aggregate"]
+	if agg.Misses == 0 || agg.Hits < agg.Misses {
+		t.Fatalf("statz planner.prepared[aggregate] = %+v after a miss and a hit enumeration", agg)
+	}
+	_, body := getBody(t, ts.URL+"/metrics")
+	for _, want := range []string{
+		fmt.Sprintf(`blazeit_planner_prepared_total{family="aggregate",outcome="miss"} %d`, agg.Misses),
+		fmt.Sprintf(`blazeit_planner_prepared_total{family="aggregate",outcome="hit"} %d`, agg.Hits),
+		"blazeit_index_dense_chunks 0",
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("/metrics lacks %q", want)
+		}
+	}
+	if resp, _ := postQuery(t, ts.URL, `{"stream":"taipei","query":"SELECT FCOUNT(*) FROM taipei WHERE class = 'car'"}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("exact scan: HTTP %d", resp.StatusCode)
+	}
+	getJSON(t, ts.URL+"/statz", &st)
+	if st.Indexz.DenseChunks == 0 {
+		t.Error("statz indexz.dense_chunks is 0 after an exact whole-day scan")
 	}
 }

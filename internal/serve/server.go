@@ -1008,6 +1008,10 @@ type indexStatz struct {
 	Labels      int    `json:"labels"`
 	LabelHits   uint64 `json:"label_hits"`
 	LabelMisses uint64 `json:"label_misses"`
+	// DenseChunks counts the filled (class, sealed chunk) detector-count
+	// columns exact scans read instead of re-running the detector; their
+	// memory is part of Bytes.
+	DenseChunks int `json:"dense_chunks"`
 	// ChunksSkipped / FramesSkipped total the zone-map skip decisions
 	// executed plans reported.
 	ChunksSkipped uint64 `json:"chunks_skipped"`
@@ -1047,6 +1051,16 @@ type plannerStatz struct {
 	// Calibrations maps "family|plan" → lifetime feedback observations
 	// accumulated by the calibration store.
 	Calibrations map[string]uint64 `json:"calibrations,omitempty"`
+	// Prepared maps plan family → lookups in the prepared-state store: a
+	// hit enumerated from memory, a miss trained or measured first.
+	Prepared map[string]preparedStatz `json:"prepared,omitempty"`
+}
+
+// preparedStatz is one family's prepared-state store lookups.
+type preparedStatz struct {
+	Hits      uint64 `json:"hits"`
+	Misses    uint64 `json:"misses"`
+	DiskLoads uint64 `json:"disk_loads"`
 }
 
 // windowErrStatz is one family's sliding-window relative estimate error,
@@ -1162,6 +1176,8 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 				idx.Labels += ld.Entries
 				idx.LabelHits += ld.Hits
 				idx.LabelMisses += ld.Misses
+				idx.DenseChunks += ld.DenseChunks
+				idx.Bytes += ld.DenseBytes
 			}
 			idx.Errors = append(idx.Errors, is.Errors...)
 			ps := eng.PlannerStats()
@@ -1193,6 +1209,12 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 				planner.Calibrations[k] += v
 			}
 		}
+	}
+	for fam, st := range s.preparedStats() {
+		if planner.Prepared == nil {
+			planner.Prepared = make(map[string]preparedStatz)
+		}
+		planner.Prepared[fam] = preparedStatz{Hits: st.Hits, Misses: st.Misses, DiskLoads: st.DiskLoads}
 	}
 	if estErrN > 0 {
 		planner.MeanEstimateError = estErrSum / float64(estErrN)
