@@ -218,15 +218,16 @@ func (e *Engine) applyCalibration(family string, cands []candidate) {
 	}
 }
 
-// WindowErrorStat is one family's sliding-window estimate-error summary.
+// WindowErrorStat is one family's sliding-window estimate-error summary,
+// in the form stats pages report it.
 type WindowErrorStat struct {
 	// MeanError is the mean relative |actual−calibrated|/calibrated error
 	// over the window.
-	MeanError float64
+	MeanError float64 `json:"mean_error"`
 	// Samples is how many of the window's slots are filled.
-	Samples int
+	Samples int `json:"samples"`
 	// Lifetime counts every observation ever fed to the window.
-	Lifetime uint64
+	Lifetime uint64 `json:"lifetime"`
 }
 
 // --- persistence ---

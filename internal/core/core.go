@@ -24,8 +24,8 @@
 //     for anything the enumerators have no shortcut for.
 //
 // Idealized oracle baselines (the paper's §10.1.1 "NoScope (Oracle)")
-// are enumerated too, but gated: a SELECT /*+ PLAN(name) */ hint or a
-// baseline entry point can force them, while the cost-based pick never
+// are enumerated too, but gated: a SELECT /*+ PLAN(name) */ hint or
+// ExecuteForced can force them, while the cost-based pick never
 // chooses a plan that assumes free oracle knowledge.
 //
 // Every plan charges its work to a cost meter denominated in simulated
@@ -407,13 +407,6 @@ var selLimitSettleEnabled = true
 
 // Options returns the engine's resolved options.
 func (e *Engine) Options() Options { return e.opts }
-
-// parallelism returns the engine's effective default worker count.
-func (e *Engine) parallelism() int { return ResolveParallelism(e.opts.Parallelism) }
-
-// Parallelism returns the effective worker count the engine executes plans
-// with by default (the configured value, or GOMAXPROCS when unset).
-func (e *Engine) Parallelism() int { return e.parallelism() }
 
 // Model returns (training and caching) the specialized counting network
 // for the class set — a thin read through the index manager. The returned

@@ -138,11 +138,11 @@ func TestAggregateBaselinesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := e.AggregateNaive(info)
+	naive, err := e.ExecuteForced(info, 0, "naive-exhaustive")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ns, err := e.AggregateNoScope(info)
+	ns, err := e.ExecuteForced(info, 0, "noscope-oracle")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestAggregateBaselinesAgree(t *testing.T) {
 	if ns.Stats.DetectorCalls >= naive.Stats.DetectorCalls {
 		t.Error("oracle baseline should save detector calls")
 	}
-	sampled, err := e.AggregateAQP(info)
+	sampled, err := e.ExecuteForced(info, 0, "naive-aqp")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,14 +208,14 @@ func TestScrubbingBeatsBaselines(t *testing.T) {
 	if len(blaze.Frames) < 5 {
 		t.Skip("not enough instances at this scale")
 	}
-	naive, err := e.ScrubNaive(info)
+	naive, err := e.ExecuteForced(info, 0, "scrub-sequential", "scrub-sequential-fallback")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if blaze.Stats.DetectorCalls >= naive.Stats.DetectorCalls {
 		t.Errorf("importance sampling used %d calls vs naive %d", blaze.Stats.DetectorCalls, naive.Stats.DetectorCalls)
 	}
-	ns, err := e.ScrubNoScope(info)
+	ns, err := e.ExecuteForced(info, 0, "scrub-noscope-oracle")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestSelectionAllFilters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := e.SelectionNaive(info)
+	naive, err := e.ExecuteForced(info, 0, "selection-naive")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,11 +331,11 @@ func TestSelectionNoScopeBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ns, err := e.SelectionNoScope(info)
+	ns, err := e.ExecuteForced(info, 0, "selection-noscope-oracle")
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := e.SelectionNaive(info)
+	naive, err := e.ExecuteForced(info, 0, "selection-naive")
 	if err != nil {
 		t.Fatal(err)
 	}

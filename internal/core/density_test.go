@@ -410,17 +410,17 @@ func TestDensityLimitSparseTargetSkipsAhead(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s0 := e.ExecStats()
+	s0 := e.Accounting()
 	tem, err := e.ExecuteForced(info, 1, "exhaustive")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1 := e.ExecStats()
+	s1 := e.Accounting()
 	den, err := e.ExecuteForced(info, 1, densityPlanName)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2 := e.ExecStats()
+	s2 := e.Accounting()
 
 	if len(den.Rows) != 20 {
 		t.Fatalf("density plan settled %d rows, want the full LIMIT 20", len(den.Rows))

@@ -85,35 +85,79 @@ type Execution struct {
 	tr *execTrace
 }
 
-// newExecution opens the chosen candidate's family exec and wraps it.
-func (e *Engine) newExecution(info *frameql.Info, cands []candidate, chosen *candidate, forced bool, par int) (*Execution, error) {
+// newExecution opens the chosen candidate's family exec on e — master's
+// view pinned at the snapshot the execution reads — and wraps it.
+func (e *Engine) newExecution(master *Engine, info *frameql.Info, cands []candidate, chosen *candidate, forced bool, par int) (*Execution, error) {
 	ex, err := chosen.Plan.Open()
 	if err != nil {
 		return nil, err
 	}
 	e.exec.queries.Add(1)
-	return &Execution{master: e, e: e, info: info, cands: cands, chosen: chosen, forced: forced, par: par, ex: ex}, nil
+	return &Execution{master: master, e: e, info: info, cands: cands, chosen: chosen, forced: forced, par: par, ex: ex}, nil
+}
+
+// open is the one way a fresh query becomes an execution: pin the published
+// snapshot, enumerate and price the family's candidates, pick — the first
+// of force that names a candidate, else the query's hint, else the cheapest
+// — and open the pick's family exec, unrun. Onto tr (nil when untraced) it
+// records the snapshot identity, the decision as a "plan" span and the
+// preparation charges the open paid as a "prep" span. Resumed executions
+// re-open a cursor's pinned plan in resume instead.
+func (e *Engine) open(info *frameql.Info, parallelism int, tr *obs.Trace, force ...string) (*Execution, error) {
+	master := e
+	e = e.pin()
+	root := rootOf(tr)
+	e.traceSnapshotAttrs(root)
+	planSp := root.Child("plan")
+	cands, chosen, forced, err := e.decide(info, parallelism, force...)
+	if err != nil {
+		planSp.Fail(err)
+		return nil, err
+	}
+	planSp.SetAttr("candidates", strconv.Itoa(len(cands)))
+	planSp.SetAttr("chosen", chosen.Plan.Describe().Name)
+	planSp.SetAttr("estimate_sim_seconds", fmtSeconds(chosen.Plan.EstimateCost().Total()))
+	if forced {
+		planSp.SetAttr("forced", "true")
+	}
+	planSp.End()
+	prepStart := time.Now()
+	x, err := e.newExecution(master, info, cands, chosen, forced, e.effectiveParallelism(parallelism))
+	if err != nil {
+		return nil, err
+	}
+	x.attachTrace(root, time.Since(prepStart), "prep")
+	return x, nil
+}
+
+// execute opens a fresh query and runs it to completion — the one-shot
+// path. Ground-truth labels observed while sampling are published for the
+// next query regardless of the outcome (RunTo commits them on completion
+// and on error); mid-query lookups saw only the pre-query snapshot,
+// keeping executions deterministic.
+func (e *Engine) execute(info *frameql.Info, parallelism int, tr *obs.Trace, force ...string) (*Result, error) {
+	x, err := e.open(info, parallelism, tr, force...)
+	if err == nil {
+		err = x.RunTo(-1)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return x.Result()
 }
 
 // BeginQuery plans an analyzed query and opens a resumable execution of
 // the picked (or hinted) candidate without running it. parallelism 0 uses
 // the engine default.
 func (e *Engine) BeginQuery(info *frameql.Info, parallelism int) (*Execution, error) {
-	master := e
-	e = e.pin()
-	cands, err := e.planCandidates(info, parallelism)
-	if err != nil {
-		return nil, err
-	}
-	chosen, forced, err := pick(info, cands)
-	if err != nil {
-		return nil, err
-	}
-	x, err := e.newExecution(info, cands, chosen, forced, e.effectiveParallelism(parallelism))
-	if err == nil {
-		x.master = master
-	}
-	return x, err
+	return e.open(info, parallelism, nil)
+}
+
+// BeginQueryTraced is BeginQuery recording plan selection and preparation
+// charges onto tr; the spans of RunTo and Result follow under the same
+// root. With a nil trace it is BeginQuery.
+func (e *Engine) BeginQueryTraced(info *frameql.Info, parallelism int, tr *obs.Trace) (*Execution, error) {
+	return e.open(info, parallelism, tr)
 }
 
 // RunTo executes until at least `units` of the plan's progress units are
@@ -254,15 +298,11 @@ func (e *Engine) resume(cur *plan.Cursor, root *obs.Span) (*Execution, error) {
 		return nil, err
 	}
 	start := time.Now()
-	cands, err := e.planCandidates(info, cur.Parallelism)
-	if err != nil {
-		return nil, err
-	}
-	chosen, err := plan.Force(cands, cur.Plan)
+	cands, chosen, _, err := e.decide(info, cur.Parallelism, cur.Plan)
 	if err != nil {
 		return nil, fmt.Errorf("core: resuming cursor: %w", err)
 	}
-	x, err := e.newExecution(info, cands, chosen, cur.Forced, cur.Parallelism)
+	x, err := e.newExecution(master, info, cands, chosen, cur.Forced, cur.Parallelism)
 	if err != nil {
 		return nil, err
 	}
@@ -271,7 +311,7 @@ func (e *Engine) resume(cur *plan.Cursor, root *obs.Span) (*Execution, error) {
 			return nil, fmt.Errorf("core: restoring cursor state for %s: %w", cur.Plan, err)
 		}
 	}
-	x.master, x.replanAt, x.switches = master, cur.ReplanAtHorizon, cur.PlanSwitches
+	x.replanAt, x.switches = cur.ReplanAtHorizon, cur.PlanSwitches
 	x.attachTrace(root, time.Since(start), "resume")
 	return x, nil
 }
@@ -371,10 +411,9 @@ func (x *Execution) advance(root *obs.Span) (res *Result, err error) {
 		rp := root.Child("replan")
 		rp.SetAttr("incumbent", prevPlan)
 		rp.SetAttr("boundary", strconv.Itoa(x.replanAt))
-		if cands, err = e.planCandidates(x.info, x.par); err == nil {
-			chosen, err = plan.Choose(cands)
-		}
-		if err != nil {
+		// A cost-picked execution's query carries no hint, so this is the
+		// cheapest candidate under current calibration.
+		if cands, chosen, _, err = e.decide(x.info, x.par); err != nil {
 			rp.Fail(err)
 			return nil, err
 		}
@@ -388,10 +427,7 @@ func (x *Execution) advance(root *obs.Span) (res *Result, err error) {
 	}
 	if grown || switched || x.ex == nil {
 		if cands == nil {
-			if cands, err = e.planCandidates(x.info, x.par); err == nil {
-				chosen, err = plan.Force(cands, prevPlan)
-			}
-			if err != nil {
+			if cands, chosen, _, err = e.decide(x.info, x.par, prevPlan); err != nil {
 				return nil, err
 			}
 		}

@@ -11,6 +11,9 @@ import (
 	"repro/internal/vidsim"
 )
 
+// shardRanges splits n visited frames into shardSpan-sized shards.
+func shardRanges(n int) []shard { return shardRangesSpan(n, shardSpan) }
+
 func TestShardRangesLayout(t *testing.T) {
 	for _, n := range []int{0, 1, shardSpan - 1, shardSpan, shardSpan + 1, 3*shardSpan + 7} {
 		shards := shardRanges(n)

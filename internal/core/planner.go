@@ -6,10 +6,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/frameql"
-	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/scrub"
 	"repro/internal/specnn"
@@ -110,66 +108,44 @@ func (e *Engine) effectiveParallelism(parallelism int) int {
 	return ResolveParallelism(parallelism)
 }
 
-// planCandidates validates the query, resolves the effective parallelism,
-// enumerates candidates, and applies the calibration store's correction
-// factors so Choose prices candidates with calibrated estimates.
-func (e *Engine) planCandidates(info *frameql.Info, parallelism int) ([]candidate, error) {
+// decide plans an analyzed query, the one place a candidate is chosen: it
+// validates the query against the engine's stream, enumerates the family's
+// candidates at the effective parallelism, applies the calibration store's
+// correction factors so the choice prices candidates with calibrated
+// estimates, and picks — the first of force that names a candidate, else
+// the query's hint (both forced picks), else the minimum-marginal-estimate
+// candidate.
+func (e *Engine) decide(info *frameql.Info, parallelism int, force ...string) (cands []candidate, chosen *candidate, forced bool, err error) {
 	if info.Video != "" && info.Video != e.Cfg.Name {
-		return nil, fmt.Errorf("core: query is over %q but engine holds %q", info.Video, e.Cfg.Name)
+		return nil, nil, false, fmt.Errorf("core: query is over %q but engine holds %q", info.Video, e.Cfg.Name)
 	}
-	cands, err := e.enumerate(info, e.effectiveParallelism(parallelism))
-	if err != nil {
-		return nil, err
+	if cands, err = e.enumerate(info, e.effectiveParallelism(parallelism)); err != nil {
+		return nil, nil, false, err
 	}
 	e.applyCalibration(info.Kind.String(), cands)
-	return cands, nil
-}
-
-// pick selects the candidate to execute: the query's hint when present,
-// the minimum-marginal-estimate candidate otherwise.
-func pick(info *frameql.Info, cands []candidate) (*candidate, bool, error) {
-	if h := info.PlanHint; h != "" {
-		c, err := plan.Force(cands, h)
-		return c, true, err
+	if len(force) == 0 && info.PlanHint != "" {
+		force = []string{info.PlanHint}
 	}
-	c, err := plan.Choose(cands)
-	return c, false, err
-}
-
-// runChosen executes the picked candidate to completion through the
-// resumable execution layer — the one-shot path — recording prep, scan
-// and finalize spans under root (nil when untraced). Ground-truth labels
-// observed while sampling are published for the next query regardless of
-// the outcome (Execution.RunTo commits them on completion and on error);
-// mid-query lookups saw only the pre-query snapshot, keeping executions
-// deterministic.
-func (e *Engine) runChosen(info *frameql.Info, cands []candidate, chosen *candidate, forced bool, par int, root *obs.Span) (*Result, error) {
-	prepStart := time.Now()
-	x, err := e.newExecution(info, cands, chosen, forced, par)
-	if err != nil {
-		return nil, err
+	if forced = len(force) > 0; forced {
+		chosen, err = plan.Force(cands, force...)
+	} else {
+		chosen, err = plan.Choose(cands)
 	}
-	x.attachTrace(root, time.Since(prepStart), "prep")
-	if err := x.RunTo(-1); err != nil {
-		return nil, err
-	}
-	return x.Result()
+	return cands, chosen, forced, err
 }
 
 // ExecuteForced runs an analyzed query with the first matching named
-// physical plan instead of the cost-based pick — the hint path the
-// comparison baselines run through.
+// physical plan instead of the cost-based pick — the hint path. The
+// paper's comparison baselines (§10.1.1) run through it by plan name
+// ("naive-exhaustive", "noscope-oracle", "naive-aqp", "scrub-sequential",
+// "scrub-noscope-oracle", "selection-naive", "selection-noscope-oracle"),
+// so they share the planner's enumeration, and any preparation it caches,
+// with the optimizer's own run of the query. The NoScope oracle plans know
+// for free whether a frame contains a class; they are gated candidates,
+// forcible here or by hint, never chosen on cost. With no names it is
+// ExecuteParallel.
 func (e *Engine) ExecuteForced(info *frameql.Info, parallelism int, names ...string) (*Result, error) {
-	e = e.pin()
-	cands, err := e.planCandidates(info, parallelism)
-	if err != nil {
-		return nil, err
-	}
-	chosen, err := plan.Force(cands, names...)
-	if err != nil {
-		return nil, err
-	}
-	return e.runChosen(info, cands, chosen, true, e.effectiveParallelism(parallelism), nil)
+	return e.execute(info, parallelism, nil, names...)
 }
 
 // ExplainPlan enumerates and prices the candidate plans for an analyzed
@@ -179,11 +155,7 @@ func (e *Engine) ExecuteForced(info *frameql.Info, parallelism int, names ...str
 // query's execution would perform and cache.
 func (e *Engine) ExplainPlan(info *frameql.Info, parallelism int) (*plan.Report, error) {
 	e = e.pin()
-	cands, err := e.planCandidates(info, parallelism)
-	if err != nil {
-		return nil, err
-	}
-	chosen, forced, err := pick(info, cands)
+	cands, chosen, forced, err := e.decide(info, parallelism)
 	if err != nil {
 		return nil, err
 	}
@@ -198,8 +170,8 @@ func (e *Engine) ExplainPlan(info *frameql.Info, parallelism int) (*plan.Report,
 
 // plannerState is the engine's planning memory and accounting: the
 // prepared-state store every enumeration reads its held-out products from
-// (prepared.go), the feedback-calibration store, and pick counters for
-// observability.
+// (prepared.go), the feedback-calibration store, and the planner's side of
+// the engine's books.
 type plannerState struct {
 	// prep has its own lock; it is never taken with mu held.
 	prep *prepStore
@@ -210,17 +182,13 @@ type plannerState struct {
 	// correction factor applied at enumeration time (calibration.go).
 	calib map[string]*calibEntry
 	// famErr holds the per-family sliding window of relative estimate
-	// errors — the recent-history counterpart of estErrSum/estErrN, read
-	// by /statz, the window-error gauge, and the drift detector's
+	// errors — the recent-history counterpart of the books' lifetime
+	// estimate error, read by Engine.Accounting and the drift detector's
 	// feedback path.
 	famErr map[string]*errWindow
-
-	// Accounting for /statz.
-	planned   uint64
-	forced    uint64
-	picks     map[string]map[string]uint64 // family → plan name → count
-	estErrSum float64
-	estErrN   uint64
+	// books holds the live decision counters: Planned, Forced, Picks and
+	// the lifetime estimate error. Engine.Accounting fills in the rest.
+	books Accounting
 }
 
 func newPlannerState() *plannerState {
@@ -228,52 +196,49 @@ func newPlannerState() *plannerState {
 		prep:   newPrepStore(),
 		calib:  make(map[string]*calibEntry),
 		famErr: make(map[string]*errWindow),
-		picks:  make(map[string]map[string]uint64),
 	}
 }
 
-// record tallies one executed planning decision.
+// record tallies one executed planning decision: a one-execution
+// Accounting merged into the books.
 func (p *plannerState) record(rep *plan.Report) {
+	one := Accounting{Planned: 1, Picks: map[string]map[string]uint64{rep.Family: {rep.Chosen: 1}}}
+	if rep.Forced {
+		one.Forced = 1
+	} else if rep.EstimateSeconds > 0 {
+		one.EstimateErrorSum = math.Abs(rep.ActualSeconds-rep.EstimateSeconds) / rep.EstimateSeconds
+		one.EstimateErrorCount = 1
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.planned++
-	if rep.Forced {
-		p.forced++
-	}
-	fam := p.picks[rep.Family]
-	if fam == nil {
-		fam = make(map[string]uint64)
-		p.picks[rep.Family] = fam
-	}
-	fam[rep.Chosen]++
-	if !rep.Forced && rep.EstimateSeconds > 0 {
-		p.estErrSum += math.Abs(rep.ActualSeconds-rep.EstimateSeconds) / rep.EstimateSeconds
-		p.estErrN++
-	}
+	p.books.Merge(one)
 	p.observe(rep)
 }
 
-// PlannerStats is a snapshot of the engine's planning accounting.
-type PlannerStats struct {
-	// Planned counts executed planning decisions (forced included).
-	Planned uint64
-	// Forced counts hint- or baseline-forced executions.
-	Forced uint64
+// Accounting is a snapshot of one engine's books — what its executions
+// did (scan fan-out) and what its planner decided (picks, estimate error,
+// calibration, prepared-state lookups). Snapshots of several engines Merge
+// into one, which is what a multi-stream front end reports.
+type Accounting struct {
+	// Executions counts plan executions opened; Fanouts how many of them
+	// ran shards on more than one worker; Shards the scan shards produced;
+	// Chunks the chunk-aligned consume batches merged.
+	Executions, Fanouts, Shards, Chunks uint64
+	// Planned counts executed planning decisions, Forced those a hint or a
+	// baseline forced.
+	Planned, Forced uint64
 	// Picks maps family → plan name → executions.
 	Picks map[string]map[string]uint64
-	// EstimateErrorSum accumulates relative |actual−estimate|/estimate
-	// over the EstimateErrorCount cost-chosen executions — exposed as a
-	// sum so multi-engine aggregation can weight by execution count.
+	// EstimateErrorSum accumulates relative |actual−estimate|/estimate over
+	// the EstimateErrorCount cost-chosen executions.
 	EstimateErrorSum   float64
 	EstimateErrorCount uint64
-	// MeanEstimateError is EstimateErrorSum/EstimateErrorCount (0 with
-	// no cost-chosen executions).
-	MeanEstimateError float64
 	// WindowErrors maps family → sliding-window estimate-error summary
 	// (the same window the drift detector's feedback path fills; see
 	// calibration.go). Unlike the lifetime mean it includes forced
 	// executions, because standing queries resume by forcing their
-	// pinned plan and drift must see them.
+	// pinned plan and drift must see them. Families whose window is still
+	// empty are absent.
 	WindowErrors map[string]WindowErrorStat
 	// Calibrations maps "family|plan" → lifetime feedback observation
 	// count in the calibration store.
@@ -284,46 +249,92 @@ type PlannerStats struct {
 	PreparedEntries int
 }
 
-// PlannerStats returns a snapshot of the engine's planner accounting.
-func (e *Engine) PlannerStats() PlannerStats {
-	p := e.planner
-	p.prep.mu.Lock()
-	prep := make(map[string]PreparedStat, len(p.prep.stats))
-	for fam, st := range p.prep.stats {
-		prep[fam] = *st
+// MeanEstimateError is the mean relative estimate error over cost-chosen
+// executions (0 with none).
+func (a *Accounting) MeanEstimateError() float64 {
+	if a.EstimateErrorCount == 0 {
+		return 0
 	}
-	entries := len(p.prep.entries)
-	p.prep.mu.Unlock()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	s := PlannerStats{
-		Prepared:           prep,
-		PreparedEntries:    entries,
-		Planned:            p.planned,
-		Forced:             p.forced,
-		Picks:              make(map[string]map[string]uint64, len(p.picks)),
-		EstimateErrorSum:   p.estErrSum,
-		EstimateErrorCount: p.estErrN,
+	return a.EstimateErrorSum / float64(a.EstimateErrorCount)
+}
+
+// Merge adds b into a: counters sum, pick and lookup maps merge key by key,
+// and each family's window error pools by sample weight, so the merged mean
+// weights every windowed execution equally whichever engine ran it. The
+// zero Accounting is ready to merge into.
+func (a *Accounting) Merge(b Accounting) {
+	if a.Picks == nil {
+		a.Picks = make(map[string]map[string]uint64)
+		a.WindowErrors = make(map[string]WindowErrorStat)
+		a.Calibrations = make(map[string]uint64)
+		a.Prepared = make(map[string]PreparedStat)
 	}
-	for fam, m := range p.picks {
-		cp := make(map[string]uint64, len(m))
-		for k, v := range m {
-			cp[k] = v
+	a.Executions += b.Executions
+	a.Fanouts += b.Fanouts
+	a.Shards += b.Shards
+	a.Chunks += b.Chunks
+	a.Planned += b.Planned
+	a.Forced += b.Forced
+	a.EstimateErrorSum += b.EstimateErrorSum
+	a.EstimateErrorCount += b.EstimateErrorCount
+	a.PreparedEntries += b.PreparedEntries
+	for fam, m := range b.Picks {
+		if a.Picks[fam] == nil {
+			a.Picks[fam] = make(map[string]uint64, len(m))
 		}
-		s.Picks[fam] = cp
+		for name, n := range m {
+			a.Picks[fam][name] += n
+		}
 	}
-	if p.estErrN > 0 {
-		s.MeanEstimateError = p.estErrSum / float64(p.estErrN)
+	for k, n := range b.Calibrations {
+		a.Calibrations[k] += n
 	}
-	s.WindowErrors = make(map[string]WindowErrorStat, len(p.famErr))
+	for fam, st := range b.Prepared {
+		t := a.Prepared[fam]
+		t.Hits += st.Hits
+		t.Misses += st.Misses
+		t.DiskLoads += st.DiskLoads
+		a.Prepared[fam] = t
+	}
+	for fam, we := range b.WindowErrors {
+		t := a.WindowErrors[fam]
+		if n := t.Samples + we.Samples; n > 0 {
+			t.MeanError = (t.MeanError*float64(t.Samples) + we.MeanError*float64(we.Samples)) / float64(n)
+		}
+		t.Samples += we.Samples
+		t.Lifetime += we.Lifetime
+		a.WindowErrors[fam] = t
+	}
+}
+
+// Accounting returns a snapshot of the engine's books; the maps are the
+// snapshot's own.
+func (e *Engine) Accounting() Accounting {
+	a := Accounting{
+		Executions: e.exec.queries.Load(),
+		Fanouts:    e.exec.fanouts.Load(),
+		Shards:     e.exec.shards.Load(),
+		Chunks:     e.exec.chunks.Load(),
+	}
+	p := e.planner
+	p.mu.Lock()
+	a.Merge(p.books)
 	for fam, w := range p.famErr {
-		s.WindowErrors[fam] = WindowErrorStat{MeanError: w.mean(), Samples: len(w.vals), Lifetime: w.count}
+		if len(w.vals) > 0 {
+			a.WindowErrors[fam] = WindowErrorStat{MeanError: w.mean(), Samples: len(w.vals), Lifetime: w.count}
+		}
 	}
-	s.Calibrations = make(map[string]uint64, len(p.calib))
 	for k, ent := range p.calib {
-		s.Calibrations[k] = ent.count
+		a.Calibrations[k] = ent.count
 	}
-	return s
+	p.mu.Unlock()
+	p.prep.mu.Lock()
+	defer p.prep.mu.Unlock()
+	a.PreparedEntries = len(p.prep.entries)
+	for fam, st := range p.prep.stats {
+		a.Prepared[fam] = *st
+	}
+	return a
 }
 
 // planStride returns the held-out sampling stride covering at most capN

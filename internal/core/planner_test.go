@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -196,12 +198,12 @@ func TestExplainPlanAggregateCandidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := e.ExecStats().Queries
+	before := e.Accounting().Executions
 	rep, err := e.ExplainPlan(info, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := e.ExecStats().Queries; got != before {
+	if got := e.Accounting().Executions; got != before {
 		t.Fatalf("ExplainPlan executed a query: %d -> %d", before, got)
 	}
 	costed := 0
@@ -256,9 +258,10 @@ func TestPlannerHints(t *testing.T) {
 	}
 }
 
-// TestPlannerStats checks pick accounting: executions recorded per family
-// and plan, forced picks counted, estimate error tracked.
-func TestPlannerStats(t *testing.T) {
+// TestPlannerAccounting checks pick accounting: executions recorded per
+// family and plan, forced picks counted, estimate error tracked — and that
+// two snapshots Merge into their sum.
+func TestPlannerAccounting(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains models")
 	}
@@ -267,14 +270,14 @@ func TestPlannerStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := e.PlannerStats()
+	before := e.Accounting()
 	if _, err := e.Execute(info); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.AggregateNaive(info); err != nil {
+	if _, err := e.ExecuteForced(info, 0, "naive-exhaustive"); err != nil {
 		t.Fatal(err)
 	}
-	after := e.PlannerStats()
+	after := e.Accounting()
 	if after.Planned != before.Planned+2 {
 		t.Fatalf("planned %d -> %d, want +2", before.Planned, after.Planned)
 	}
@@ -285,8 +288,27 @@ func TestPlannerStats(t *testing.T) {
 	if agg == nil || agg["control-variates"] == 0 || agg["naive-exhaustive"] == 0 {
 		t.Fatalf("picks = %+v", after.Picks)
 	}
-	if after.MeanEstimateError <= 0 {
+	if after.MeanEstimateError() <= 0 {
 		t.Fatalf("mean estimate error not tracked: %+v", after)
+	}
+
+	var sum Accounting
+	sum.Merge(after)
+	if !reflect.DeepEqual(sum, after) {
+		t.Fatalf("zero.Merge(a) = %+v, want a = %+v", sum, after)
+	}
+	sum.Merge(after)
+	we, one := sum.WindowErrors["aggregate"], after.WindowErrors["aggregate"]
+	if sum.Planned != 2*after.Planned || sum.Picks["aggregate"]["naive-exhaustive"] != 2*agg["naive-exhaustive"] ||
+		sum.Prepared["aggregate"].Misses != 2*after.Prepared["aggregate"].Misses ||
+		we.Samples != 2*one.Samples || we.Lifetime != 2*one.Lifetime || math.Abs(we.MeanError-one.MeanError) > 1e-12 {
+		t.Fatalf("a.Merge(a) = %+v, want every count doubled and the window mean unchanged", sum)
+	}
+	if agg["naive-exhaustive"] != after.Picks["aggregate"]["naive-exhaustive"] {
+		t.Fatal("Merge wrote through to the merged-in snapshot's pick map")
+	}
+	if math.Abs(sum.MeanEstimateError()-after.MeanEstimateError()) > 1e-12 {
+		t.Fatalf("merged mean estimate error %v, want %v", sum.MeanEstimateError(), after.MeanEstimateError())
 	}
 }
 

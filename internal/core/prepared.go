@@ -55,14 +55,15 @@ import (
 const prepCap = 512
 
 // PreparedStat counts one plan family's lookups in the prepared-state
-// store.
+// store, in the form stats pages report it.
 type PreparedStat struct {
 	// Hits counts lookups served from the store; Misses lookups that
 	// computed their product.
-	Hits, Misses uint64
+	Hits   uint64 `json:"hits"`
+	Misses uint64 `json:"misses"`
 	// DiskLoads counts entries first served from a persisted summaries
 	// blob (each is also a hit).
-	DiskLoads uint64
+	DiskLoads uint64 `json:"disk_loads"`
 }
 
 type prepEntry struct {

@@ -147,7 +147,7 @@ func TestPreparedStoreAnswerNeutral(t *testing.T) {
 		}
 	}
 	var loads uint64
-	for _, st := range b.PlannerStats().Prepared {
+	for _, st := range b.Accounting().Prepared {
 		loads += st.DiskLoads
 	}
 	if loads == 0 {
@@ -212,7 +212,7 @@ func TestPreparedStoreTrainsOnce(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		return e.PlannerStats().Prepared["selection"].Misses
+		return e.Accounting().Prepared["selection"].Misses
 	}
 	alone, raced := misses(1), misses(8)
 	if alone == 0 || raced != alone {
@@ -224,18 +224,18 @@ func TestPreparedStoreTrainsOnce(t *testing.T) {
 // ad-hoc traffic whose shapes never recur: it never holds more than its
 // constant cap, and the most recent shapes are the ones resident.
 func TestPreparedStoreBounded(t *testing.T) {
-	e := &Engine{planner: newPlannerState()}
+	e := &Engine{planner: newPlannerState(), exec: &execCounters{}}
 	u := &prepUse{family: "binary-detection"}
 	key := func(i int) string { return e.shapeKey("binary", nil, vidsim.Car, float64(i)/1e5, 0.02) }
 	for i := 0; i < 10000; i++ {
 		if _, err := prepared(e, u, key(i), func() (*binaryBand, error) { return &binaryBand{LowT: float64(i)}, nil }); err != nil {
 			t.Fatal(err)
 		}
-		if n := e.PlannerStats().PreparedEntries; n > prepCap {
+		if n := e.Accounting().PreparedEntries; n > prepCap {
 			t.Fatalf("store holds %d entries after %d shapes, cap %d", n, i+1, prepCap)
 		}
 	}
-	st := e.PlannerStats()
+	st := e.Accounting()
 	if st.PreparedEntries != prepCap || st.Prepared["binary-detection"].Misses != 10000 {
 		t.Fatalf("after 10000 shapes: %d entries, stats %+v", st.PreparedEntries, st.Prepared)
 	}
@@ -246,7 +246,7 @@ func TestPreparedStoreBounded(t *testing.T) {
 	if _, err := prepared(e, u, key(0), func() (*binaryBand, error) { return nil, fmt.Errorf("evicted") }); err == nil {
 		t.Fatal("oldest shape still resident past the cap")
 	}
-	if n := e.PlannerStats().PreparedEntries; n > prepCap {
+	if n := e.Accounting().PreparedEntries; n > prepCap {
 		t.Fatalf("a failed fill left %d entries", n)
 	}
 }

@@ -272,7 +272,7 @@ type trackAgg struct {
 // ExecuteSelectionPlan runs a selection query under an explicit filter
 // plan at the engine's configured parallelism.
 func (e *Engine) ExecuteSelectionPlan(info *frameql.Info, plan SelectionPlan) (*Result, error) {
-	return e.pin().executeSelectionPlan(info, plan, e.parallelism())
+	return e.pin().executeSelectionPlan(info, plan, e.effectiveParallelism(0))
 }
 
 // selArena is the per-shard product of the selection scan: per-frame

@@ -51,11 +51,8 @@ type shard struct {
 	lo, hi int
 }
 
-// shardRanges splits n visited frames into shardSpan-sized shards.
-func shardRanges(n int) []shard {
-	return shardRangesSpan(n, shardSpan)
-}
-
+// shardRangesSpan splits n visited frames into contiguous shards whose
+// spans double from first up to shardSpan.
 func shardRangesSpan(n, first int) []shard {
 	if n <= 0 {
 		return nil
@@ -77,9 +74,9 @@ func shardRangesSpan(n, first int) []shard {
 }
 
 // resumeShards lays out a scan over visited frames [pos, hi): contiguous
-// spans sized like shardRanges — or, for early-exit (LIMIT) scans, spans
+// shardSpan-sized spans — or, for early-exit (LIMIT) scans, spans
 // doubling from rampSpan up to shardSpan, the ramp restarting at the
-// resume point. Like shardRanges, the layout depends only on the range,
+// resume point. The layout depends only on the range,
 // never on the parallelism level. Scan-plan
 // outputs never depend on shard grouping: produce is pure per frame and
 // consumption is per frame in frame order, so a resumed scan may use a
@@ -236,34 +233,10 @@ func runSharded[T any](workers int, shards []shard, counters *execCounters, prod
 }
 
 // execCounters tracks the engine's parallel-execution activity for
-// observability (/statz worker-utilization reporting).
+// observability; Engine.Accounting snapshots it.
 type execCounters struct {
 	queries atomic.Uint64
 	fanouts atomic.Uint64
 	shards  atomic.Uint64
 	chunks  atomic.Uint64
-}
-
-// ExecStats is a snapshot of the engine's parallel-execution counters.
-type ExecStats struct {
-	// Queries is the number of plan executions.
-	Queries uint64
-	// Fanouts is how many of those fanned out to more than one worker.
-	Fanouts uint64
-	// Shards is the total number of shards produced across executions.
-	Shards uint64
-	// Chunks is the total number of chunk-aligned consume batches merged
-	// across executions.
-	Chunks uint64
-}
-
-// ExecStats returns a snapshot of the engine's parallel-execution
-// counters.
-func (e *Engine) ExecStats() ExecStats {
-	return ExecStats{
-		Queries: e.exec.queries.Load(),
-		Fanouts: e.exec.fanouts.Load(),
-		Shards:  e.exec.shards.Load(),
-		Chunks:  e.exec.chunks.Load(),
-	}
 }

@@ -108,7 +108,7 @@ func TestQueryPinnedBeforeAppend(t *testing.T) {
 
 // TestForcedAndExplainPinUnderIngest pins that the entry points which do
 // not go through ExecuteParallel — ExecuteForced (and with it every
-// baselines.go wrapper), ExplainPlan and ExecuteSelectionPlan — pin the
+// comparison baseline), ExplainPlan and ExecuteSelectionPlan — pin the
 // published snapshot too: called while AppendLive runs, each must answer
 // exactly as the same call does on an engine standing still at the
 // horizon it observed. Unpinned they read the master video, whose frame

@@ -209,28 +209,7 @@ func (x *Execution) traceFinalize(fin *obs.Span, res *Result, pre meterMark) {
 // trace it is ExecuteParallel, through this same body. The Result is
 // bit-identical either way — tracing reads the meter, never charges it.
 func (e *Engine) ExecuteParallelTraced(info *frameql.Info, parallelism int, tr *obs.Trace) (*Result, error) {
-	e = e.pin()
-	root := rootOf(tr)
-	e.traceSnapshotAttrs(root)
-	planSp := root.Child("plan")
-	cands, err := e.planCandidates(info, parallelism)
-	if err != nil {
-		planSp.Fail(err)
-		return nil, err
-	}
-	chosen, forced, err := pick(info, cands)
-	if err != nil {
-		planSp.Fail(err)
-		return nil, err
-	}
-	planSp.SetAttr("candidates", strconv.Itoa(len(cands)))
-	planSp.SetAttr("chosen", chosen.Plan.Describe().Name)
-	planSp.SetAttr("estimate_sim_seconds", fmtSeconds(chosen.Plan.EstimateCost().Total()))
-	if forced {
-		planSp.SetAttr("forced", "true")
-	}
-	planSp.End()
-	return e.runChosen(info, cands, chosen, forced, e.effectiveParallelism(parallelism), root)
+	return e.execute(info, parallelism, tr)
 }
 
 // traceSnapshotAttrs stamps a live engine's pinned snapshot identity onto

@@ -109,15 +109,15 @@ func (s *Session) Figure4Rows() ([]Fig4Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		naive, err := e.AggregateNaive(info)
+		naive, err := e.ExecuteForced(info, 0, "naive-exhaustive")
 		if err != nil {
 			return nil, err
 		}
-		ns, err := e.AggregateNoScope(info)
+		ns, err := e.ExecuteForced(info, 0, "noscope-oracle")
 		if err != nil {
 			return nil, err
 		}
-		sampled, err := e.AggregateAQP(info)
+		sampled, err := e.ExecuteForced(info, 0, "naive-aqp")
 		if err != nil {
 			return nil, err
 		}

@@ -133,11 +133,11 @@ func (s *Session) Figure6Rows() ([]Fig6Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		naive, err := e.ScrubNaive(info)
+		naive, err := e.ExecuteForced(info, 0, "scrub-sequential", "scrub-sequential-fallback")
 		if err != nil {
 			return nil, err
 		}
-		ns, err := e.ScrubNoScope(info)
+		ns, err := e.ExecuteForced(info, 0, "scrub-noscope-oracle")
 		if err != nil {
 			return nil, err
 		}
@@ -205,11 +205,11 @@ func (s *Session) Figure7Rows() ([]Fig7Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		naive, err := e.ScrubNaive(info)
+		naive, err := e.ExecuteForced(info, 0, "scrub-sequential", "scrub-sequential-fallback")
 		if err != nil {
 			return nil, err
 		}
-		ns, err := e.ScrubNoScope(info)
+		ns, err := e.ExecuteForced(info, 0, "scrub-noscope-oracle")
 		if err != nil {
 			return nil, err
 		}
@@ -286,11 +286,11 @@ func (s *Session) Figure8Rows() (*Fig8Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	naive, err := e.ScrubNaive(info)
+	naive, err := e.ExecuteForced(info, 0, "scrub-sequential", "scrub-sequential-fallback")
 	if err != nil {
 		return nil, err
 	}
-	ns, err := e.ScrubNoScope(info)
+	ns, err := e.ExecuteForced(info, 0, "scrub-noscope-oracle")
 	if err != nil {
 		return nil, err
 	}
@@ -345,11 +345,11 @@ func (s *Session) Figure9Rows() ([]Fig9Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		naive, err := e.ScrubNaive(info)
+		naive, err := e.ExecuteForced(info, 0, "scrub-sequential", "scrub-sequential-fallback")
 		if err != nil {
 			return nil, err
 		}
-		ns, err := e.ScrubNoScope(info)
+		ns, err := e.ExecuteForced(info, 0, "scrub-noscope-oracle")
 		if err != nil {
 			return nil, err
 		}

@@ -46,11 +46,11 @@ func (s *Session) Figure10Rows() (*Fig10Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	naive, err := e.SelectionNaive(info)
+	naive, err := e.ExecuteForced(info, 0, "selection-naive")
 	if err != nil {
 		return nil, err
 	}
-	ns, err := e.SelectionNoScope(info)
+	ns, err := e.ExecuteForced(info, 0, "selection-noscope-oracle")
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +108,7 @@ func (s *Session) Figure11Rows() (factor, lesion []Fig11Row, err error) {
 		return nil, nil, err
 	}
 
-	naive, err := e.SelectionNaive(info)
+	naive, err := e.ExecuteForced(info, 0, "selection-naive")
 	if err != nil {
 		return nil, nil, err
 	}

@@ -44,7 +44,8 @@ type Registry struct {
 	families map[string]*family
 }
 
-// EmitFunc receives one labeled sample from a CollectFunc at scrape time.
+// EmitFunc receives one labeled sample from a collected family at scrape
+// time.
 type EmitFunc func(value float64, labelValues ...string)
 
 // family is one named metric with a fixed label schema. Direct families
@@ -62,8 +63,14 @@ type family struct {
 	children map[string]*child
 	order    []string // insertion order of children keys
 
-	collect func(emit EmitFunc)
+	// collect renders a collected family from its group's reading.
+	collect func(reading any, emit EmitFunc)
+	src     *source
 }
+
+// source is what a Group's families read; Write takes one reading of it
+// per scrape.
+type source struct{ read func() any }
 
 // child is one label combination's live value.
 type child struct {
@@ -152,15 +159,31 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...str
 	})}
 }
 
-// CollectFunc registers a family whose samples are produced by fn at
-// scrape time — for values that already live in other data structures
-// (pool depth, stream horizons, planner pick tables). fn must emit one
-// value per label combination, with len(labelValues) == len(labels).
-func (r *Registry) CollectFunc(name, help string, kind Kind, labels []string, fn func(emit EmitFunc)) {
+// Group is a set of collected families that share one reading of their
+// source — values that already live in other data structures (pool depth,
+// stream horizons, planner pick tables). Write takes the reading once per
+// scrape and renders each of the group's families from it, so a scrape
+// reads, and locks, the source once however many families it feeds, and
+// those families describe one moment.
+type Group[T any] struct {
+	r   *Registry
+	src *source
+}
+
+// NewGroup returns a Group on r whose families render read's value.
+func NewGroup[T any](r *Registry, read func() T) *Group[T] {
+	return &Group[T]{r: r, src: &source{read: func() any { return read() }}}
+}
+
+// Collect registers a family whose samples fn derives from the scrape's
+// reading. fn must emit one value per label combination, with
+// len(labelValues) == len(labels).
+func (g *Group[T]) Collect(name, help string, kind Kind, labels []string, fn func(reading T, emit EmitFunc)) {
 	if kind == KindHistogram {
 		panic("obs: collected histograms are not supported")
 	}
-	r.register(&family{name: name, help: help, kind: kind, labels: labels, collect: fn})
+	g.r.register(&family{name: name, help: help, kind: kind, labels: labels, src: g.src,
+		collect: func(reading any, emit EmitFunc) { fn(reading.(T), emit) }})
 }
 
 func (f *family) child(labelVals []string) *child {
@@ -419,8 +442,9 @@ func (r *Registry) Write(w io.Writer) error {
 	}
 	r.mu.RUnlock()
 
+	readings := make(map[*source]any)
 	for _, f := range fams {
-		samples := f.snapshot()
+		samples := f.snapshot(readings)
 		sort.Slice(samples, func(i, j int) bool {
 			a, b := samples[i].labelVals, samples[j].labelVals
 			for k := 0; k < len(a) && k < len(b); k++ {
@@ -466,11 +490,18 @@ func (r *Registry) Write(w io.Writer) error {
 }
 
 // snapshot captures a family's current samples: direct children copied
-// under their locks, collected families by running their callback.
-func (f *family) snapshot() []sample {
+// under their locks, collected families rendered from their group's
+// reading — taken on first use and kept in readings for the group's other
+// families in the same scrape.
+func (f *family) snapshot(readings map[*source]any) []sample {
 	if f.collect != nil {
+		reading, ok := readings[f.src]
+		if !ok {
+			reading = f.src.read()
+			readings[f.src] = reading
+		}
 		var out []sample
-		f.collect(func(value float64, labelValues ...string) {
+		f.collect(reading, func(value float64, labelValues ...string) {
 			if len(labelValues) != len(f.labels) {
 				panic(fmt.Sprintf("obs: collected metric %q wants %d label values, got %d",
 					f.name, len(f.labels), len(labelValues)))

@@ -65,14 +65,20 @@ func TestWriteFormat(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("zzz_total", "last by name").Add(1)
 	r.Gauge("aaa_value", `help with \ and newline`+"\n").Set(2.5)
-	r.CollectFunc("mmm_info", "collected", KindGauge, []string{"stream"}, func(emit EmitFunc) {
-		emit(1, `ta"ipei`)
+	reads := 0
+	g := NewGroup(r, func() float64 { reads++; return float64(reads) })
+	g.Collect("mmm_info", "collected", KindGauge, []string{"stream"}, func(v float64, emit EmitFunc) {
+		emit(v, `ta"ipei`)
 	})
+	g.Collect("mmm_more", "same reading", KindGauge, nil, func(v float64, emit EmitFunc) { emit(v) })
 	var b strings.Builder
 	if err := r.Write(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
+	if reads != 1 || !strings.Contains(out, "mmm_more 1\n") {
+		t.Fatalf("a scrape read its group's source %d times, want once for both families:\n%s", reads, out)
+	}
 	// Families sorted by name.
 	ai, mi, zi := strings.Index(out, "aaa_value"), strings.Index(out, "mmm_info"), strings.Index(out, "zzz_total")
 	if !(ai >= 0 && ai < mi && mi < zi) {

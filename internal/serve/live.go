@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -10,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/frameql"
 	"repro/internal/obs"
 )
 
@@ -116,10 +113,6 @@ type ingestResponse struct {
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "POST required")
-		return
-	}
 	if !s.live() {
 		writeError(w, http.StatusBadRequest, codeNotLive, "server is not in live mode (start with a live start fraction)")
 		return
@@ -132,54 +125,38 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeBadRequest, `body must set "stream" and a positive "frames"`)
 		return
 	}
-	if !s.allowed[req.Stream] {
-		writeError(w, http.StatusNotFound, codeUnknownStream, "unknown stream %q (see /streams)", req.Stream)
+	if !s.served(w, req.Stream) {
 		return
 	}
-	ctx := r.Context()
-	if s.cfg.QueryTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.QueryTimeout)
-		defer cancel()
-	}
 	var resp ingestResponse
-	var ingErr error
-	poolErr := s.pool.Do(ctx, func() {
-		eng, err := s.reg.Engine(ctx, req.Stream)
-		if err != nil {
-			ingErr = fmt.Errorf("opening stream %q: %w", req.Stream, err)
-			return
-		}
-		// Exclusive: appends must never race query execution (or each
-		// other) over this engine.
+	var partial error
+	if !s.run(w, r, routeIngest, req.Stream, nil, func(eng *core.Engine) error {
+		// Exclusive: appends must never race each other over this engine.
 		lock := s.streamLock(req.Stream)
 		lock.Lock()
 		defer lock.Unlock()
 		added, err := eng.AppendLive(req.Frames)
-		// AppendLive can fail partially: frames became visible (and the
-		// epoch bumped) but index extension failed. Report the applied
-		// state either way so a retrying client never double-appends.
 		resp = ingestResponse{
 			Stream: req.Stream, Requested: req.Frames, Appended: added,
 			Horizon: eng.Horizon(), DayFrames: eng.DayFrames(), Epoch: eng.StreamEpoch(),
 		}
-		ingErr = err
-	})
-	if done := s.writePoolError(w, poolErr, "ingest"); done {
+		if added > 0 {
+			s.m.ingests.Inc()
+			s.m.ingestFrames.With(req.Stream).Add(float64(added))
+			// AppendLive can fail partially: frames became visible (and the
+			// epoch bumped) but index extension failed. The ingest happened;
+			// the reply reports the applied state so a retrying client never
+			// double-appends.
+			partial, err = err, nil
+		}
+		return err
+	}) {
 		return
 	}
-	if resp.Appended > 0 {
-		s.m.ingests.Inc()
-		s.m.ingestFrames.With(req.Stream).Add(float64(resp.Appended))
-	}
-	if ingErr != nil {
-		if resp.Appended > 0 {
-			writeError(w, http.StatusInternalServerError, codeIngestFailed,
-				"ingest partially applied: %d frames are now visible (horizon %d, epoch %d) but index extension failed: %v — do not re-send these frames",
-				resp.Appended, resp.Horizon, resp.Epoch, ingErr)
-			return
-		}
-		writeError(w, http.StatusInternalServerError, codeIngestFailed, "ingest failed: %v", ingErr)
+	if partial != nil {
+		writeError(w, http.StatusInternalServerError, codeIngestFailed,
+			"ingest partially applied: %d frames are now visible (horizon %d, epoch %d) but index extension failed: %v — do not re-send these frames",
+			resp.Appended, resp.Horizon, resp.Epoch, partial)
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -225,13 +202,8 @@ type subscribeResponse struct {
 }
 
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-	case http.MethodDelete:
+	if r.Method == http.MethodDelete {
 		s.handleUnsubscribe(w, r)
-		return
-	default:
-		writeError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "POST or DELETE required")
 		return
 	}
 	if !s.live() {
@@ -248,76 +220,49 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeBadRequest, `body must set "stream" and "query"`)
 		return
 	}
-	if !s.allowed[req.Stream] {
-		writeError(w, http.StatusNotFound, codeUnknownStream, "unknown stream %q (see /streams)", req.Stream)
-		return
-	}
-	info, err := frameql.Analyze(req.Query)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, codeInvalidQuery, "query error: %v", err)
-		return
-	}
-	if info.Video != "" && info.Video != req.Stream {
-		writeError(w, http.StatusBadRequest, codeInvalidQuery,
-			"query is over %q but request targets stream %q", info.Video, req.Stream)
+	info, canonical, ok := s.admit(w, req.Stream, req.Query)
+	if !ok {
 		return
 	}
 	// Early shed before paying for execution; the bound is re-checked at
 	// insert time, where it is authoritative.
 	s.liveSt.mu.Lock()
-	if len(s.liveSt.subs) >= maxSubscriptions {
-		s.liveSt.mu.Unlock()
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, codeSaturated, "subscription registry full (%d standing queries)", maxSubscriptions)
+	full := len(s.liveSt.subs) >= maxSubscriptions
+	s.liveSt.mu.Unlock()
+	if full {
+		writeRegistryFull(w)
 		return
 	}
-	s.liveSt.mu.Unlock()
 
-	ctx := r.Context()
-	if s.cfg.QueryTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.QueryTimeout)
-		defer cancel()
-	}
 	par := s.resolveParallelism(req.Parallelism)
 	start := time.Now()
+	tr := newTrace(r, canonical, req.Stream)
 	var res *core.Result
 	var x *core.Execution
-	var execErr error
-	poolErr := s.pool.Do(ctx, func() {
-		eng, err := s.reg.Engine(ctx, req.Stream)
-		if err != nil {
-			execErr = fmt.Errorf("opening stream %q: %w", req.Stream, err)
-			return
+	if !s.run(w, r, routeSubscribe, req.Stream, tr, func(eng *core.Engine) (err error) {
+		// The opener /query's execution goes through; it pins the published
+		// snapshot, so the bootstrap runs lock-free against ingest.
+		if x, err = eng.BeginQueryTraced(info, par, tr); err != nil {
+			return err
 		}
-		// BeginQuery pins the published snapshot internally; the whole
-		// standing-query bootstrap runs lock-free against ingest.
-		if x, execErr = eng.BeginQuery(info, par); execErr != nil {
-			return
+		if err = x.RunTo(-1); err != nil {
+			return err
 		}
-		if execErr = x.RunTo(-1); execErr != nil {
-			return
-		}
-		res, execErr = x.Result()
-	})
-	if done := s.writePoolError(w, poolErr, "subscribe"); done {
+		res, err = x.Result()
+		return err
+	}) {
 		return
 	}
-	if execErr != nil {
-		s.m.queryErrs.Inc()
-		writeError(w, http.StatusBadRequest, codeQueryFailed, "standing query failed: %v", execErr)
-		return
-	}
+	wall := time.Since(start)
+	s.account(routeSubscribe, req.Stream, canonical, "", res, wall, tr)
 
-	canonical := info.Stmt.String()
 	s.liveSt.mu.Lock()
 	// The registry bound is enforced here, where the insert happens: the
 	// pre-execution check is only an optimization, so concurrent
 	// subscribes racing past it cannot overfill the registry.
 	if len(s.liveSt.subs) >= maxSubscriptions {
 		s.liveSt.mu.Unlock()
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, codeSaturated, "subscription registry full (%d standing queries)", maxSubscriptions)
+		writeRegistryFull(w)
 		return
 	}
 	s.liveSt.nextID++
@@ -331,14 +276,10 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		maxRows:   req.MaxRows,
 	}
 	sub.horizon.Store(int64(x.Horizon()))
-	if s.liveSt.subs == nil {
-		s.liveSt.subs = make(map[string]*subscription)
-	}
 	s.liveSt.subs[sub.id] = sub
 	s.liveSt.mu.Unlock()
 	s.m.subscribes.Inc()
 
-	wall := time.Since(start)
 	head, release, err := appendScratchHead(req.Stream, canonical, res, false, s.maxRows(req.MaxRows))
 	if err != nil {
 		writeEncodeError(w, err)
@@ -351,6 +292,13 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		Plan:    x.PlanName(),
 		Updated: true,
 	}, head, wall, "", nil, 0, 0)
+}
+
+// writeRegistryFull sheds a subscribe the standing-query registry has no
+// room for.
+func writeRegistryFull(w http.ResponseWriter) {
+	w.Header().Set("Retry-After", "1")
+	writeError(w, http.StatusTooManyRequests, codeSaturated, "subscription registry full (%d standing queries)", maxSubscriptions)
 }
 
 func (s *Server) handleUnsubscribe(w http.ResponseWriter, r *http.Request) {
@@ -374,10 +322,6 @@ func (s *Server) handleUnsubscribe(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handlePoll(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "GET required")
-		return
-	}
 	id := r.URL.Query().Get("id")
 	if id == "" {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "missing ?id= parameter")
@@ -408,48 +352,29 @@ func (s *Server) handlePoll(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	horizon, open := s.streamHorizon(sub.stream)
 	if open && horizon > int(sub.horizon.Load()) {
-		ctx := r.Context()
-		if s.cfg.QueryTimeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, s.cfg.QueryTimeout)
-			defer cancel()
-		}
 		// Every advance records a span tree into the ring — standing
 		// queries run unattended, so the trace is often the only record
 		// of what an advance cost.
-		tr = obs.NewTraceID(sub.canonical, traceIDFrom(r.Context()))
-		tr.Root.SetAttr("stream", sub.stream)
+		tr = newTrace(r, sub.canonical, sub.stream)
 		tr.Root.SetAttr("subscription", sub.id)
-		queueSp := tr.Root.Child("queue")
 		var res *core.Result
-		var advErr error
 		switches := sub.exec.PlanSwitches()
-		poolErr := s.pool.Do(ctx, func() {
-			queueSp.End()
-			// Advance pins the published snapshot internally, so it runs
-			// lock-free while ingest continues.
-			res, advErr = sub.exec.Advance(tr)
-		})
-		if done := s.writePoolError(w, poolErr, "poll"); done {
+		if !s.run(w, r, routePoll, sub.stream, tr, func(*core.Engine) (err error) {
+			// Advance pins the published snapshot of the engine the
+			// execution was begun on, so it runs lock-free while ingest
+			// continues.
+			res, err = sub.exec.Advance(tr)
+			return err
+		}) {
 			return
 		}
-		if advErr != nil {
-			s.m.queryErrs.Inc()
-			tr.Root.Fail(advErr)
-			tr.Finish()
-			s.traces.Add(tr)
-			writeError(w, http.StatusInternalServerError, codeInternal, "advancing standing query: %v", advErr)
-			return
-		}
-		tr.Finish()
-		s.traces.Add(tr)
 		replanned = sub.exec.PlanSwitches() > switches
 		sub.last = res
 		sub.seq++
 		sub.horizon.Store(int64(sub.exec.Horizon()))
 		updated = true
 		s.m.advances.Inc()
-		s.logSlowQuery("advance", sub.stream, sub.canonical, time.Since(start), tr)
+		s.account(routePoll, sub.stream, sub.canonical, "", res, time.Since(start), tr)
 	}
 
 	// The subscription's row cap applies to every poll; a ?max_rows=
@@ -490,93 +415,4 @@ func (s *Server) dayFrames(stream string) int {
 		return eng.DayFrames()
 	}
 	return 0
-}
-
-// writePoolError maps worker-pool admission failures to HTTP statuses;
-// it reports whether a response was written.
-func (s *Server) writePoolError(w http.ResponseWriter, poolErr error, what string) bool {
-	switch {
-	case poolErr == nil:
-		return false
-	case errors.Is(poolErr, ErrQueueFull):
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, codeSaturated, "server saturated: admission queue full")
-	case errors.Is(poolErr, context.DeadlineExceeded):
-		writeError(w, http.StatusGatewayTimeout, codeTimeout, "%s timed out after %s", what, s.cfg.QueryTimeout)
-	case errors.Is(poolErr, context.Canceled):
-		writeError(w, 499, codeCanceled, "client canceled request")
-	case errors.Is(poolErr, ErrTaskPanicked):
-		s.m.queryErrs.Inc()
-		writeError(w, http.StatusInternalServerError, codeInternal, "internal error during %s: %v", what, poolErr)
-	default:
-		writeError(w, http.StatusServiceUnavailable, codeUnavailable, "executor unavailable: %v", poolErr)
-	}
-	return true
-}
-
-// livezStatz is the /statz "livez" section: continuous-query activity
-// across the server's live streams.
-type livezStatz struct {
-	// Live reports whether streams were opened live; LiveStart is the
-	// initially visible fraction of the day.
-	Live      bool    `json:"live"`
-	LiveStart float64 `json:"live_start,omitempty"`
-	// Streams maps open stream names to their live position.
-	Streams map[string]liveStreamStatz `json:"streams,omitempty"`
-	// Ingests / FramesIngested total POST /ingest activity.
-	Ingests        uint64 `json:"ingests"`
-	FramesIngested uint64 `json:"frames_ingested"`
-	// Subscribes / Unsubscribes / SubscriptionsActive cover the standing-
-	// query registry; Polls and Advances its read activity (an advance is
-	// a poll that found new frames and moved a cursor).
-	Subscribes          uint64 `json:"subscribes"`
-	Unsubscribes        uint64 `json:"unsubscribes"`
-	SubscriptionsActive int    `json:"subscriptions_active"`
-	Polls               uint64 `json:"polls"`
-	Advances            uint64 `json:"advances"`
-}
-
-// liveStreamStatz is one open stream's live position, read from one
-// pinned snapshot so the fields can never tear against a racing ingest.
-type liveStreamStatz struct {
-	Horizon   int    `json:"horizon"`
-	DayFrames int    `json:"day_frames"`
-	Epoch     uint64 `json:"epoch"`
-	// SnapshotEpoch mirrors Epoch under the gauge's exported name;
-	// TailFrames is the unsealed tail depth (frames past the last sealed
-	// 1024-frame chunk) and SnapshotLag how many frames the materialized
-	// index trails the published horizon (0 when update propagation is
-	// caught up, which ingest guarantees on its success path).
-	SnapshotEpoch uint64 `json:"live_snapshot_epoch"`
-	TailFrames    int    `json:"live_tail_frames"`
-	SnapshotLag   int    `json:"live_snapshot_lag_frames"`
-}
-
-// livezSnapshot assembles the livez section.
-func (s *Server) livezSnapshot() livezStatz {
-	lz := livezStatz{Live: s.live(), LiveStart: s.cfg.Engine.LiveStart, Streams: make(map[string]liveStreamStatz)}
-	open, _ := s.reg.Open()
-	for _, name := range open {
-		if eng, ok := s.reg.Peek(name); ok {
-			pe, epoch := eng.Pin()
-			lz.Streams[name] = liveStreamStatz{
-				Horizon:       pe.Horizon(),
-				DayFrames:     pe.DayFrames(),
-				Epoch:         epoch,
-				SnapshotEpoch: epoch,
-				TailFrames:    pe.TailFrames(),
-				SnapshotLag:   pe.SnapshotLagFrames(),
-			}
-		}
-	}
-	lz.Ingests = uint64(s.metrics.Value("blazeit_ingests_total"))
-	lz.FramesIngested = uint64(s.metrics.SumValues("blazeit_ingest_frames_total"))
-	lz.Subscribes = uint64(s.metrics.Value("blazeit_subscribes_total"))
-	lz.Unsubscribes = uint64(s.metrics.Value("blazeit_unsubscribes_total"))
-	lz.Polls = uint64(s.metrics.Value("blazeit_polls_total"))
-	lz.Advances = uint64(s.metrics.Value("blazeit_advances_total"))
-	s.liveSt.mu.Lock()
-	lz.SubscriptionsActive = len(s.liveSt.subs)
-	s.liveSt.mu.Unlock()
-	return lz
 }

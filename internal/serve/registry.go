@@ -80,21 +80,43 @@ func (r *Registry) Peek(stream string) (*core.Engine, bool) {
 	return eng, done && err == nil
 }
 
+// openEngine is one fully opened registry entry.
+type openEngine struct {
+	stream string
+	eng    *core.Engine
+}
+
+// opened lists the fully opened engines in stream-name order and counts
+// the opens still in flight. Callers hold r.mu.
+func (r *Registry) opened() (open []openEngine, opening int) {
+	for name, s := range r.entries {
+		if eng, err, done := s.TryWait(); !done {
+			opening++
+		} else if err == nil {
+			open = append(open, openEngine{name, eng})
+		}
+	}
+	sort.Slice(open, func(i, j int) bool { return open[i].stream < open[j].stream })
+	return open, opening
+}
+
+// Each calls fn for every fully opened engine, in stream-name order, and
+// returns how many opens are still in flight. fn runs outside the registry
+// lock, on the engines open when Each was called.
+func (r *Registry) Each(fn func(stream string, eng *core.Engine)) (opening int) {
+	r.mu.Lock()
+	open, opening := r.opened()
+	r.mu.Unlock()
+	for _, e := range open {
+		fn(e.stream, e.eng)
+	}
+	return opening
+}
+
 // Open reports per-stream open state: fully opened stream names and the
 // number of opens still in flight.
 func (r *Registry) Open() (open []string, opening int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for name, s := range r.entries {
-		if _, err, done := s.TryWait(); done {
-			if err == nil {
-				open = append(open, name)
-			}
-		} else {
-			opening++
-		}
-	}
-	sort.Strings(open)
+	opening = r.Each(func(stream string, _ *core.Engine) { open = append(open, stream) })
 	return open, opening
 }
 
@@ -115,16 +137,10 @@ func (r *Registry) Opens() uint64 {
 func (r *Registry) Close() []*core.Engine {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.entries))
-	for name := range r.entries {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	engines := make([]*core.Engine, 0, len(names))
-	for _, name := range names {
-		if eng, err, done := r.entries[name].TryWait(); done && err == nil {
-			engines = append(engines, eng)
-		}
+	open, _ := r.opened()
+	engines := make([]*core.Engine, len(open))
+	for i, e := range open {
+		engines[i] = e.eng
 	}
 	r.entries = make(map[string]*flight.Slot[*core.Engine])
 	return engines

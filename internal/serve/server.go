@@ -7,9 +7,12 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -185,16 +188,19 @@ func New(cfg Config) *Server {
 	s.m = newServerMetrics(s.metrics)
 	s.registerCollectors()
 	s.liveSt.subs = make(map[string]*subscription)
-	s.mux.HandleFunc("/query", s.instrument("/query", s.handleQuery))
-	s.mux.HandleFunc("/streams", s.instrument("/streams", s.handleStreams))
-	s.mux.HandleFunc("/explain", s.instrument("/explain", s.handleExplain))
-	s.mux.HandleFunc("/statz", s.instrument("/statz", s.handleStatz))
-	s.mux.HandleFunc("/ingest", s.instrument("/ingest", s.handleIngest))
-	s.mux.HandleFunc("/subscribe", s.instrument("/subscribe", s.handleSubscribe))
-	s.mux.HandleFunc("/poll", s.instrument("/poll", s.handlePoll))
-	s.mux.HandleFunc("/metrics", s.instrument("/metrics", s.handleMetrics))
-	s.mux.HandleFunc("/traces", s.instrument("/traces", s.handleTraces))
-	s.mux.HandleFunc("/traces/", s.instrument("/traces", s.handleTraces))
+	handle := func(path string, h http.HandlerFunc, methods ...string) {
+		s.mux.HandleFunc(path, s.instrument(strings.TrimSuffix(path, "/"), allow(h, methods...)))
+	}
+	handle("/query", s.handleQuery, http.MethodPost)
+	handle("/streams", s.handleStreams, http.MethodGet)
+	handle("/explain", s.handleExplain, http.MethodGet)
+	handle("/statz", s.handleStatz, http.MethodGet)
+	handle("/ingest", s.handleIngest, http.MethodPost)
+	handle("/subscribe", s.handleSubscribe, http.MethodPost, http.MethodDelete)
+	handle("/poll", s.handlePoll, http.MethodGet)
+	handle("/metrics", s.handleMetrics, http.MethodGet)
+	handle("/traces", s.handleTraces, http.MethodGet)
+	handle("/traces/", s.handleTraces, http.MethodGet)
 	return s
 }
 
@@ -309,6 +315,18 @@ type errorBody struct {
 // errorResponse is the JSON error envelope.
 type errorResponse struct {
 	Error errorBody `json:"error"`
+}
+
+// allow is the head of every request path: h serves the listed methods,
+// anything else is answered 405 in the error envelope.
+func allow(h http.HandlerFunc, methods ...string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if !slices.Contains(methods, r.Method) {
+			writeError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "%s required", strings.Join(methods, " or "))
+			return
+		}
+		h(w, r)
+	}
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -651,11 +669,156 @@ func writeBody(w http.ResponseWriter, parts ...[]byte) {
 	}
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "POST required")
-		return
+// served reports whether the server serves the stream, writing the 404
+// reply when it does not.
+func (s *Server) served(w http.ResponseWriter, stream string) bool {
+	if s.allowed[stream] {
+		return true
 	}
+	writeError(w, http.StatusNotFound, codeUnknownStream, "unknown stream %q (see /streams)", stream)
+	return false
+}
+
+// admit is the front of the request path: the stream must be served, the
+// text must analyze (through the parse memo), and a FROM clause must name
+// the stream the request targets. An empty stream — /explain without one —
+// skips the stream checks. It writes the error reply and reports false when
+// the request is not admitted.
+func (s *Server) admit(w http.ResponseWriter, stream, query string) (info *frameql.Info, canonical string, ok bool) {
+	if stream != "" && !s.served(w, stream) {
+		return nil, "", false
+	}
+	info, canonical, err := s.cache.Analyze(query)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, codeInvalidQuery, "query error: %v", err)
+		return nil, "", false
+	}
+	if stream != "" && info.Video != "" && info.Video != stream {
+		writeError(w, http.StatusBadRequest, codeInvalidQuery,
+			"query is over %q but request targets stream %q", info.Video, stream)
+		return nil, "", false
+	}
+	return info, canonical, true
+}
+
+// route is how one endpoint's work reads in the pipeline's error replies:
+// what names it in admission and timeout errors, and what an execution
+// failure that is not a deadline answers (failFormat takes the error).
+type route struct {
+	what       string
+	failStatus int
+	failCode   string
+	failFormat string
+}
+
+var (
+	routeQuery     = route{"query", http.StatusBadRequest, codeQueryFailed, "query failed: %v"}
+	routeExplain   = route{"planning", http.StatusBadRequest, codeQueryFailed, "planning failed: %v"}
+	routeSubscribe = route{"subscribe", http.StatusBadRequest, codeQueryFailed, "standing query failed: %v"}
+	routePoll      = route{"poll", http.StatusInternalServerError, codeInternal, "advancing standing query: %v"}
+	routeIngest    = route{"ingest", http.StatusInternalServerError, codeIngestFailed, "ingest failed: %v"}
+)
+
+// newTrace starts the trace of a request's execution under the request's
+// trace ID. Every execution is traced: tracing is answer-neutral (it reads
+// the cost meter, never charges it) and the ring is bounded, so the span
+// tree is always on record for /traces and the slow-query log; ?trace=1
+// only controls inline return.
+func newTrace(r *http.Request, canonical, stream string) *obs.Trace {
+	tr := obs.NewTraceID(canonical, traceIDFrom(r.Context()))
+	tr.Root.SetAttr("stream", stream)
+	return tr
+}
+
+// run is the one path a request's work takes to an engine: fn runs on the
+// worker pool — admission control, panic containment — under the query
+// timeout, against the stream's engine, opened on first use. tr, nil for
+// work that is not a query execution (planning, ingest), records the queue
+// wait, then whatever fn records, and is published to the ring whether fn
+// failed or not. run reports whether fn succeeded; when it did not, run has
+// written the error reply: 429/504/499/500/503 for the pool's refusals, 504
+// for a deadline inside fn, the route's failure otherwise.
+func (s *Server) run(w http.ResponseWriter, r *http.Request, rt route, stream string, tr *obs.Trace, fn func(eng *core.Engine) error) bool {
+	ctx := r.Context()
+	if s.cfg.QueryTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.cfg.QueryTimeout)
+		defer cancel()
+	}
+	var root *obs.Span
+	if tr != nil {
+		root = tr.Root
+	}
+	queueSp := root.Child("queue")
+	var err error
+	poolErr := s.pool.Do(ctx, func() {
+		// The pool's handoff orders this with the handler goroutine, so
+		// the trace stays single-writer.
+		queueSp.End()
+		eng, openErr := s.reg.Engine(ctx, stream)
+		if openErr != nil {
+			err = fmt.Errorf("opening stream %q: %w", stream, openErr)
+			return
+		}
+		err = fn(eng)
+	})
+	if poolErr != nil {
+		switch {
+		case errors.Is(poolErr, ErrQueueFull):
+			w.Header().Set("Retry-After", "1")
+			writeError(w, http.StatusTooManyRequests, codeSaturated, "server saturated: admission queue full")
+		case errors.Is(poolErr, context.DeadlineExceeded):
+			writeError(w, http.StatusGatewayTimeout, codeTimeout, "%s timed out after %s", rt.what, s.cfg.QueryTimeout)
+		case errors.Is(poolErr, context.Canceled):
+			writeError(w, 499, codeCanceled, "client canceled request")
+		case errors.Is(poolErr, ErrTaskPanicked):
+			s.m.queryErrs.Inc()
+			writeError(w, http.StatusInternalServerError, codeInternal, "internal error during %s: %v", rt.what, poolErr)
+		default:
+			writeError(w, http.StatusServiceUnavailable, codeUnavailable, "executor unavailable: %v", poolErr)
+		}
+		return false
+	}
+	root.Fail(err)
+	tr.Finish()
+	s.traces.Add(tr)
+	if err == nil {
+		return true
+	}
+	if tr != nil {
+		s.m.queryErrs.Inc() // an execution failed, not planning or an ingest
+	}
+	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+		writeError(w, http.StatusGatewayTimeout, codeTimeout, "%s timed out: %v", rt.what, err)
+	} else {
+		writeError(w, rt.failStatus, rt.failCode, rt.failFormat, err)
+	}
+	return false
+}
+
+// account books a finished execution, whichever endpoint ran it: its
+// result enters the cache under key (empty for a standing answer, which is
+// its subscription's to keep), its Stats the charged-cost and skip
+// counters, its plan report the estimate-error histogram — forced picks
+// excepted: the planner did not choose them, so their error says nothing
+// about its model — and a slow one the slow-query log, span tree included.
+func (s *Server) account(rt route, stream, canonical, key string, res *core.Result, wall time.Duration, tr *obs.Trace) {
+	if key != "" {
+		s.cache.Put(key, res)
+	}
+	s.m.simSeconds.Add(res.Stats.TotalSeconds())
+	s.m.simCalls.Add(float64(res.Stats.DetectorCalls))
+	s.m.chunksSkip.Add(float64(res.Stats.IndexChunksSkipped))
+	s.m.framesSkip.Add(float64(res.Stats.IndexFramesSkipped))
+	s.m.conjSkip.Add(float64(res.Stats.ConjunctionChunksSkipped))
+	s.m.densityOOO.Add(float64(res.Stats.DensityChunksOutOfOrder))
+	if rep := res.PlanReport; rep != nil && !rep.Forced && rep.EstimateSeconds > 0 {
+		s.m.estErr.Observe(math.Abs(rep.ActualSeconds-rep.EstimateSeconds)/rep.EstimateSeconds, rep.Family)
+	}
+	s.logSlowQuery(rt.what, stream, canonical, wall, tr)
+}
+
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
 	if !decodeBody(w, r, &req) {
 		return
@@ -664,18 +827,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeBadRequest, `body must set "stream" and "query"`)
 		return
 	}
-	if !s.allowed[req.Stream] {
-		writeError(w, http.StatusNotFound, codeUnknownStream, "unknown stream %q (see /streams)", req.Stream)
-		return
-	}
-	info, canonical, err := s.cache.Analyze(req.Query)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, codeInvalidQuery, "query error: %v", err)
-		return
-	}
-	if info.Video != "" && info.Video != req.Stream {
-		writeError(w, http.StatusBadRequest, codeInvalidQuery,
-			"query is over %q but request targets stream %q", info.Video, req.Stream)
+	info, canonical, ok := s.admit(w, req.Stream, req.Query)
+	if !ok {
 		return
 	}
 
@@ -696,13 +849,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	if !req.NoCache {
 		// The key carries the stream's ingest epoch: an answer computed
-		// before an ingest can never serve a request arriving after it.
+		// before an ingest can never serve a request arriving after it. A
+		// hit is this lookup and a Write; it never enters the pipeline.
 		if hit := s.cache.lookup(CacheKey(req.Stream, pinEpoch, canonical)); hit != nil {
 			s.m.queries.With(req.Stream).Inc()
 			s.m.cacheHits.With(req.Stream).Inc()
 			// The key fixes the reply up to its per-request tail, so hits at
 			// the server's row cap share the bytes the first of them encoded.
 			var head []byte
+			var err error
 			if maxRows == s.maxRows(0) {
 				head, err = hit.hitHead(req.Stream, canonical, maxRows)
 			} else {
@@ -716,8 +871,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			if inline {
 				// A cache hit runs no execution; the trace records the
 				// lookup itself so traced requests always return a tree.
-				tr = obs.NewTraceID(canonical, traceID)
-				tr.Root.SetAttr("stream", req.Stream)
+				tr = newTrace(r, canonical, req.Stream)
 				tr.Root.SetAttr("cached", "true")
 				tr.Finish()
 				s.traces.Add(tr)
@@ -727,72 +881,26 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	ctx := r.Context()
-	if s.cfg.QueryTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.QueryTimeout)
-		defer cancel()
-	}
-
 	par := s.resolveParallelism(req.Parallelism)
-	// Every executed query is traced: tracing is answer-neutral (it reads
-	// the cost meter, never charges it) and the ring is bounded, so the
-	// span tree is always on record for /traces and the slow-query log.
-	// ?trace=1 only controls inline return.
-	tr := obs.NewTraceID(canonical, traceID)
-	tr.Root.SetAttr("stream", req.Stream)
-	queueSp := tr.Root.Child("queue")
+	tr := newTrace(r, canonical, req.Stream)
 	var res *core.Result
-	var execErr error
 	var execEpoch uint64
 	var execHorizon int
-	poolErr := s.pool.Do(ctx, func() {
-		// The pool's handoff orders this with the handler goroutine, so
-		// the trace stays single-writer.
-		queueSp.End()
-		eng, err := s.reg.Engine(ctx, req.Stream)
-		if err != nil {
-			execErr = fmt.Errorf("opening stream %q: %w", req.Stream, err)
-			return
-		}
+	if !s.run(w, r, routeQuery, req.Stream, tr, func(eng *core.Engine) (err error) {
 		// Pin once and execute on the pinned view: the query runs
 		// lock-free against the snapshot's immutable state while ingest
 		// races ahead, and the epoch recorded with the cached result is
 		// exactly the snapshot the execution saw.
 		pe, epoch := eng.Pin()
-		execEpoch = epoch
-		execHorizon = pe.Horizon()
-		res, execErr = pe.ExecuteParallelTraced(info, par, tr)
-	})
-	if s.writePoolError(w, poolErr, "query") {
+		execEpoch, execHorizon = epoch, pe.Horizon()
+		res, err = pe.ExecuteParallelTraced(info, par, tr)
+		return err
+	}) {
 		return
 	}
-	if execErr != nil {
-		s.m.queryErrs.Inc()
-		tr.Root.Fail(execErr)
-		tr.Finish()
-		s.traces.Add(tr)
-		if errors.Is(execErr, context.DeadlineExceeded) || errors.Is(execErr, context.Canceled) {
-			writeError(w, http.StatusGatewayTimeout, codeTimeout, "query timed out: %v", execErr)
-			return
-		}
-		writeError(w, http.StatusBadRequest, codeQueryFailed, "query failed: %v", execErr)
-		return
-	}
-	tr.Finish()
-	s.traces.Add(tr)
-
-	s.cache.Put(CacheKey(req.Stream, execEpoch, canonical), res)
-	s.m.queries.With(req.Stream).Inc()
-	s.m.simSeconds.Add(res.Stats.TotalSeconds())
-	s.m.simCalls.Add(float64(res.Stats.DetectorCalls))
-	s.m.chunksSkip.Add(float64(res.Stats.IndexChunksSkipped))
-	s.m.framesSkip.Add(float64(res.Stats.IndexFramesSkipped))
-	s.m.conjSkip.Add(float64(res.Stats.ConjunctionChunksSkipped))
-	s.m.densityOOO.Add(float64(res.Stats.DensityChunksOutOfOrder))
-	s.observeEstimateError(res.PlanReport)
 	wall := time.Since(start)
-	s.logSlowQuery("query", req.Stream, canonical, wall, tr)
+	s.m.queries.With(req.Stream).Inc()
+	s.account(routeQuery, req.Stream, canonical, CacheKey(req.Stream, execEpoch, canonical), res, wall, tr)
 	head, release, err := appendScratchHead(req.Stream, canonical, res, false, maxRows)
 	if err != nil {
 		writeEncodeError(w, err)
@@ -818,10 +926,6 @@ type streamInfo struct {
 }
 
 func (s *Server) handleStreams(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "GET required")
-		return
-	}
 	out := make([]streamInfo, 0, len(s.streams))
 	for _, name := range s.streams {
 		si := streamInfo{
@@ -869,30 +973,16 @@ type explainResponse struct {
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "GET required")
-		return
-	}
 	q := r.URL.Query().Get("q")
 	if q == "" {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "missing ?q= query parameter")
 		return
 	}
 	stream := r.URL.Query().Get("stream")
-	if stream != "" && !s.allowed[stream] {
-		writeError(w, http.StatusNotFound, codeUnknownStream, "unknown stream %q (see /streams)", stream)
-		return
-	}
-	info, err := frameql.Analyze(q)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, codeInvalidQuery, "query error: %v", err)
-		return
-	}
-	// Apply the same consistency check /query enforces, so a 200 here
-	// means the equivalent POST /query would be admitted.
-	if stream != "" && info.Video != "" && info.Video != stream {
-		writeError(w, http.StatusBadRequest, codeInvalidQuery,
-			"query is over %q but request targets stream %q", info.Video, stream)
+	// The same admission /query enforces, so a 200 here means the
+	// equivalent POST /query would be admitted.
+	info, canonical, ok := s.admit(w, stream, q)
+	if !ok {
 		return
 	}
 	requested, err := intParam(r.URL.Query().Get("parallelism"), 0)
@@ -906,7 +996,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := explainResponse{
 		Kind:              info.Kind.String(),
-		Canonical:         info.Stmt.String(),
+		Canonical:         canonical,
 		Classes:           info.Classes,
 		ErrorWithin:       info.ErrorWithin,
 		Confidence:        info.Confidence,
@@ -928,338 +1018,16 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	if planStream != "" {
 		// Planning is real work — an engine open, possibly network
-		// training and whole-day inference — so it runs on the worker
-		// pool under the same admission control, timeout, and panic
-		// containment as query execution.
-		ctx := r.Context()
-		if s.cfg.QueryTimeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, s.cfg.QueryTimeout)
-			defer cancel()
-		}
-		var rep *plan.Report
-		var planErr error
-		poolErr := s.pool.Do(ctx, func() {
-			eng, err := s.reg.Engine(ctx, planStream)
-			if err != nil {
-				planErr = fmt.Errorf("opening stream %q: %w", planStream, err)
-				return
-			}
-			// Plan on the pinned snapshot view — lock-free against
-			// ingest like every other read path.
+		// training and whole-day inference — so it takes the pipeline like
+		// an execution does. It plans on the pinned snapshot view,
+		// lock-free against ingest like every other read path.
+		if !s.run(w, r, routeExplain, planStream, nil, func(eng *core.Engine) (err error) {
 			pe, _ := eng.Pin()
-			rep, planErr = pe.ExplainPlan(info, effective)
-		})
-		if s.writePoolError(w, poolErr, "planning") {
+			resp.Plan, err = pe.ExplainPlan(info, effective)
+			return err
+		}) {
 			return
 		}
-		if planErr != nil {
-			if errors.Is(planErr, context.DeadlineExceeded) || errors.Is(planErr, context.Canceled) {
-				writeError(w, http.StatusGatewayTimeout, codeTimeout, "planning timed out: %v", planErr)
-				return
-			}
-			writeError(w, http.StatusBadRequest, codeQueryFailed, "planning failed: %v", planErr)
-			return
-		}
-		resp.Plan = rep
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// statzResponse is the GET /statz reply.
-type statzResponse struct {
-	UptimeSeconds float64           `json:"uptime_seconds"`
-	Queries       queriesStatz      `json:"queries"`
-	Sim           simStatz          `json:"sim"`
-	Cache         cacheStatz        `json:"cache"`
-	Pool          PoolStats         `json:"pool"`
-	Parallel      parallelStatz     `json:"parallel"`
-	Planner       plannerStatz      `json:"planner"`
-	Indexz        indexStatz        `json:"indexz"`
-	Livez         livezStatz        `json:"livez"`
-	Registry      registryStatz     `json:"registry"`
-	Streams       map[string]uint64 `json:"stream_queries"`
-}
-
-// indexStatz reports the materialized frame-index tier aggregated across
-// the open engines: build-vs-load provenance, zone-map chunk inventory
-// and skip activity, ground-truth label coverage, and background build
-// progress.
-type indexStatz struct {
-	// Dir is the configured index directory ("" when memory-only).
-	Dir string `json:"dir,omitempty"`
-	// ModelsTrained / ModelsLoaded count fresh trainings vs disk loads.
-	ModelsTrained int `json:"models_trained"`
-	ModelsLoaded  int `json:"models_loaded"`
-	// SegmentsBuilt / SegmentsLoaded count fresh whole-day inference
-	// passes vs disk loads.
-	SegmentsBuilt  int `json:"segments_built"`
-	SegmentsLoaded int `json:"segments_loaded"`
-	// Segments and Chunks inventory the materialized columns.
-	Segments int `json:"segments"`
-	Chunks   int `json:"chunks"`
-	// Bytes is the in-memory column/zone footprint.
-	Bytes int64 `json:"bytes"`
-	// BuildSimSeconds is the simulated cost invested in index builds
-	// (training + whole-day inference), charged to no query.
-	BuildSimSeconds float64 `json:"build_sim_seconds"`
-	// Labels / LabelHits / LabelMisses cover the ground-truth label
-	// stores: committed entries and lookup outcomes.
-	Labels      int    `json:"labels"`
-	LabelHits   uint64 `json:"label_hits"`
-	LabelMisses uint64 `json:"label_misses"`
-	// DenseChunks counts the filled (class, sealed chunk) detector-count
-	// columns exact scans read instead of re-running the detector; their
-	// memory is part of Bytes.
-	DenseChunks int `json:"dense_chunks"`
-	// ChunksSkipped / FramesSkipped total the zone-map skip decisions
-	// executed plans reported.
-	ChunksSkipped uint64 `json:"chunks_skipped"`
-	FramesSkipped uint64 `json:"frames_skipped"`
-	// ConjunctionChunksSkipped totals chunks proven irrelevant by the
-	// conjunction kernel; DensityChunksOutOfOrder totals chunks
-	// density-ordered plans visited out of temporal order.
-	ConjunctionChunksSkipped uint64 `json:"conjunction_chunks_skipped"`
-	DensityChunksOutOfOrder  uint64 `json:"density_chunks_out_of_order"`
-	// Background build progress (streams, not classes).
-	BuildsQueued uint64 `json:"builds_queued"`
-	BuildsDone   uint64 `json:"builds_done"`
-	BuildsFailed uint64 `json:"builds_failed"`
-	// Errors carries recent persistence problems (the tier degrades to
-	// memory-only rather than failing queries).
-	Errors []string `json:"errors,omitempty"`
-}
-
-// plannerStatz reports cost-based planner activity aggregated across the
-// open engines: how many executions were planned, how often a hint or
-// baseline forced the pick, which plan each family chose, and how closely
-// estimates tracked actual simulated cost.
-type plannerStatz struct {
-	// Planned counts executed planning decisions (forced included).
-	Planned uint64 `json:"planned"`
-	// Forced counts hint- or baseline-forced executions.
-	Forced uint64 `json:"forced"`
-	// Picks maps plan family → plan name → executions.
-	Picks map[string]map[string]uint64 `json:"picks,omitempty"`
-	// MeanEstimateError is the mean relative |actual−estimate|/estimate
-	// over cost-chosen executions.
-	MeanEstimateError float64 `json:"mean_estimate_error"`
-	// WindowErrors maps plan family → sliding-window estimate error —
-	// the same window the drift detector reads, so this is the live view
-	// of how well calibrated pricing currently tracks executions.
-	WindowErrors map[string]windowErrStatz `json:"window_errors,omitempty"`
-	// Calibrations maps "family|plan" → lifetime feedback observations
-	// accumulated by the calibration store.
-	Calibrations map[string]uint64 `json:"calibrations,omitempty"`
-	// Prepared maps plan family → lookups in the prepared-state store: a
-	// hit enumerated from memory, a miss trained or measured first.
-	Prepared map[string]preparedStatz `json:"prepared,omitempty"`
-}
-
-// preparedStatz is one family's prepared-state store lookups.
-type preparedStatz struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	DiskLoads uint64 `json:"disk_loads"`
-}
-
-// windowErrStatz is one family's sliding-window relative estimate error,
-// aggregated across open engines (sample-weighted mean).
-type windowErrStatz struct {
-	MeanError float64 `json:"mean_error"`
-	Samples   int     `json:"samples"`
-	Lifetime  uint64  `json:"lifetime"`
-}
-
-// parallelStatz reports sharded-execution activity aggregated across the
-// open engines: how many plan executions fanned out, how many shards they
-// produced, and the utilization of the request-level worker pool.
-type parallelStatz struct {
-	// DefaultParallelism is the engine default worker count.
-	DefaultParallelism int `json:"default_parallelism"`
-	// MaxParallelism is the highest per-query override accepted.
-	MaxParallelism int `json:"max_parallelism"`
-	// PlanExecutions counts plan executions across open engines.
-	PlanExecutions uint64 `json:"plan_executions"`
-	// Fanouts counts executions that ran shards on more than one worker.
-	Fanouts uint64 `json:"fanouts"`
-	// Shards is the total number of scan shards produced.
-	Shards uint64 `json:"shards"`
-	// Chunks is the total number of chunk-aligned batches the vectorized
-	// executor consumed.
-	Chunks uint64 `json:"chunks"`
-	// PoolUtilization is the fraction of request-pool workers currently
-	// executing queries (0..1).
-	PoolUtilization float64 `json:"pool_utilization"`
-}
-
-// cacheStatz is the result cache's counters plus the size of the hit
-// replies it keeps encoded.
-type cacheStatz struct {
-	CacheStats
-	EncodedBytes int64 `json:"encoded_bytes"`
-}
-
-type queriesStatz struct {
-	Total     uint64 `json:"total"`
-	CacheHits uint64 `json:"cache_hits"`
-	Errors    uint64 `json:"errors"`
-}
-
-// simStatz reports simulated-cost accounting: charged is what executed
-// queries actually cost; saved is what cache hits would have re-cost.
-type simStatz struct {
-	ChargedSeconds       float64 `json:"charged_seconds"`
-	ChargedDetectorCalls uint64  `json:"charged_detector_calls"`
-	SavedSeconds         float64 `json:"saved_seconds"`
-	SavedDetectorCalls   uint64  `json:"saved_detector_calls"`
-}
-
-type registryStatz struct {
-	Open    []string `json:"open"`
-	Opening int      `json:"opening"`
-	Opens   uint64   `json:"opens"`
-}
-
-// handleStatz assembles the human-oriented stats page. Serving counters
-// are read back from the metrics registry — /statz is a derived view of
-// the same families /metrics exports, never a second set of books.
-func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "GET required")
-		return
-	}
-	cache := s.cache.Stats()
-	open, opening := s.reg.Open()
-	if open == nil {
-		open = []string{}
-	}
-	pool := s.pool.Stats()
-	par := parallelStatz{
-		DefaultParallelism: s.defaultParallelism(),
-		MaxParallelism:     s.maxParallelism(),
-	}
-	if pool.Workers > 0 {
-		par.PoolUtilization = float64(pool.Running) / float64(pool.Workers)
-	}
-	planner := plannerStatz{Picks: make(map[string]map[string]uint64)}
-	idx := indexStatz{
-		Dir:          s.cfg.Engine.IndexDir,
-		BuildsQueued: s.buildsQueued.Load(),
-		BuildsDone:   s.buildsDone.Load(),
-		BuildsFailed: s.buildsFailed.Load(),
-	}
-	var estErrSum float64
-	var estErrN uint64
-	winErrSum := make(map[string]float64)
-	winErrN := make(map[string]int)
-	winErrLife := make(map[string]uint64)
-	for _, name := range open {
-		if eng, ok := s.reg.Peek(name); ok {
-			es := eng.ExecStats()
-			par.PlanExecutions += es.Queries
-			par.Fanouts += es.Fanouts
-			par.Shards += es.Shards
-			par.Chunks += es.Chunks
-			is := eng.IndexStats()
-			idx.ModelsTrained += is.ModelsTrained
-			idx.ModelsLoaded += is.ModelsLoaded
-			idx.SegmentsBuilt += is.SegmentsBuilt
-			idx.SegmentsLoaded += is.SegmentsLoaded
-			idx.BuildSimSeconds += is.BuildSimSeconds
-			for _, seg := range is.Segments {
-				idx.Segments++
-				idx.Chunks += seg.Chunks
-				idx.Bytes += seg.Bytes
-			}
-			for _, ld := range is.Labels {
-				idx.Labels += ld.Entries
-				idx.LabelHits += ld.Hits
-				idx.LabelMisses += ld.Misses
-				idx.DenseChunks += ld.DenseChunks
-				idx.Bytes += ld.DenseBytes
-			}
-			idx.Errors = append(idx.Errors, is.Errors...)
-			ps := eng.PlannerStats()
-			planner.Planned += ps.Planned
-			planner.Forced += ps.Forced
-			for fam, m := range ps.Picks {
-				dst := planner.Picks[fam]
-				if dst == nil {
-					dst = make(map[string]uint64)
-					planner.Picks[fam] = dst
-				}
-				for k, v := range m {
-					dst[k] += v
-				}
-			}
-			// Aggregate the underlying sums so the mean weights every
-			// cost-chosen execution equally across engines.
-			estErrSum += ps.EstimateErrorSum
-			estErrN += ps.EstimateErrorCount
-			for fam, we := range ps.WindowErrors {
-				winErrSum[fam] += we.MeanError * float64(we.Samples)
-				winErrN[fam] += we.Samples
-				winErrLife[fam] += we.Lifetime
-			}
-			for k, v := range ps.Calibrations {
-				if planner.Calibrations == nil {
-					planner.Calibrations = make(map[string]uint64)
-				}
-				planner.Calibrations[k] += v
-			}
-		}
-	}
-	for fam, st := range s.preparedStats() {
-		if planner.Prepared == nil {
-			planner.Prepared = make(map[string]preparedStatz)
-		}
-		planner.Prepared[fam] = preparedStatz{Hits: st.Hits, Misses: st.Misses, DiskLoads: st.DiskLoads}
-	}
-	if estErrN > 0 {
-		planner.MeanEstimateError = estErrSum / float64(estErrN)
-	}
-	for fam, n := range winErrN {
-		if n == 0 {
-			continue
-		}
-		if planner.WindowErrors == nil {
-			planner.WindowErrors = make(map[string]windowErrStatz)
-		}
-		planner.WindowErrors[fam] = windowErrStatz{
-			MeanError: winErrSum[fam] / float64(n),
-			Samples:   n,
-			Lifetime:  winErrLife[fam],
-		}
-	}
-	resp := statzResponse{
-		UptimeSeconds: time.Since(s.start).Seconds(),
-		Cache:         cacheStatz{cache, s.cache.EncodedBytes()},
-		Pool:          pool,
-		Parallel:      par,
-		Planner:       planner,
-		Indexz:        idx,
-		Livez:         s.livezSnapshot(),
-		Registry:      registryStatz{Open: open, Opening: opening, Opens: s.reg.Opens()},
-		Streams:       make(map[string]uint64),
-	}
-	resp.Indexz.ChunksSkipped = uint64(s.metrics.Value("blazeit_index_chunks_skipped_total"))
-	resp.Indexz.FramesSkipped = uint64(s.metrics.Value("blazeit_index_frames_skipped_total"))
-	resp.Indexz.ConjunctionChunksSkipped = uint64(s.metrics.Value("blazeit_conjunction_chunks_skipped_total"))
-	resp.Indexz.DensityChunksOutOfOrder = uint64(s.metrics.Value("blazeit_density_chunks_out_of_order_total"))
-	resp.Queries.Total = uint64(s.metrics.SumValues("blazeit_queries_total"))
-	resp.Queries.CacheHits = uint64(s.metrics.SumValues("blazeit_query_cache_hits_total"))
-	resp.Queries.Errors = uint64(s.metrics.Value("blazeit_query_errors_total"))
-	for _, name := range s.streams {
-		if q := s.metrics.Value("blazeit_queries_total", name); q > 0 {
-			resp.Streams[name] = uint64(q)
-		}
-	}
-	resp.Sim = simStatz{
-		ChargedSeconds:       s.metrics.Value("blazeit_sim_charged_seconds_total"),
-		ChargedDetectorCalls: uint64(s.metrics.Value("blazeit_sim_charged_detector_calls_total")),
-		SavedSeconds:         cache.SavedSimSeconds,
-		SavedDetectorCalls:   cache.SavedDetectorCalls,
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
