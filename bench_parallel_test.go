@@ -152,6 +152,9 @@ func BenchmarkParallelPlans(b *testing.B) {
 		{"selection", `SELECT * FROM taipei WHERE class = 'bus' AND area(mask) > 60000 GROUP BY trackid HAVING COUNT(*) > 15`},
 		{"aggregate-naive", `SELECT FCOUNT(*) FROM taipei WHERE class = 'car'`},
 		{"scrubbing", `SELECT timestamp FROM taipei GROUP BY timestamp HAVING SUM(class='car') >= 3 LIMIT 20`},
+		// A frame-order search that GAP stretches over thousands of
+		// positions, most passed over unverified: past the layout's ramp.
+		{"scrubbing-gap", `SELECT /*+ PLAN(scrub-sequential) */ timestamp FROM taipei GROUP BY timestamp HAVING SUM(class='car') >= 3 LIMIT 20 GAP 300`},
 		{"binary", `SELECT timestamp FROM taipei WHERE class = 'car' FNR WITHIN 0.02 FPR WITHIN 0.02`},
 	}
 	sys := parBenchSystem(b)

@@ -19,7 +19,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/aqp"
 	"repro/internal/detect"
 	"repro/internal/experiments"
 	"repro/internal/feature"
@@ -427,60 +426,6 @@ func (r *splitRand) Intn(n int) int {
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	z ^= z >> 31
 	return int(z % uint64(n))
-}
-
-// BenchmarkAblationStratified compares three variance-reduction strategies
-// on real stream counts at error 0.05: uniform sampling, time-stratified
-// sampling (model-free; exploits the diurnal structure), and control
-// variates (needs the specialized network). The paper's claim is that the
-// learned signal beats classical AQP machinery; the metrics let the reader
-// check.
-func BenchmarkAblationStratified(b *testing.B) {
-	s := session(b)
-	e, err := s.Engine("amsterdam")
-	if err != nil {
-		b.Fatal(err)
-	}
-	counts := make([]float64, e.Test.Frames)
-	for f := range counts {
-		counts[f] = float64(e.DTest.CountAt(f, vidsim.Car))
-	}
-	model, _, err := e.Model([]vidsim.Class{vidsim.Car})
-	if err != nil {
-		b.Fatal(err)
-	}
-	inf, _, err := e.Inference([]vidsim.Class{vidsim.Car}, e.Test)
-	if err != nil {
-		b.Fatal(err)
-	}
-	head := model.HeadIndex(vidsim.Car)
-	signal := make([]float64, e.Test.Frames)
-	for f := range signal {
-		signal[f] = inf.ExpectedCount(head, f)
-	}
-	tau, varT := inf.ExpectedMoments(head)
-
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var uni, strat, cv int
-		const runs = 10
-		for r := 0; r < runs; r++ {
-			opts := aqp.Options{
-				ErrorTarget: 0.05,
-				Range:       float64(e.Train.MaxCount(vidsim.Car) + 1),
-				Population:  e.Test.Frames,
-				Seed:        int64(1000 + r),
-			}
-			uni += aqp.Sample(opts, func(f int) float64 { return counts[f] }).Samples
-			strat += aqp.StratifiedSample(opts, 24, func(f int) float64 { return counts[f] }).Samples
-			cv += aqp.ControlVariates(opts,
-				func(f int) float64 { return counts[f] },
-				func(f int) float64 { return signal[f] }, tau, varT).Samples
-		}
-		b.ReportMetric(float64(uni)/runs, "uniform-samples")
-		b.ReportMetric(float64(strat)/runs, "stratified-samples")
-		b.ReportMetric(float64(cv)/runs, "control-variate-samples")
-	}
 }
 
 // BenchmarkAblationScrubCombiner compares multi-class score combiners for

@@ -25,8 +25,12 @@
 //
 // BENCH_live's concurrent_query_p50_ratio summary (p50 query latency
 // under sustained ingest over p50 at idle) is a within-run ratio, so
-// machine speed cancels out: it is judged against the absolute
-// -concurrent-ratio-cap (default 1.5) even when no baseline exists.
+// machine speed cancels out — but machine load does not: the same commit
+// reads 1.05 on an idle runner and 2.4 on a loaded two-core one, and the
+// file carries no measure of the idle phase's own jitter to judge it by.
+// Over -concurrent-ratio-cap (default 1.5) it is therefore reported as a
+// warning, never a failure: a gate that fails for the machine teaches
+// people to ignore gates.
 //
 // BENCH_serve's hit_ns_exhaustive_over_distinct summary (the /query
 // handler's cost on a cache hit for the largest reply over the smallest)
@@ -277,20 +281,19 @@ func compare(name string, base, cur *benchFile, threshold, simTol, calTol float6
 	return v
 }
 
-// checkConcurrentRatio judges the within-run concurrent-query latency
-// ratio against an absolute cap. It needs no baseline — both p50s come
-// from the same run on the same machine, so the ratio is machine-neutral
-// and a cap encodes the product requirement directly (queries under
-// sustained ingest stay near idle latency). A cap <= 0 disables the
-// check; a file without the summary (older suites, other dimensions) is
-// never judged.
-func checkConcurrentRatio(name string, cur *benchFile, cap float64) (failure string) {
+// checkConcurrentRatio compares the within-run concurrent-query latency
+// ratio with a cap and returns a warning when it is over. It needs no
+// baseline — both p50s come from the same run — but a loaded machine
+// inflates the ratio as much as a reader blocked by ingest does, so the
+// caller reports it without failing. A cap <= 0 disables the check; a file
+// without the summary (older suites, other dimensions) is never judged.
+func checkConcurrentRatio(name string, cur *benchFile, cap float64) (warning string) {
 	if cap <= 0 || cur.ConcurrentQueryP50Ratio == 0 {
 		return ""
 	}
 	if r := cur.ConcurrentQueryP50Ratio; r > cap {
 		return fmt.Sprintf(
-			"%s: concurrent query p50 is %.2fx idle p50 (cap %.2fx) — ingest is blocking snapshot readers",
+			"%s: concurrent query p50 is %.2fx idle p50 (cap %.2fx) — ingest is blocking snapshot readers, or the machine is loaded",
 			name, r, cap)
 	}
 	return ""
@@ -413,7 +416,7 @@ func main() {
 	threshold := flag.Float64("threshold", 1.25, "maximum calibrated wall-clock ratio per family before failing")
 	simTol := flag.Float64("sim-tol", 0.01, "maximum relative simulated-cost drift per record before failing")
 	ratioCap := flag.Float64("concurrent-ratio-cap", 1.5,
-		"maximum concurrent-query p50/idle p50 ratio (BENCH_live summary; within-run, judged without a baseline; <=0 disables)")
+		"concurrent-query p50/idle p50 ratio above which to warn (BENCH_live summary; within-run; never fails the gate; <=0 disables)")
 	calTol := flag.Float64("cal-tol", 0.02,
 		"maximum absolute slack for calibrated estimate error, both over the raw error within a run and over the baseline's calibrated error")
 	nohintFloor := flag.Float64("nohint-ratio-floor", 2.0,
@@ -437,12 +440,11 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		// The within-run concurrent-latency, hit-cost and calibration gates
-		// apply even on the first run — they compare the fresh file against
-		// itself, not a baseline.
-		if f := checkConcurrentRatio(name, cur, *ratioCap); f != "" {
-			fmt.Println("FAIL", f)
-			failed = true
+		// The within-run hit-cost and calibration gates apply even on the
+		// first run — they compare the fresh file against itself, not a
+		// baseline. The concurrent-latency ratio only warns.
+		if w := checkConcurrentRatio(name, cur, *ratioCap); w != "" {
+			fmt.Println("WARN", w)
 		}
 		if f := checkServeHitRatio(name, cur); f != "" {
 			fmt.Println("FAIL", f)

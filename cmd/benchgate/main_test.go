@@ -179,13 +179,13 @@ func TestCompareLivePhaseCalibration(t *testing.T) {
 	}
 }
 
-// TestConcurrentRatioCap: the within-run p50 ratio is judged against an
-// absolute cap, independent of any baseline; files without the summary
-// and disabled caps are never judged.
+// TestConcurrentRatioCap: the within-run p50 ratio over the cap is a
+// warning (main prints it and exits 0 on it), independent of any baseline;
+// files without the summary and disabled caps are never judged.
 func TestConcurrentRatioCap(t *testing.T) {
 	over := &benchFile{Scale: 0.05, ConcurrentQueryP50Ratio: 1.8}
-	if f := checkConcurrentRatio("BENCH_live.json", over, 1.5); !strings.Contains(f, "1.80x idle") {
-		t.Fatalf("ratio 1.8 vs cap 1.5: %q, want failure", f)
+	if w := checkConcurrentRatio("BENCH_live.json", over, 1.5); !strings.Contains(w, "1.80x idle") {
+		t.Fatalf("ratio 1.8 vs cap 1.5: %q, want a warning", w)
 	}
 	under := &benchFile{Scale: 0.05, ConcurrentQueryP50Ratio: 1.1}
 	if f := checkConcurrentRatio("BENCH_live.json", under, 1.5); f != "" {

@@ -22,7 +22,6 @@ package aqp
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"repro/internal/hrand"
@@ -99,42 +98,6 @@ type Result struct {
 	// Correlation is the sample correlation between measurement and
 	// control signal (0 for plain sampling).
 	Correlation float64
-}
-
-// sampler yields uniformly random distinct frames via lazy Fisher–Yates,
-// so sampling is without replacement and the finite-population correction
-// applies exactly. Used by the stratified baseline; the adaptive plans use
-// the sharded sampler below.
-type sampler struct {
-	rng   *rand.Rand
-	n     int
-	drawn int
-	remap map[int]int
-}
-
-func newSampler(population int, seed int64) *sampler {
-	return &sampler{
-		rng:   rand.New(rand.NewSource(seed)),
-		n:     population,
-		remap: make(map[int]int),
-	}
-}
-
-// next returns the next distinct frame; it must be called at most n times.
-func (s *sampler) next() int {
-	i := s.drawn
-	j := i + s.rng.Intn(s.n-i)
-	vi, ok := s.remap[i]
-	if !ok {
-		vi = i
-	}
-	vj, ok := s.remap[j]
-	if !ok {
-		vj = j
-	}
-	s.remap[i], s.remap[j] = vj, vi
-	s.drawn++
-	return vj
 }
 
 // samplerShards is the fixed number of PRNG shards the sharded sampler

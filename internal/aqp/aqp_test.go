@@ -29,7 +29,7 @@ func synthPopulation(n int, corrNoise float64, seed int64) (m, t []float64) {
 func popMean(xs []float64) float64 { return stats.Mean(xs) }
 
 func TestSamplerDistinct(t *testing.T) {
-	s := newSampler(1000, 42)
+	s := newShardedSampler(1000, 42)
 	seen := make(map[int]bool)
 	for i := 0; i < 1000; i++ {
 		f := s.next()
@@ -45,7 +45,7 @@ func TestSamplerDistinct(t *testing.T) {
 
 func TestSamplerCoverage(t *testing.T) {
 	// Exhausting the sampler must enumerate the full population.
-	s := newSampler(100, 7)
+	s := newShardedSampler(100, 7)
 	sum := 0
 	for i := 0; i < 100; i++ {
 		sum += s.next()

@@ -55,10 +55,11 @@
 // # The scan operator
 //
 // Every plan that visits frames — exhaustive, binary cascade and exact,
-// the selection cascades, exact aggregates, COUNT(DISTINCT trackid), and
-// the density-limit variant of the LIMIT-bearing ones — is the same
-// pipeline (cheap filters → detector → tracker → GAP/LIMIT), and runs on
-// one resumable operator, scanExec (scan.go), parameterised twice:
+// the selection cascades, exact aggregates, COUNT(DISTINCT trackid), the
+// density-limit variant of the LIMIT-bearing ones, and the three scrubbing
+// searches — is the same pipeline (cheap filters → detector → tracker →
+// GAP/LIMIT), and runs on one resumable operator, scanExec (scan.go),
+// parameterised twice:
 //
 //   - a family kernel (scanKernel): a pure produce over a range of visited
 //     frames, run concurrently on the worker pool, and a merge that
@@ -76,6 +77,16 @@
 //     accumulator, so its answer is a temporal scan's over the visited
 //     set.
 //
+// A kernel maps the operator's visited index i to a frame. For the frame
+// scans it is lo+i·step. For scrubbing (§7) it is rank position i, the
+// frame order[i]: the confidence ranking, frame order, or frame order
+// restricted by the presence oracle — one kernel, three orders. Which
+// positions a search verifies depends on what it has accepted (GAP passes
+// over a hit's neighbours, LIMIT ends it), so its produce is empty and its
+// merge is scrub.Searcher's serial probe loop: the scan opens with one
+// worker, and GAP suppression, LIMIT and the charges are a serial search's
+// at every requested parallelism.
+//
 // The operator owns everything else, once: position and the Done/Total/
 // Pos accounting in visited frames, early exit on the exact frame that
 // satisfies a LIMIT, the cost meter with the preparation charges captured
@@ -84,9 +95,11 @@
 // kernel serializes its accumulator in the family's cursor format), the
 // refusal to finalize a suspended scan, shard fan-out, and the per-shard
 // trace span. Tracing is not a second path: an untraced scan runs the
-// same loop with nil spans. On a grown live stream a restored temporal
-// scan continues over the new suffix from its accumulator; a density
-// order restarts, its schedule being a function of the whole population.
+// same loop with nil spans. On a grown live stream a restored scan whose
+// schedule is prefix-stable (frame order, the oracle order) continues over
+// the new suffix from its accumulator; one whose schedule is a function of
+// the whole population (the density order, scrubbing's confidence ranking)
+// restarts — one rule, scanExec.Restore and adopt.
 //
 // # Parallel execution and the per-shard PRNG scheme
 //

@@ -43,12 +43,21 @@ import (
 //     with current calibration and may switch plans, opening the new pick
 //     fresh so the advanced answer stays exactly a fresh query's answer.
 //
+// Three executors implement plan.Execution: scanExec (scan.go) for every
+// plan that visits frames or rank positions — exhaustive, selection,
+// distinct, exact aggregates, binary, density-limit and the scrubbing
+// searches, whose visited index is a position in a rank order —, aqpExec
+// for the adaptive samplers, and atomicExec below for plans with no
+// progress structure.
+//
 // Advance extends a completed execution over a live stream's newly appended
-// frames: scan families (exhaustive, selection, distinct, naive
-// aggregates, binary, sequential scrubbing) continue from their
-// accumulators and pay only the new suffix, while population-dependent
-// families (adaptive sampling, control variates, specialized rewrite,
-// importance-ordered scrubbing) deterministically re-run over the
+// frames: scans whose schedule is prefix-stable (exhaustive, selection,
+// distinct, naive aggregates, binary, sequential and oracle-order
+// scrubbing) continue from their accumulators and pay only the new suffix,
+// while population-dependent plans (adaptive sampling, control variates,
+// specialized rewrite, and the scans scheduled by a ranking of the whole
+// population: density order and importance-ordered scrubbing — the one
+// restart rule is scanExec.Restore's) deterministically re-run over the
 // extended population — in both cases producing exactly what a fresh
 // execution of the same query over the extended stream produces.
 //

@@ -66,14 +66,7 @@ func runResumed(t *testing.T, eng *Engine, info *frameql.Info, par, watermarkFal
 	}
 	// The cursor must survive its wire form: a standing query's state
 	// crosses process boundaries as bytes.
-	wire, err := cur.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur, err = plan.DecodeCursor(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cur = roundTrip(t, cur)
 	y, err := eng.ResumeQuery(cur)
 	if err != nil {
 		t.Fatal(err)
@@ -433,8 +426,9 @@ func TestAppendLiveSemantics(t *testing.T) {
 	}
 }
 
-// parentCursor is one record of testdata/cursors_pr13.json: a mid-scan
-// and a completed cursor of one (family, plan), in wire form.
+// parentCursor is one record of testdata/cursors_pr13.json or
+// testdata/cursors_pr22_scrub.json: a mid-scan and a completed cursor of
+// one (family, plan), in wire form.
 type parentCursor struct {
 	Name  string          `json:"name"`
 	Query string          `json:"query"`
@@ -452,19 +446,28 @@ type parentCursor struct {
 // field, so a renamed JSON tag in a family's state would decode to zero
 // values and silently restart the scan; this requires instead that every
 // resumed Result — answer, rows, full cost meter — is bit-identical to an
-// uninterrupted run. The file is frozen: a deliberate cursor format
-// change must keep decoding it, not re-record it.
+// uninterrupted run. The scrubbing cursors are from commit 88c6233, the
+// last with a separate scrubbing executor: each was suspended mid-search
+// with LIMIT and GAP in force and carries that executor's speculative
+// prefetch_window, which the scan operator ignores (the search verifies
+// those positions itself when it probes them).
+// The files are frozen: a deliberate cursor format change must keep
+// decoding them, not re-record them.
 func TestResumeParentCursors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains models")
 	}
-	data, err := os.ReadFile("testdata/cursors_pr13.json")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var cases []parentCursor
-	if err := json.Unmarshal(data, &cases); err != nil {
-		t.Fatal(err)
+	for _, file := range []string{"testdata/cursors_pr13.json", "testdata/cursors_pr22_scrub.json"} {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var recorded []parentCursor
+		if err := json.Unmarshal(data, &recorded); err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, recorded...)
 	}
 	e := testEngine(t, "taipei")
 	for _, tc := range cases {

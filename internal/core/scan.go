@@ -20,7 +20,8 @@ import (
 // per-shard trace span live here and nowhere else.
 
 // scanKernel is one plan family's part of a scan over visited frames
-// (visited frame i is the family's frame lo+i·step).
+// (visited frame i is the family's frame lo+i·step; for scrubbing it is
+// rank position i, the frame order[i]).
 type scanKernel[P any] interface {
 	// produce evaluates visited frames [lo, hi). It is pure — a function
 	// of the range and the pinned snapshot only — and runs concurrently
@@ -74,8 +75,13 @@ type scanExec[P any] struct {
 	counters *execCounters
 	k        scanKernel[P]
 	den      *densityOrder[P]
-	tr       *execTrace
-	err      error
+	// horizon is nonzero when the schedule is a function of the whole
+	// population — the density order, scrubbing's confidence ranking — and
+	// is the stream horizon it was computed at: state suspended at another
+	// horizon describes a visit order this scan does not have (see Restore).
+	horizon int
+	tr      *execTrace
+	err     error
 }
 
 // newScan opens a temporal scan of total visited frames. ramp selects the
@@ -176,13 +182,31 @@ func (x *scanExec[P]) Snapshot() ([]byte, error) {
 		return nil, fmt.Errorf("core: cannot suspend errored execution: %w", x.err)
 	}
 	if d := x.den; d != nil {
-		return json.Marshal(&densityState{Horizon: d.horizon, SchedPos: d.schedPos, InChunk: d.inChunk,
+		return json.Marshal(&densityState{Horizon: x.horizon, SchedPos: d.schedPos, InChunk: d.inChunk,
 			Pos: x.pos, Raw: d.raw, Finished: x.finished, Stats: x.stats})
 	}
 	return x.k.save(&x.scanProgress)
 }
 
+// Restore continues a suspended scan — unless the schedule is
+// population-dependent and the state was suspended at another horizon: new
+// chunks may out-rank visited ones, new frames interleave with ranked ones,
+// so the frontier means nothing over the current order. The scan then
+// restarts deterministically over the pinned snapshot, which the freshly
+// opened state already covers and which is exactly what a fresh query runs.
+// Every cursor format of such a schedule carries its "horizon".
 func (x *scanExec[P]) Restore(state []byte) error {
+	if x.horizon != 0 {
+		var at struct {
+			Horizon int `json:"horizon"`
+		}
+		if err := json.Unmarshal(state, &at); err != nil {
+			return err
+		}
+		if at.Horizon != x.horizon {
+			return nil
+		}
+	}
 	d := x.den
 	if d == nil {
 		return x.k.load(state, &x.scanProgress)
@@ -191,13 +215,6 @@ func (x *scanExec[P]) Restore(state []byte) error {
 	if err := json.Unmarshal(state, &st); err != nil {
 		return err
 	}
-	if st.Horizon != d.horizon {
-		// The stream grew past the snapshot's schedule. The density order is
-		// population-dependent (new chunks may out-rank visited ones), so
-		// restart deterministically over the current snapshot — the freshly
-		// opened state already covers it.
-		return nil
-	}
 	x.scanProgress = scanProgress{pos: st.Pos, finished: st.Finished, stats: st.Stats}
 	d.schedPos, d.inChunk, d.raw = st.SchedPos, st.InChunk, st.Raw
 	d.kept, d.lastAttemptRaw = map[int]P{}, -1
@@ -205,14 +222,14 @@ func (x *scanExec[P]) Restore(state []byte) error {
 }
 
 // adopt continues prev — the same plan's scan of an earlier snapshot of the
-// stream — as Restore continues its Snapshot, minus the encoding: the
-// temporal ramp takes prev's position, meter and accumulator and so has
-// only the appended frames left to visit; a density order keeps its fresh
-// state and restarts, its schedule being a function of the whole
-// population.
+// stream — as Restore continues its Snapshot, minus the encoding: a
+// prefix-stable schedule takes prev's position, meter and accumulator and
+// so has only the appended frames (or rank positions) left to visit; a
+// population-dependent one keeps its fresh state and restarts, by Restore's
+// rule.
 func (x *scanExec[P]) adopt(prev plan.Execution[*Result]) {
 	o := prev.(*scanExec[P])
-	if x.den != nil || o.err != nil {
+	if x.horizon != 0 || o.err != nil {
 		return
 	}
 	x.scanProgress = o.scanProgress
@@ -251,9 +268,8 @@ type densityOrder[P any] struct {
 	sched []densityChunk
 	// before is the chunk index preceding the scan range's first chunk:
 	// what visiting sched[0] in temporal order would follow.
-	before  int
-	horizon int
-	limit   int
+	before int
+	limit  int
 	// schedPos is the next schedule entry; inChunk the frames already
 	// consumed inside it (mid-chunk suspension).
 	schedPos, inChunk int
@@ -280,7 +296,8 @@ type densityOrder[P any] struct {
 // a pure function, so the cursor stays small and can never disagree with
 // the index.
 func (x *scanExec[P]) orderByDensity(sched []densityChunk, lo, horizon, limit int, fresh func() scanKernel[P]) {
-	x.den = &densityOrder[P]{sched: sched, before: index.ChunkOf(lo) - 1, horizon: horizon, limit: limit,
+	x.horizon = horizon
+	x.den = &densityOrder[P]{sched: sched, before: index.ChunkOf(lo) - 1, limit: limit,
 		lastAttemptRaw: -1, kept: map[int]P{}, fresh: fresh}
 	for _, ent := range sched {
 		x.total += ent.fHi - ent.fLo

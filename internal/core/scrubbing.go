@@ -4,9 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"repro/internal/detect"
 	"repro/internal/frameql"
 	"repro/internal/index"
-	"repro/internal/parallel"
 	"repro/internal/plan"
 	"repro/internal/scrub"
 	"repro/internal/vidsim"
@@ -42,13 +42,21 @@ func (e *Engine) enumerateScrubbing(info *frameql.Info, par int, u *prepUse) ([]
 	}
 	ss := e.scrubPlanStats(u, reqs, model)
 
+	// search opens the family's one kernel over a probe order, built at open
+	// (enumeration prices every candidate and runs one); prep is the
+	// importance plan's, nil for the orders that carry no preparation.
+	search := func(label string, order func() []int32, prep *scrubPrep) func() (plan.Execution[*Result], error) {
+		return func() (plan.Execution[*Result], error) {
+			return e.newScrubExec(info, reqs, limit, label, order(), prep), nil
+		}
+	}
+	frameOrder := func() []int32 { return rangeOrder(lo, hi) }
+
 	seqProbes := plan.GeometricProbes(limit, ss.MatchRate, span)
 	seqPlan := &costedPlan{
 		desc: scrubDesc("scrub-sequential", "detector verification in frame order (§7.1 default)"),
 		est:  plan.Cost{DetectorCalls: float64(seqProbes), DetectorSeconds: float64(seqProbes) * full},
-		open: func() (plan.Execution[*Result], error) {
-			return e.newScrubExec(info, reqs, limit, par, "scrub-sequential", scrubOrderSequential, scrubPrep{}), nil
-		},
+		open: search("scrub-sequential", frameOrder, nil),
 	}
 	seqCand := candidate{Plan: seqPlan, MarginalSeconds: seqPlan.est.DetectorSeconds, Accuracy: scrubAccuracy}
 
@@ -56,9 +64,7 @@ func (e *Engine) enumerateScrubbing(info *frameql.Info, par int, u *prepUse) ([]
 	noScopePlan := &costedPlan{
 		desc: scrubDesc("scrub-noscope-oracle", "verification only where the presence oracle reports every class (§10.1.1)"),
 		est:  plan.Cost{DetectorCalls: float64(nsProbes), DetectorSeconds: float64(nsProbes) * full},
-		open: func() (plan.Execution[*Result], error) {
-			return e.newScrubExec(info, reqs, limit, par, "scrub-noscope-oracle", scrubOrderNoScope, scrubPrep{classes: classes}), nil
-		},
+		open: search("scrub-noscope-oracle", func() []int32 { return e.presenceOrder(classes, lo, hi) }, nil),
 	}
 	noScopeCand := candidate{
 		Plan:            noScopePlan,
@@ -71,9 +77,7 @@ func (e *Engine) enumerateScrubbing(info *frameql.Info, par int, u *prepUse) ([]
 	if modelErr != nil {
 		seqPlan.notes = []string{fmt.Sprintf("specialization unavailable (%v); sequential scan", modelErr)}
 		seqPlan.desc.Name = "scrub-sequential-fallback"
-		seqPlan.open = func() (plan.Execution[*Result], error) {
-			return e.newScrubExec(info, reqs, limit, par, "scrub-sequential-fallback", scrubOrderSequential, scrubPrep{}), nil
-		}
+		seqPlan.open = search("scrub-sequential-fallback", frameOrder, nil)
 		return []candidate{
 			infeasible(impDesc, fmt.Sprintf("specialization unavailable: %v", modelErr)),
 			seqCand,
@@ -97,13 +101,10 @@ func (e *Engine) enumerateScrubbing(info *frameql.Info, par int, u *prepUse) ([]
 	if err != nil {
 		return nil, err
 	}
-	order := ranking.at(seg, ireqs)
+	ranked := ranking.at(seg, ireqs)
 	chunksSkipped, framesSkipped := seg.RankSkips(ireqs)
 	impProbes := plan.GeometricProbes(limit, ss.importanceHitRate(limit), span)
-	impPrep := scrubPrep{
-		trainCost: trainCost, infCost: infCost, order: order,
-		chunksSkipped: chunksSkipped, framesSkipped: framesSkipped,
-	}
+	impPrep := &scrubPrep{trainCost: trainCost, infCost: infCost, chunksSkipped: chunksSkipped, framesSkipped: framesSkipped}
 	impPlan := &costedPlan{
 		desc: impDesc,
 		est: plan.Cost{
@@ -112,9 +113,14 @@ func (e *Engine) enumerateScrubbing(info *frameql.Info, par int, u *prepUse) ([]
 			DetectorCalls:   float64(impProbes),
 			DetectorSeconds: float64(impProbes) * full,
 		},
-		open: func() (plan.Execution[*Result], error) {
-			return e.newScrubExec(info, reqs, limit, par, "scrub-importance", scrubOrderImportance, impPrep), nil
-		},
+		open: search("scrub-importance", func() []int32 {
+			// The resident ranking covers the whole pinned day; a windowed
+			// query searches its frames in the same relative order.
+			if lo == 0 && hi == e.Test.Frames {
+				return ranked
+			}
+			return scrub.FilterOrder(ranked, func(f int) bool { return f >= lo && f < hi })
+		}, impPrep),
 	}
 	impCand := candidate{
 		Plan: impPlan,
@@ -145,318 +151,145 @@ func scrubIndexReqs(seg *index.Segment, reqs []scrub.Requirement) ([]index.Req, 
 	return ireqs, nil
 }
 
-// scrubPrep carries the importance plan's enumeration products: the
-// per-call index costs to charge, the confidence-ranked probe order, and
-// the zone-map skip accounting from building it; the oracle variant
-// carries the class list its presence filter reads.
+// scrubPrep carries what the importance plan's enumeration charges an
+// execution: the per-call index costs and the zone-map skip accounting
+// from building the ranking.
 type scrubPrep struct {
 	trainCost     float64
 	infCost       float64
-	order         []int32
 	chunksSkipped int
 	framesSkipped int
-	classes       []vidsim.Class
 }
 
-// scrubOrder selects how a scrubbing execution builds its probe order.
-type scrubOrder int
+// presenceOrder is frame order restricted to frames where the presence
+// oracle reports every requested class (Figure 6's "NoScope (Oracle)"
+// bar). The oracle is binary: it cannot distinguish one object from five,
+// so the detector must still verify counts.
+func (e *Engine) presenceOrder(classes []vidsim.Class, lo, hi int) []int32 {
+	presences := make([][]int32, len(classes))
+	for i, c := range classes {
+		presences[i] = e.Test.Counts(c)
+	}
+	return scrub.FilterOrder(rangeOrder(lo, hi), func(f int) bool {
+		for _, p := range presences {
+			if p[f] == 0 {
+				return false
+			}
+		}
+		return true
+	})
+}
 
-const (
-	// scrubOrderSequential probes in ascending frame order (§7.1 default).
-	scrubOrderSequential scrubOrder = iota
-	// scrubOrderImportance probes in specialized-network confidence order
-	// (§7), the order carried in scrubPrep.
-	scrubOrderImportance
-	// scrubOrderNoScope probes frame order restricted to frames where the
-	// presence oracle reports every requested class (Figure 6's "NoScope
-	// (Oracle)" bar). The oracle is binary: it cannot distinguish one
-	// object from five, so the detector must still verify counts.
-	scrubOrderNoScope
-)
-
-// scrubChunk is the number of rank-order positions one prefetch chunk
-// verifies. Fixed (never derived from the worker count) so the set of
-// speculatively verified frames — and therefore everything observable —
-// is independent of the parallelism level.
-const scrubChunk = 64
-
-// scrubExecState is the serializable suspension of a scrubbing search:
+// scrubState is the serializable suspension of a scrubbing search:
 // the search frontier (rank position, found frames, GAP bookkeeping) and
-// the partial cost meter with its prep charges.
-type scrubExecState struct {
+// the partial cost meter with its prep charges. Cursors written before
+// scrubbing ran on the scan operator may also carry prefetch_ready and
+// prefetch_window, that executor's speculative verdicts past the frontier;
+// they are ignored — the search verifies those positions when it probes
+// them.
+type scrubState struct {
 	Horizon int               `json:"horizon"`
 	Search  scrub.SearchState `json:"search"`
 	Stats   Stats             `json:"stats"`
-	// PrefetchReady / PrefetchWindow serialize the parallel prefetcher's
-	// speculative verdict window at suspension: verdicts for the rank
-	// positions [Search.Pos, PrefetchReady) that workers had already
-	// computed ahead of the search frontier. A resumed search seeds its
-	// prefetcher from the window instead of re-running the detector over
-	// those positions; verdicts are pure, so the seed is bit-identical to
-	// recomputation and only the redundant wall-clock work disappears.
-	PrefetchReady  int    `json:"prefetch_ready,omitempty"`
-	PrefetchWindow []bool `json:"prefetch_window,omitempty"`
 }
 
-// scrubExec verifies frames in its probe order until LIMIT matches (GAP
-// apart) are found. The search itself — which frame is probed next, how
-// GAP suppression interacts with accepted frames, when LIMIT stops —
-// stays strictly serial; with par > 1, workers precompute the pure
-// verification verdicts for upcoming rank positions in fixed scrubChunk
-// batches ahead of the search frontier. Verification cost is charged only
-// for positions the serial search actually probes, so Result and the cost
-// meter are bit-identical at every parallelism level; frames verified
-// speculatively past the stopping point cost wall-clock only.
-//
-// Progress units are rank positions considered. Sequential and oracle
-// orders are prefix-stable as a live stream grows (new frames append to
-// the order), so those searches continue over the suffix; the importance
-// order re-ranks the whole population, so a cursor restored onto a grown
-// stream restarts the search deterministically over the new ranking.
-type scrubExec struct {
-	e        *Engine
-	info     *frameql.Info
-	reqs     []scrub.Requirement
-	limit    int
-	par      int
-	kind     scrubOrder
-	order    []int32
-	searcher *scrub.Searcher
-	st       scrubExecState
-	prefetch *scrubPrefetcher
-	// restoredReady / restoredWin hold a Restore'd prefetch window until
-	// the next RunTo builds a prefetcher to seed with it.
-	restoredReady int
-	restoredWin   []bool
+// scrubKernel is the scrubbing family's scan kernel: visited index i is
+// rank position i, the frame order[i]. Which positions a search verifies
+// depends on the frames it has accepted — GAP passes over the neighbours of
+// every hit and LIMIT ends it — so there is nothing to produce ahead of it:
+// produce is empty and merge is scrub.Searcher's serial probe loop,
+// verifying and charging what it probes. The Result and the meter are a
+// serial search's at every parallelism level because that is what runs.
+// The three probe orders are this kernel over a different order.
+type scrubKernel struct {
+	e     *Engine
+	reqs  []scrub.Requirement
+	order []int32
+	limit int
+	// importance marks the confidence order, the one that reports an
+	// exhausted search.
+	importance bool
+	fullCost   float64
+	s          *scrub.Searcher
+	c          *detect.Counter
 }
 
-func (x *scrubExec) meter() *Stats { return &x.st.Stats }
-
-func (e *Engine) newScrubExec(info *frameql.Info, reqs []scrub.Requirement, limit, par int, label string, kind scrubOrder, prep scrubPrep) *scrubExec {
-	lo, hi := e.frameRange(info)
-	var order []int32
-	switch kind {
-	case scrubOrderImportance:
-		// The resident ranking covers the whole pinned day; a windowed query
-		// searches its frames in the same relative order.
-		order = prep.order
-		if lo > 0 || hi < e.Test.Frames {
-			order = scrub.FilterOrder(order, func(f int) bool { return f >= lo && f < hi })
-		}
-	case scrubOrderNoScope:
-		presences := make([][]int32, len(prep.classes))
-		for i, c := range prep.classes {
-			presences[i] = e.Test.Counts(c)
-		}
-		order = scrub.FilterOrder(rangeOrder(lo, hi), func(f int) bool {
-			for _, p := range presences {
-				if p[f] == 0 {
-					return false
-				}
-			}
-			return true
-		})
-	default:
-		order = rangeOrder(lo, hi)
-	}
-	x := &scrubExec{
-		e: e, info: info, reqs: reqs, limit: limit, par: par,
-		kind: kind, order: order, searcher: scrub.NewSearcher(order, limit, info.Gap),
-	}
-	x.st.Stats.Plan = label
-	if kind == scrubOrderImportance {
-		x.st.Stats.TrainSeconds += prep.trainCost
+// newScrubExec opens the search of one probe order as a scan over its rank
+// positions — with one worker, since the kernel produces nothing to fan
+// out. A non-nil prep marks the confidence order: it replays the ranking's
+// charges and, interleaving old frames with new as a live stream grows, is
+// a schedule of one horizon; frame order and the oracle order are
+// prefix-stable (new frames append), so those searches continue over the
+// suffix.
+func (e *Engine) newScrubExec(info *frameql.Info, reqs []scrub.Requirement, limit int, label string, order []int32, prep *scrubPrep) *scanExec[struct{}] {
+	x := newScan(e.exec, info.Kind.String(), label, 1, len(order), true, &scrubKernel{
+		e: e, reqs: reqs, order: order, limit: limit, importance: prep != nil,
+		fullCost: e.DTest.FullFrameCost(), s: scrub.NewSearcher(order, limit, info.Gap), c: e.DTest.NewCounter(),
+	})
+	x.finished = limit <= 0
+	if prep != nil {
+		x.horizon = e.Test.Frames
+		x.stats.TrainSeconds += prep.trainCost
 		// Labeling the unseen video is the indexing step; when the
 		// inference is cached (pre-indexed, as in the paper's "BlazeIt
 		// (indexed)"), the cost is zero.
-		x.st.Stats.SpecNNSeconds += prep.infCost
-		x.st.Stats.IndexChunksSkipped += prep.chunksSkipped
-		x.st.Stats.IndexFramesSkipped += prep.framesSkipped
+		x.stats.SpecNNSeconds += prep.infCost
+		x.stats.IndexChunksSkipped += prep.chunksSkipped
+		x.stats.IndexFramesSkipped += prep.framesSkipped
 	}
 	return x
 }
 
-func (x *scrubExec) Total() int { return len(x.order) }
-func (x *scrubExec) Pos() int   { return x.searcher.Pos() }
-func (x *scrubExec) Done() bool { return x.searcher.Done() }
+func (k *scrubKernel) produce(lo, hi int) struct{} { return struct{}{} }
 
-func (x *scrubExec) RunTo(units int) error {
-	if x.searcher.Done() {
-		return nil
-	}
-	e := x.e
-	fullCost := e.DTest.FullFrameCost()
-	check := e.scrubChecker(x.reqs)
-	var verify func(frame int) bool
-	if x.par <= 1 || len(x.order)-x.searcher.Pos() <= scrubChunk {
-		verify = check()
-	} else {
-		if x.prefetch == nil || x.prefetch.pos > x.searcher.Pos() {
-			e.exec.fanouts.Add(1)
-			x.prefetch = &scrubPrefetcher{
-				order: x.order, results: make([]bool, len(x.order)),
-				pos: x.searcher.Pos(), ready: x.searcher.Pos(),
-				par: x.par, check: check, exec: e.exec,
-			}
-			if sp := x.prefetch.pos; x.restoredReady > sp {
-				// Seed the verdict window serialized at suspension: the
-				// prefetcher resumes with [pos, ready) already computed and
-				// re-probes none of it.
-				n := copy(x.prefetch.results[sp:], x.restoredWin)
-				x.prefetch.ready = sp + n
-			}
-		}
-		verify = x.prefetch.verify
-	}
-	x.restoredReady, x.restoredWin = 0, nil
-	x.searcher.RunTo(units, func(f int) bool {
-		x.st.Stats.addDetection(fullCost)
-		return verify(f)
-	})
-	return nil
-}
-
-// state is the search's suspension in struct form — what Snapshot encodes
-// and what a later snapshot's execution of the same plan adopts.
-func (x *scrubExec) state() scrubExecState {
-	st := x.st
-	st.Horizon = x.e.Test.Frames
-	st.Search = x.searcher.State()
-	st.PrefetchReady, st.PrefetchWindow = 0, nil
-	if p := x.prefetch; p != nil {
-		if sp := x.searcher.Pos(); p.ready > sp {
-			st.PrefetchReady = p.ready
-			st.PrefetchWindow = append([]bool(nil), p.results[sp:p.ready]...)
+// verify is the detector's verdict on one frame, charged to m.
+func (k *scrubKernel) verify(m *Stats, f int) bool {
+	m.addDetection(k.fullCost)
+	for _, r := range k.reqs {
+		if k.c.CountAt(f, r.Class) < r.N {
+			return false
 		}
 	}
-	return st
+	return true
 }
 
-func (x *scrubExec) Snapshot() ([]byte, error) {
-	st := x.state()
-	return json.Marshal(&st)
+// merge runs the search over positions [blo, bhi). Charging and folding are
+// one walk: a rank order has no charge-only pass, so fold is not consulted
+// and m is never nil (only a density order's settlement merges unmetered).
+func (k *scrubKernel) merge(m *Stats, _ bool, blo, bhi, _ int, _ struct{}) (int, int, bool, error) {
+	found := len(k.s.State().Frames)
+	k.s.RunTo(bhi, func(f int) bool { return k.verify(m, f) })
+	st := k.s.State()
+	return st.Pos - blo, len(st.Frames) - found, len(st.Frames) >= k.limit, nil
 }
 
-func (x *scrubExec) Restore(state []byte) error {
-	var st scrubExecState
+func (k *scrubKernel) save(p *scanProgress) ([]byte, error) {
+	return json.Marshal(&scrubState{Horizon: k.e.Test.Frames, Search: k.s.State(), Stats: p.stats})
+}
+
+func (k *scrubKernel) load(state []byte, p *scanProgress) error {
+	var st scrubState
 	if err := json.Unmarshal(state, &st); err != nil {
 		return err
 	}
-	x.restore(st)
+	k.s.Restore(st.Search)
+	*p = scanProgress{pos: st.Search.Pos, finished: len(st.Search.Frames) >= k.limit, stats: st.Stats}
 	return nil
 }
 
-// adopt continues prev, the same plan's search over an earlier snapshot.
-func (x *scrubExec) adopt(prev plan.Execution[*Result]) { x.restore(prev.(*scrubExec).state()) }
-
-func (x *scrubExec) restore(st scrubExecState) {
-	x.restoredReady, x.restoredWin = 0, nil
-	if x.kind == scrubOrderImportance && st.Horizon != x.e.Test.Frames {
-		// The stream grew: the confidence ranking interleaves old and new
-		// frames, so the suspended frontier is meaningless over the new
-		// order. Keep the freshly opened search over the re-ranked
-		// population — deterministic, and exactly what a fresh query runs.
-		return
-	}
-	x.st = st
-	x.st.PrefetchReady, x.st.PrefetchWindow = 0, nil
-	x.searcher.Restore(st.Search)
-	x.prefetch = nil
-	if st.PrefetchReady > x.searcher.Pos() && len(st.PrefetchWindow) > 0 {
-		x.restoredReady = st.PrefetchReady
-		x.restoredWin = st.PrefetchWindow
-	}
+func (k *scrubKernel) adopt(prev scanKernel[struct{}]) {
+	k.s.Restore(prev.(*scrubKernel).s.State())
 }
 
-func (x *scrubExec) Result() (*Result, error) {
-	if !x.searcher.Done() {
-		return nil, fmt.Errorf("core: scrubbing search suspended at rank position %d of %d", x.searcher.Pos(), len(x.order))
-	}
-	sr := x.searcher.Result()
-	res := &Result{Kind: x.info.Kind.String(), Stats: x.st.Stats}
-	res.Stats.Notes = append([]string(nil), x.st.Stats.Notes...)
-	if x.kind == scrubOrderImportance && sr.Exhausted {
+// finish returns a view of the found frames: they are append-only, so a
+// capacity-capped slice stays valid while the search continues.
+func (k *scrubKernel) finish(res *Result) {
+	sr := k.s.Result()
+	if k.importance && sr.Exhausted {
 		res.Stats.note("search exhausted after %d verifications with %d/%d found",
-			sr.Verified, len(sr.Frames), x.limit)
+			sr.Verified, len(sr.Frames), k.limit)
 	}
-	// Found frames are append-only: a capacity-capped view stays valid while
-	// the search continues.
 	res.Frames = sr.Frames[:len(sr.Frames):len(sr.Frames)]
-	return res, nil
-}
-
-// scrubChecker returns a factory of per-worker verification functions for
-// the requirements: each worker gets its own detection buffers, and the
-// verdicts are pure, so any number may run concurrently.
-func (e *Engine) scrubChecker(reqs []scrub.Requirement) func() func(frame int) bool {
-	return func() func(frame int) bool {
-		c := e.DTest.NewCounter()
-		return func(f int) bool {
-			for _, r := range reqs {
-				if c.CountAt(f, r.Class) < r.N {
-					return false
-				}
-			}
-			return true
-		}
-	}
-}
-
-// scrubPrefetcher precomputes verification verdicts for rank-order
-// positions in scrubChunk batches, keeping up to par chunks in flight
-// ahead of the serial search frontier.
-type scrubPrefetcher struct {
-	order   []int32
-	results []bool
-	ready   int // positions [0, ready) are computed
-	pos     int // serial search frontier
-	par     int
-	check   func() func(frame int) bool
-	exec    *execCounters
-}
-
-// verify returns the (pre)computed verdict for frame f, which must be the
-// next frame scrub.Search probes. Positions are consumed monotonically.
-func (p *scrubPrefetcher) verify(f int) bool {
-	for int(p.order[p.pos]) != f {
-		p.pos++
-	}
-	if p.pos >= p.ready {
-		p.fill()
-	}
-	v := p.results[p.pos]
-	p.pos++
-	return v
-}
-
-// fill computes the next batch of chunks: enough to cover the frontier
-// plus par-1 speculative chunks, one worker per chunk.
-func (p *scrubPrefetcher) fill() {
-	target := p.pos + 1
-	// Round up to a chunk boundary, then speculate one extra chunk per
-	// remaining worker.
-	target = ((target + scrubChunk - 1) / scrubChunk) * scrubChunk
-	target += (p.par - 1) * scrubChunk
-	if target > len(p.order) {
-		target = len(p.order)
-	}
-	lo := p.ready
-	nChunks := (target - lo + scrubChunk - 1) / scrubChunk
-	p.exec.shards.Add(uint64(nChunks))
-	// One verifier (with its own detection buffers) per chunk; verdicts
-	// are pure, so chunk-to-worker assignment is irrelevant.
-	parallel.For(p.par, nChunks, func(c int) {
-		verify := p.check()
-		cLo := lo + c*scrubChunk
-		cHi := cLo + scrubChunk
-		if cHi > target {
-			cHi = target
-		}
-		for i := cLo; i < cHi; i++ {
-			p.results[i] = verify(int(p.order[i]))
-		}
-	})
-	p.ready = target
 }
 
 // scrubRequirements converts analyzed minimum counts into scrub

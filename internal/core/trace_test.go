@@ -17,8 +17,8 @@ import (
 // scan's total.
 
 // traceCases is one query per plan family, flagged with whether the
-// family's executor drives the sharded frame scan (and so must report
-// per-shard child spans).
+// family runs on the scan operator (and so must report per-shard child
+// spans; scrubbing's shards are ranges of rank positions).
 var traceCases = []struct {
 	family string
 	query  string
@@ -29,7 +29,7 @@ var traceCases = []struct {
 	{family: "aggregate-sampling", query: `SELECT FCOUNT(*) FROM taipei WHERE class='car' ERROR WITHIN 0.1 AT CONFIDENCE 95%`},
 	{family: "aggregate-exhaustive", query: `SELECT FCOUNT(*) FROM taipei WHERE class='bus'`, shards: true},
 	{family: "distinct-tracking", query: `SELECT COUNT(DISTINCT trackid) FROM taipei WHERE class='bus' AND timestamp < 3000`, shards: true},
-	{family: "scrubbing-importance", query: `SELECT timestamp FROM taipei GROUP BY timestamp HAVING SUM(class='car') >= 3 LIMIT 5 GAP 30`},
+	{family: "scrubbing-importance", query: `SELECT timestamp FROM taipei GROUP BY timestamp HAVING SUM(class='car') >= 3 LIMIT 5 GAP 30`, shards: true},
 	{family: "selection-cascade", query: `SELECT * FROM taipei WHERE class = 'bus' AND redness(content) >= 17.5 AND area(mask) > 60000 GROUP BY trackid HAVING COUNT(*) > 15`, shards: true},
 	{family: "exhaustive", query: `SELECT * FROM taipei WHERE (class='car' OR class='bus') AND timestamp < 2500`, shards: true},
 	{family: "binary-cascade", query: `SELECT timestamp FROM taipei WHERE class = 'car' FNR WITHIN 0.02 FPR WITHIN 0.02`, shards: true},

@@ -100,9 +100,9 @@ type Plan[R any] interface {
 // in plan-defined units consumed in a deterministic order: visited frames
 // for scan plans, measured samples for adaptive sampling plans, rank-order
 // positions for confidence-ranked search. Implementations may overshoot a
-// RunTo watermark to their next internal boundary (a sampling round, a
-// prefetch batch); because the unit sequence is fixed, where an execution
-// suspends can never change what it computes.
+// RunTo watermark to their next internal boundary (a sampling round);
+// because the unit sequence is fixed, where an execution suspends can
+// never change what it computes.
 type Execution[R any] interface {
 	// RunTo executes until at least `units` progress units are consumed or
 	// the plan completes; units < 0 runs to completion.
