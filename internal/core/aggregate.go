@@ -129,9 +129,7 @@ func (e *Engine) enumerateAggregate(info *frameql.Info, par int, u *prepUse) ([]
 		desc: rewriteDesc,
 		est:  prepCharges,
 		open: func() (plan.Execution[*Result], error) {
-			return newAtomicExec(e, func() (*Result, error) {
-				return e.runAggregateRewrite(info, prep)
-			}), nil
+			return e.newRewriteExec(info, prep), nil
 		},
 	}
 	rewriteCand := candidate{
@@ -183,21 +181,74 @@ type aggPrep struct {
 
 // charge replays the preparation charges and the held-out error note
 // exactly as the pre-planner code interleaved them.
-func (p *aggPrep) charge(info *frameql.Info, res *Result) {
-	res.Stats.TrainSeconds += p.trainCost
-	res.Stats.TrainSeconds += p.heldCost
-	res.Stats.note("P(held-out error < %.3g) = %.3f (need >= %.2f)", *info.ErrorWithin, p.pWithin, info.Confidence)
-	res.Stats.SpecNNSeconds += p.infCost
+func (p *aggPrep) charge(info *frameql.Info, st *Stats) {
+	st.TrainSeconds += p.trainCost
+	st.TrainSeconds += p.heldCost
+	st.note("P(held-out error < %.3g) = %.3f (need >= %.2f)", *info.ErrorWithin, p.pWithin, info.Confidence)
+	st.SpecNNSeconds += p.infCost
 }
 
-// runAggregateRewrite answers directly from the specialized network.
-func (e *Engine) runAggregateRewrite(info *frameql.Info, prep aggPrep) (*Result, error) {
-	res := &Result{Kind: info.Kind.String()}
-	prep.charge(info, res)
-	res.Stats.Plan = "specialized-rewrite"
-	res.Value = e.scaleAggregate(info, prep.inf.MeanExpectedCount(prep.head))
-	return res, nil
+// rewriteState is the specialized-rewrite cursor: whether the one unit has
+// run and, once it has, at which horizon and with what answer.
+type rewriteState struct {
+	Done    bool         `json:"done"`
+	Horizon int          `json:"horizon"`
+	Result  *resultState `json:"result,omitempty"`
 }
+
+// rewriteKernel answers directly from the specialized network's labeling of
+// the test day (§6.2), as a scan of one unit: a pure read over prepared
+// state with no progress structure, so there is nothing to produce and the
+// merge of the unit is the whole plan.
+type rewriteKernel struct {
+	e     *Engine
+	info  *frameql.Info
+	prep  aggPrep
+	value float64
+}
+
+// newRewriteExec opens the rewrite. Its answer covers the whole population,
+// so it is a schedule of one horizon: restored or advanced onto a grown
+// stream it runs again (scanExec.Restore's rule).
+func (e *Engine) newRewriteExec(info *frameql.Info, prep aggPrep) *scanExec[struct{}] {
+	x := newScan(e.exec, info.Kind.String(), "specialized-rewrite", 1, 1, false,
+		&rewriteKernel{e: e, info: info, prep: prep})
+	x.horizon = e.Test.Frames
+	prep.charge(info, &x.stats)
+	return x
+}
+
+func (k *rewriteKernel) produce(lo, hi int) struct{} { return struct{}{} }
+
+func (k *rewriteKernel) merge(*Stats, bool, int, int, int, struct{}) (int, int, bool, error) {
+	k.value = k.e.scaleAggregate(k.info, k.prep.inf.MeanExpectedCount(k.prep.head))
+	return 1, 0, false, nil
+}
+
+func (k *rewriteKernel) save(p *scanProgress) ([]byte, error) {
+	st := rewriteState{Done: p.pos > 0}
+	if st.Done {
+		st.Horizon = k.e.Test.Frames
+		st.Result = &resultState{Kind: k.info.Kind.String(), Value: k.value, Stats: p.stats}
+	}
+	return json.Marshal(&st)
+}
+
+func (k *rewriteKernel) load(state []byte, p *scanProgress) error {
+	var st rewriteState
+	if err := json.Unmarshal(state, &st); err != nil {
+		return err
+	}
+	if st.Done && st.Result != nil {
+		*p, k.value = scanProgress{pos: 1, stats: st.Result.Stats}, st.Result.Value
+	}
+	return nil
+}
+
+// adopt has nothing to take over: a scan of one horizon restarts.
+func (k *rewriteKernel) adopt(scanKernel[struct{}]) {}
+
+func (k *rewriteKernel) finish(res *Result) { res.Value = k.value }
 
 // aggScanState is the serializable suspension of an exact aggregate scan
 // (naive-exhaustive, noscope-oracle): frame position, the integer count
@@ -317,10 +368,8 @@ func (e *Engine) newAQPExec(info *frameql.Info, class vidsim.Class, par int, pre
 	x := &aqpExec{e: e, info: info}
 	measure := e.concurrentCountMeasure(class)
 	if prep != nil {
-		tmp := &Result{}
-		prep.charge(info, tmp)
-		tmp.Stats.Plan = "control-variates"
-		x.base = tmp.Stats
+		prep.charge(info, &x.base)
+		x.base.Plan = "control-variates"
 		tau, varT := prep.inf.ExpectedMoments(prep.head)
 		inf, head := prep.inf, prep.head
 		x.run = aqp.NewControlVariatesRun(e.samplingOptions(info, class, par), measure,

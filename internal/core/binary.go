@@ -229,11 +229,7 @@ func (e *Engine) newBinaryExec(info *frameql.Info, class vidsim.Class, prep *bin
 type binVerdict struct {
 	positive bool
 	verified bool
-	skipped  bool
-	// chunkFirst marks the visited frame where the whole scan first
-	// enters a skipped chunk, so per-frame consumption counts each
-	// skipped chunk exactly once however shards straddle it.
-	chunkFirst bool
+	zone     zoneMark
 }
 
 // conjunction is the cascade's reject threshold expressed as a
@@ -253,59 +249,44 @@ func (k *binaryKernel) produce(lo, hi int) []binVerdict {
 		return verdicts
 	}
 	c := k.e.DTest.NewCounter()
-	// The range walks index-chunk-aligned frame ranges: one zone-map
-	// consultation per chunk decides whether the chunk's columns are read
-	// at all (predicate pushdown — a skipped chunk's scores are never
-	// decoded), and surviving ranges are scored in batch against the
-	// columnar distribution (ScoreTail reproduces the per-frame accessor
-	// bit for bit; the per-frame reference path stays selectable for the
-	// equivalence suite).
-	seg, head, conj := k.prep.seg, k.prep.head, k.prep.conjunction()
+	// A refuted chunk's frames are rejected unverified, proven by the zone
+	// map (its scores are never decoded); surviving ranges are scored in
+	// batch against the columnar distribution (ScoreTail reproduces the
+	// per-frame accessor bit for bit; the per-frame reference path stays
+	// selectable for the equivalence suite).
+	seg, head := k.prep.seg, k.prep.head
 	vector := vectorScanEnabled
 	var scores []float64
-	for i := lo; i < hi; {
-		f := k.lo + i
-		ci := index.ChunkOf(f)
-		iEnd := min(hi, (ci+1)*index.ChunkFrames-k.lo) // end of this chunk's visited range
-		if zoneRefutes(seg, ci, conj) {
-			// Rejected unverified, proven by the zone map. Mark the chunk
-			// once per scan — at the frame where the whole scan (not this
-			// range) first enters it — so shard boundaries straddling a
-			// chunk never double-count it.
-			if i == 0 || index.ChunkOf(f-1) != ci {
-				verdicts[i-lo].chunkFirst = true
+	zoneWalk(seg, k.prep.conjunction(), k.lo, 1, lo, hi,
+		func(i int, z zoneMark) { verdicts[i-lo].zone = z },
+		func(_, i, iEnd int) bool {
+			if vector {
+				if cap(scores) < iEnd-i {
+					scores = make([]float64, iEnd-i)
+				}
+				scores = scores[:iEnd-i]
+				seg.ScoreTail(head, 1, k.lo+i, k.lo+iEnd, scores)
 			}
 			for ; i < iEnd; i++ {
-				verdicts[i-lo].skipped = true
+				v := &verdicts[i-lo]
+				var score float64
+				if vector {
+					score = scores[len(scores)-(iEnd-i)]
+				} else {
+					score = seg.Inference().TailProb(head, k.lo+i, 1)
+				}
+				switch {
+				case score < k.prep.lowT:
+					// rejected unverified
+				case score >= k.prep.highT:
+					v.positive = true
+				default:
+					v.verified = true
+					v.positive = c.CountAt(k.lo+i, k.class) > 0
+				}
 			}
-			continue
-		}
-		if vector {
-			if cap(scores) < iEnd-i {
-				scores = make([]float64, iEnd-i)
-			}
-			scores = scores[:iEnd-i]
-			seg.ScoreTail(head, 1, f, k.lo+iEnd, scores)
-		}
-		for ; i < iEnd; i++ {
-			v := &verdicts[i-lo]
-			var score float64
-			if vector {
-				score = scores[len(scores)-(iEnd-i)]
-			} else {
-				score = seg.Inference().TailProb(head, k.lo+i, 1)
-			}
-			switch {
-			case score < k.prep.lowT:
-				// rejected unverified
-			case score >= k.prep.highT:
-				v.positive = true
-			default:
-				v.verified = true
-				v.positive = c.CountAt(k.lo+i, k.class) > 0
-			}
-		}
-	}
+			return true
+		})
 	return verdicts
 }
 
@@ -315,13 +296,7 @@ func (k *binaryKernel) merge(m *Stats, fold bool, blo, bhi, off0 int, verdicts [
 	for i := blo; i < bhi; i++ {
 		v := verdicts[off0+(i-blo)]
 		if m != nil {
-			if v.chunkFirst {
-				m.IndexChunksSkipped++
-				m.ConjunctionChunksSkipped++
-			}
-			if v.skipped {
-				m.IndexFramesSkipped++
-			}
+			v.zone.count(m)
 			if v.verified {
 				m.addDetection(k.fullCost)
 				if k.prep != nil {

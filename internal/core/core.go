@@ -58,8 +58,10 @@
 // the selection cascades, exact aggregates, COUNT(DISTINCT trackid), the
 // density-limit variant of the LIMIT-bearing ones, and the three scrubbing
 // searches — is the same pipeline (cheap filters → detector → tracker →
-// GAP/LIMIT), and runs on one resumable operator, scanExec (scan.go),
-// parameterised twice:
+// GAP/LIMIT), and runs on one resumable operator, scanExec (scan.go); so
+// does the specialized rewrite, as a scan of one unit. With the adaptive
+// samplers' aqpExec that makes two executors. The operator is parameterised
+// twice:
 //
 //   - a family kernel (scanKernel): a pure produce over a range of visited
 //     frames, run concurrently on the worker pool, and a merge that
@@ -86,6 +88,19 @@
 // merge is scrub.Searcher's serial probe loop: the scan opens with one
 // worker, and GAP suppression, LIMIT and the charges are a serial search's
 // at every requested parallelism.
+//
+// The §8 selection cascade is a stage list (selPrep.stages): the order is
+// decided once per filter plan and carried as data — per stage its pass
+// test, the charges a frame reaching it pays in a serial scan's add order,
+// its pricing terms, and its zone conjunct if the index sketches one.
+// Pricing, produce, the merge's charge replay, zone-skip eligibility (stage
+// 0 has a conjunct and the segment is there) and the density candidate read
+// that one list; a produced frame records how many stages it passed, and a
+// zone-skipped frame passed none, like a rejection by stage 0. The selection
+// and binary kernels share the chunk walk (zoneWalk below): visited frames
+// cut into index-chunk-aligned ranges, one zone consult per chunk, and each
+// skipped chunk counted once, at the visited frame where the whole scan
+// first enters it, however shards straddle it.
 //
 // The operator owns everything else, once: position and the Done/Total/
 // Pos accounting in visited frames, early exit on the exact frame that
@@ -400,6 +415,69 @@ var zoneSkipsEnabled = true
 // is the plan, not a shortcut a reference scan can do without.)
 func zoneRefutes(seg *index.Segment, chunk int, conj []index.Conjunct) bool {
 	return zoneSkipsEnabled && seg.CanSkipConjunction(chunk, conj)
+}
+
+// zoneMark is a visited frame's zone-skip accounting, carried from a
+// kernel's produce to its merge in the two high bits of a byte (a kernel
+// may keep its own per-frame verdict in the low six).
+type zoneMark uint8
+
+const (
+	// zoneSkipped: the zone map refuted the frame's whole chunk; the frame
+	// was elided without per-frame work.
+	zoneSkipped zoneMark = 1 << (6 + iota)
+	// zoneChunkFirst marks the visited frame where the whole scan first
+	// enters a skipped chunk, so per-frame consumption counts each skipped
+	// chunk exactly once however shards straddle it.
+	zoneChunkFirst
+)
+
+// count adds the frame's skip accounting to m.
+func (z zoneMark) count(m *Stats) {
+	if z&zoneChunkFirst != 0 {
+		m.IndexChunksSkipped++
+		m.ConjunctionChunksSkipped++
+	}
+	if z&zoneSkipped != 0 {
+		m.IndexFramesSkipped++
+	}
+}
+
+// zoneWalk walks visited frames lo+i·step, i in [sLo, sHi), as
+// index-chunk-aligned ranges: one zone-map consultation per chunk proves a
+// whole range's rejection without decoding its columns (predicate
+// pushdown). A range whose chunk the zone map refutes for conj is handed
+// frame by frame to skip with its mark; every other range goes to scan with
+// its chunk index, which reports whether to go on. A nil conj refutes
+// nothing; a nil seg is one scan of the whole range (chunk -1).
+func zoneWalk(seg *index.Segment, conj []index.Conjunct, lo, step, sLo, sHi int, skip func(i int, z zoneMark), scan func(chunk, i, iEnd int) bool) {
+	if seg == nil {
+		scan(-1, sLo, sHi)
+		return
+	}
+	for i := sLo; i < sHi; {
+		f := lo + i*step
+		ci := index.ChunkOf(f)
+		// First visited index whose frame leaves the chunk.
+		iEnd := min(sHi, i+((ci+1)*index.ChunkFrames-f+step-1)/step)
+		if conj == nil || !zoneRefutes(seg, ci, conj) {
+			if !scan(ci, i, iEnd) {
+				return
+			}
+			i = iEnd
+			continue
+		}
+		// Mark the chunk at the visited frame where the whole scan — not
+		// this range — first enters it.
+		z := zoneSkipped
+		if i == 0 || index.ChunkOf(f-step) != ci {
+			z |= zoneChunkFirst
+		}
+		for ; i < iEnd; i++ {
+			skip(i, z)
+			z = zoneSkipped
+		}
+	}
 }
 
 // vectorScanEnabled gates the chunk-vector produce paths: batch predicate

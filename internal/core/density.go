@@ -249,24 +249,29 @@ func (e *Engine) densityBinaryCand(info *frameql.Info, class vidsim.Class, prep 
 // candidate from the shared selection preparation.
 func (e *Engine) densitySelectionCand(info *frameql.Info, prep *selPrep, par int) candidate {
 	desc := densityDesc(frameql.KindSelection.String())
-	if prep.labelFilter == nil {
+	// The default order ends in the label stage, the one with presence
+	// densities and a zone conjunct to read.
+	stages, seg := prep.stages(AllFilters())
+	var conj []index.Conjunct
+	if n := len(stages); n > 0 {
+		conj = stages[n-1].conj
+	}
+	if conj == nil {
 		return infeasible(desc, "no trained label filter to read presence densities for")
 	}
-	if prep.seg == nil {
+	if seg == nil {
 		return infeasible(desc, "no materialized index segment for the class (build one to enable density ordering)")
 	}
 	if info.MinDurationFrames > 1 {
 		return infeasible(desc, "duration predicates need boundary probes the density order does not replay")
 	}
 	lo, hi := e.frameRange(info)
-	pin := prep.seg.At(e.Test)
+	pin := seg.At(e.Test)
 	if pin.Frames() < hi {
 		return infeasible(desc, "index segment does not cover the pinned horizon yet")
 	}
-	heads := []int{prep.labelFilter.Head}
-	conj := prep.conjunction()
-	frames := densityPlanFrames(pin, heads, conj, lo, hi, info.Limit)
-	est := e.selectionEstimate(prep, frames, false)
+	heads := []int{conj[0].Head}
+	est := prep.estimate(stages, densityPlanFrames(pin, heads, conj, lo, hi, info.Limit))
 	p := &costedPlan{
 		desc: desc,
 		est:  est,

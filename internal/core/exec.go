@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"strconv"
 	"time"
@@ -43,12 +42,12 @@ import (
 //     with current calibration and may switch plans, opening the new pick
 //     fresh so the advanced answer stays exactly a fresh query's answer.
 //
-// Three executors implement plan.Execution: scanExec (scan.go) for every
+// Two executors implement plan.Execution: scanExec (scan.go) for every
 // plan that visits frames or rank positions — exhaustive, selection,
-// distinct, exact aggregates, binary, density-limit and the scrubbing
-// searches, whose visited index is a position in a rank order —, aqpExec
-// for the adaptive samplers, and atomicExec below for plans with no
-// progress structure.
+// distinct, exact aggregates, binary, density-limit, the scrubbing
+// searches, whose visited index is a position in a rank order, and the
+// specialized rewrite, a scan of one unit —, and aqpExec for the adaptive
+// samplers.
 //
 // Advance extends a completed execution over a live stream's newly appended
 // frames: scans whose schedule is prefix-stable (exhaustive, selection,
@@ -533,102 +532,4 @@ type resultState struct {
 	TrackIDs []int   `json:"track_ids,omitempty"`
 	TruthIDs []int   `json:"truth_ids,omitempty"`
 	Stats    Stats   `json:"stats"`
-}
-
-func resultToState(r *Result) *resultState {
-	return &resultState{
-		Kind: r.Kind, Value: r.Value, StdErr: r.StdErr,
-		Frames: r.Frames, Rows: r.Rows, TrackIDs: r.TrackIDs,
-		TruthIDs: r.evalTruthIDs, Stats: r.Stats,
-	}
-}
-
-// toResult materializes a Result over the stored answer's slices, which
-// are never written after the answer is stored (a re-run stores a new
-// one); the capacity caps keep a caller's append from reaching them.
-func (st *resultState) toResult() *Result {
-	r := &Result{
-		Kind: st.Kind, Value: st.Value, StdErr: st.StdErr,
-		Frames:       st.Frames[:len(st.Frames):len(st.Frames)],
-		Rows:         st.Rows[:len(st.Rows):len(st.Rows)],
-		TrackIDs:     st.TrackIDs[:len(st.TrackIDs):len(st.TrackIDs)],
-		evalTruthIDs: st.TruthIDs[:len(st.TruthIDs):len(st.TruthIDs)],
-		Stats:        st.Stats,
-	}
-	r.Stats.Notes = append([]string(nil), st.Stats.Notes...)
-	return r
-}
-
-// atomicExec adapts a plan with no internal progress structure — a pure
-// read over prepared state, like the specialized-rewrite answer — to the
-// resumable contract: one unit of work, executed on the first RunTo.
-// Restored onto a grown stream it discards the stored answer and re-runs,
-// because its answer covers the whole population.
-type atomicExec struct {
-	e   *Engine
-	run func() (*Result, error)
-	st  atomicState
-}
-
-type atomicState struct {
-	Done    bool         `json:"done"`
-	Horizon int          `json:"horizon"`
-	Result  *resultState `json:"result,omitempty"`
-}
-
-func newAtomicExec(e *Engine, run func() (*Result, error)) *atomicExec {
-	return &atomicExec{e: e, run: run}
-}
-
-func (x *atomicExec) RunTo(units int) error {
-	if x.st.Done || units == 0 {
-		return nil
-	}
-	res, err := x.run()
-	if err != nil {
-		return err
-	}
-	x.st = atomicState{Done: true, Horizon: x.e.Test.Frames, Result: resultToState(res)}
-	return nil
-}
-
-func (x *atomicExec) Done() bool { return x.st.Done }
-func (x *atomicExec) Pos() int {
-	if x.st.Done {
-		return 1
-	}
-	return 0
-}
-func (x *atomicExec) Total() int { return 1 }
-
-func (x *atomicExec) Snapshot() ([]byte, error) { return json.Marshal(&x.st) }
-
-func (x *atomicExec) Restore(state []byte) error {
-	var st atomicState
-	if err := json.Unmarshal(state, &st); err != nil {
-		return err
-	}
-	if st.Done && st.Horizon != x.e.Test.Frames {
-		// The stream grew: the stored answer covers a stale population.
-		// Re-run over the current one.
-		st = atomicState{}
-	}
-	x.st = st
-	return nil
-}
-
-// meter exposes the stored answer's cost meter for tracing; nil until
-// the atomic run has produced one.
-func (x *atomicExec) meter() *Stats {
-	if x.st.Done && x.st.Result != nil {
-		return &x.st.Result.Stats
-	}
-	return nil
-}
-
-func (x *atomicExec) Result() (*Result, error) {
-	if !x.st.Done || x.st.Result == nil {
-		return nil, fmt.Errorf("core: atomic execution has not run")
-	}
-	return x.st.Result.toResult(), nil
 }

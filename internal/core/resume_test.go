@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -23,6 +24,7 @@ var resumeCases = []struct {
 }{
 	{family: "aggregate-sampling", query: `SELECT FCOUNT(*) FROM taipei WHERE class='car' ERROR WITHIN 0.1 AT CONFIDENCE 95%`, units: 10},
 	{family: "aggregate-exhaustive", query: `SELECT FCOUNT(*) FROM taipei WHERE class='bus'`},
+	{family: "aggregate-rewrite", query: `SELECT FCOUNT(*) FROM taipei WHERE class='bus' ERROR WITHIN 0.2 AT CONFIDENCE 90%`},
 	{family: "aggregate-aqp-fallback", query: `SELECT FCOUNT(*) FROM taipei WHERE class='bear' ERROR WITHIN 0.1`, units: 10},
 	{family: "aggregate-forced-naive", query: `SELECT /*+ PLAN(naive-exhaustive) */ FCOUNT(*) FROM taipei WHERE class='car'`},
 	{family: "aggregate-forced-oracle", query: `SELECT /*+ PLAN(noscope-oracle) */ FCOUNT(*) FROM taipei WHERE class='car'`},
@@ -426,9 +428,9 @@ func TestAppendLiveSemantics(t *testing.T) {
 	}
 }
 
-// parentCursor is one record of testdata/cursors_pr13.json or
-// testdata/cursors_pr22_scrub.json: a mid-scan and a completed cursor of
-// one (family, plan), in wire form.
+// parentCursor is one record of testdata/cursors_pr13.json,
+// testdata/cursors_pr22_scrub.json or testdata/cursors_pr23_rewrite.json: a
+// mid-scan and a completed cursor of one (family, plan), in wire form.
 type parentCursor struct {
 	Name  string          `json:"name"`
 	Query string          `json:"query"`
@@ -450,7 +452,10 @@ type parentCursor struct {
 // last with a separate scrubbing executor: each was suspended mid-search
 // with LIMIT and GAP in force and carries that executor's speculative
 // prefetch_window, which the scan operator ignores (the search verifies
-// those positions itself when it probes them).
+// those positions itself when it probes them). The specialized-rewrite
+// cursors are from commit 8db8565, the last with a third executor for plans
+// without progress structure: one suspended before its single unit, one
+// after; the rewrite's scan kernel writes the same format.
 // The files are frozen: a deliberate cursor format change must keep
 // decoding them, not re-record them.
 func TestResumeParentCursors(t *testing.T) {
@@ -458,7 +463,7 @@ func TestResumeParentCursors(t *testing.T) {
 		t.Skip("trains models")
 	}
 	var cases []parentCursor
-	for _, file := range []string{"testdata/cursors_pr13.json", "testdata/cursors_pr22_scrub.json"} {
+	for _, file := range []string{"testdata/cursors_pr13.json", "testdata/cursors_pr22_scrub.json", "testdata/cursors_pr23_rewrite.json"} {
 		data, err := os.ReadFile(file)
 		if err != nil {
 			t.Fatal(err)
@@ -523,5 +528,65 @@ func TestResumeParentCursors(t *testing.T) {
 				resultsIdentical(t, tc.Name+": "+w.label+" parent cursor vs uninterrupted", want, got)
 			}
 		})
+	}
+}
+
+// TestRewriteCursorFormat: specialized-rewrite runs on the scan operator
+// but keeps one cursor format — suspended before and after its unit it
+// writes, byte for byte, what commit 8db8565's third executor recorded.
+func TestRewriteCursorFormat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains models")
+	}
+	data, err := os.ReadFile("testdata/cursors_pr23_rewrite.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recorded []parentCursor
+	if err := json.Unmarshal(data, &recorded); err != nil {
+		t.Fatal(err)
+	}
+	tc := recorded[0]
+	e := testEngine(t, "taipei")
+	info, err := frameql.Analyze(tc.Query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.ExecuteParallel(info, 1); err != nil {
+		t.Fatal(err)
+	}
+	x, err := e.BeginQuery(info, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []struct {
+		label string
+		units int
+		want  json.RawMessage
+	}{{"before its unit", 0, tc.Mid}, {"completed", -1, tc.Done}} {
+		if err := x.RunTo(w.units); err != nil {
+			t.Fatal(err)
+		}
+		if x.Total() != 1 {
+			t.Fatalf("%s: Total %d, want 1", w.label, x.Total())
+		}
+		cur, err := x.Suspend()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := cur.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var g, want bytes.Buffer
+		if err := json.Compact(&g, got); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Compact(&want, w.want); err != nil {
+			t.Fatal(err)
+		}
+		if g.String() != want.String() {
+			t.Errorf("%s cursor:\n got  %s\n want %s", w.label, g.String(), want.String())
+		}
 	}
 }

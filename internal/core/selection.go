@@ -68,84 +68,63 @@ func (e *Engine) enumerateSelection(info *frameql.Info, par int, u *prepUse) ([]
 	}
 	lo, hi := e.frameRange(info)
 	full := e.DTest.FullFrameCost()
-	span := hi - lo
+	span := float64(hi - lo)
 	visited := 0
-	if span > 0 {
-		visited = (span + prep.step - 1) / prep.step
+	if hi > lo {
+		visited = (hi - lo + prep.step - 1) / prep.step
 	}
-
-	allEst := e.selectionEstimate(prep, visited, false)
-	allCost := &costedPlan{
-		desc: selDesc("selection-all-filters", "full cascade: spatial ROI, temporal step, content filters, then label filter (§8)"),
-		est:  allEst,
-		open: func() (plan.Execution[*Result], error) {
-			return e.newSelectionExec(info, allPlan, prep, par), nil
-		},
+	lfPlan, lfWhy := allPlan, ""
+	lfPlan.LabelFirst = true
+	allStages, _ := prep.stages(allPlan)
+	lfStages, _ := prep.stages(lfPlan)
+	if len(lfStages) < 2 {
+		lfWhy = "needs both content and label filters to reorder"
 	}
-	cands := []candidate{{
-		Plan:            allCost,
-		MarginalSeconds: allEst.DetectorSeconds + allEst.FilterSeconds,
-		Accuracy:        selectionAccuracy,
-	}}
+	occupied := e.baseStats(u, prep.class).Presence * span
 
-	lfDesc := selDesc("selection-label-first", "full cascade with the label filter ahead of the content filters")
-	if len(prep.contentFilters) > 0 && prep.labelFilter != nil {
-		lfPlan := allPlan
-		lfPlan.LabelFirst = true
-		lfEst := e.selectionEstimate(prep, visited, true)
-		lfCost := &costedPlan{
-			desc: lfDesc,
-			est:  lfEst,
-			open: func() (plan.Execution[*Result], error) {
-				return e.newSelectionExec(info, lfPlan, prep, par), nil
-			},
+	var cands []candidate
+	for _, c := range []struct {
+		name, detail string
+		plan         SelectionPlan
+		// prep is the shared preparation; nil prepares the plan's own
+		// filters when it opens.
+		prep       *selPrep
+		est        plan.Cost
+		accuracy   float64
+		gated      bool
+		infeasible string
+	}{
+		{name: "selection-all-filters", detail: "full cascade: spatial ROI, temporal step, content filters, then label filter (§8)",
+			plan: allPlan, prep: prep, est: prep.estimate(allStages, visited), accuracy: selectionAccuracy},
+		{name: "selection-label-first", detail: "full cascade with the label filter ahead of the content filters",
+			plan: lfPlan, prep: prep, est: prep.estimate(lfStages, visited), accuracy: selectionAccuracy, infeasible: lfWhy},
+		{name: "selection-naive", detail: "reference detector on every frame, no filters",
+			plan: NaivePlan(), est: plan.Cost{DetectorCalls: span, DetectorSeconds: span * full}, accuracy: exactAccuracy},
+		{name: "selection-noscope-oracle", detail: "detector on exactly the frames the presence oracle marks occupied (§10.1.1)",
+			plan: SelectionPlan{NoScopeOracle: true}, est: plan.Cost{DetectorCalls: occupied, DetectorSeconds: occupied * full},
+			accuracy: selectionAccuracy, gated: true},
+	} {
+		desc := selDesc(c.name, c.detail)
+		if c.infeasible != "" {
+			cands = append(cands, infeasible(desc, c.infeasible))
+			continue
 		}
 		cands = append(cands, candidate{
-			Plan:            lfCost,
-			MarginalSeconds: lfEst.DetectorSeconds + lfEst.FilterSeconds,
-			Accuracy:        selectionAccuracy,
+			Plan: &costedPlan{desc: desc, est: c.est, open: func() (plan.Execution[*Result], error) {
+				x, err := e.newSelectionExec(info, c.plan, c.prep, par)
+				if err != nil {
+					return nil, err
+				}
+				return x, nil
+			}},
+			// Never UpperBoundOnly, even under LIMIT: the selection scan
+			// visits every frame and applies LIMIT/GAP on the merged rows,
+			// so the full-scan estimate is what a run actually costs.
+			MarginalSeconds: c.est.DetectorSeconds + c.est.FilterSeconds,
+			Accuracy:        c.accuracy,
+			Gated:           c.gated,
 		})
-	} else {
-		cands = append(cands, infeasible(lfDesc, "needs both content and label filters to reorder"))
 	}
-
-	naivePlan := NaivePlan()
-	naiveEst := plan.Cost{DetectorCalls: float64(span), DetectorSeconds: float64(span) * full}
-	naiveCost := &costedPlan{
-		desc: selDesc("selection-naive", "reference detector on every frame, no filters"),
-		est:  naiveEst,
-		open: func() (plan.Execution[*Result], error) {
-			return e.openSelectionPlan(info, naivePlan, par)
-		},
-	}
-	// Not UpperBoundOnly even under LIMIT: the selection executor scans
-	// every visited frame and applies LIMIT/GAP on the merged rows, so
-	// the full-scan estimate is what a run actually costs.
-	cands = append(cands, candidate{
-		Plan:            naiveCost,
-		MarginalSeconds: naiveEst.DetectorSeconds,
-		Accuracy:        exactAccuracy,
-	})
-
-	base := e.baseStats(u, prep.class)
-	nsPlan := SelectionPlan{NoScopeOracle: true}
-	nsEst := plan.Cost{
-		DetectorCalls:   base.Presence * float64(span),
-		DetectorSeconds: base.Presence * float64(span) * full,
-	}
-	nsCost := &costedPlan{
-		desc: selDesc("selection-noscope-oracle", "detector on exactly the frames the presence oracle marks occupied (§10.1.1)"),
-		est:  nsEst,
-		open: func() (plan.Execution[*Result], error) {
-			return e.openSelectionPlan(info, nsPlan, par)
-		},
-	}
-	cands = append(cands, candidate{
-		Plan:            nsCost,
-		MarginalSeconds: nsEst.DetectorSeconds,
-		Gated:           true,
-		Accuracy:        selectionAccuracy,
-	})
 	if info.Limit >= 0 {
 		cands = append(cands, e.densitySelectionCand(info, prep, par))
 	}
@@ -218,55 +197,115 @@ func (e *Engine) trainSelection(target filters.Target, useContent bool, model *s
 	return prod
 }
 
-// selectionEstimate prices one cascade ordering: each stage charges its
-// per-frame cost to the frames surviving the stages before it (survival
-// measured jointly on the held-out day, since the filters correlate), and
-// the detector runs on what survives the whole cascade. Duration-probe
-// detector calls are not modeled; the candidate's accuracy factor absorbs
-// them.
-func (e *Engine) selectionEstimate(prep *selPrep, visited int, labelFirst bool) plan.Cost {
-	hasContent := len(prep.contentFilters) > 0
-	hasLabel := prep.labelFilter != nil
-	v := float64(visited)
+// selStage is one stage of the §8 filter cascade as a scan runs it: the
+// cascade is this ordered list and nothing else, so pricing, evaluation,
+// the charge replay and zone skipping cannot disagree about the order.
+type selStage struct {
+	// kind selects the pass test a frame reaching the stage takes.
+	kind selStageKind
+	// charges is what a frame reaching the stage pays, in the exact order a
+	// serial scan adds them to the meter.
+	charges []float64
+	// price holds the same seconds as the estimate multiplies them: one
+	// product per term (the label-first order prices extraction plus
+	// inference as a single per-frame cost).
+	price []float64
+	// conj is the stage's zone conjunct — the sketch that can refute a whole
+	// chunk for it — or nil when the index holds none for the stage.
+	conj []index.Conjunct
+}
+
+type selStageKind uint8
+
+const (
+	// stageContent passes frames whose raw descriptor clears every content
+	// filter.
+	stageContent selStageKind = iota
+	// stageLabel passes frames whose presence tail P(class >= 1) reaches the
+	// label threshold, read from the segment's exact column when there is
+	// one and from the network otherwise (the same bits).
+	stageLabel
+	// stageOracle passes frames the free presence oracle of §10.1.1 marks
+	// occupied.
+	stageOracle
+)
+
+// stages orders the cascade a filter plan runs over this preparation — the
+// one place the order is decided. It also returns the segment the label
+// stage reads its column from: nil when there is no label stage or no
+// segment, and the stage runs the network per frame.
+func (p *selPrep) stages(selPlan SelectionPlan) ([]selStage, *index.Segment) {
+	const extract, infer = feature.CostSeconds, specnn.InferenceCostSeconds
+	if selPlan.NoScopeOracle {
+		// Oracle knowledge is free and replaces every filter.
+		return []selStage{{kind: stageOracle}}, nil
+	}
+	content := selStage{kind: stageContent, charges: []float64{extract}, price: []float64{extract}}
+	label := selStage{kind: stageLabel, charges: []float64{extract, infer}, price: []float64{extract, infer}}
+	hasContent, hasLabel := len(p.contentFilters) > 0, p.labelFilter != nil
+	if hasLabel {
+		label.conj = []index.Conjunct{{Head: p.labelFilter.Head, Threshold: p.labelFilter.Threshold, Tail1: true}}
+	}
+	switch {
+	case hasContent && hasLabel && selPlan.LabelFirst:
+		// Every visited frame pays extraction and inference; the content
+		// checks on survivors reuse the extracted descriptor.
+		label.price = []float64{extract + infer}
+		content.charges, content.price = nil, nil
+		return []selStage{label, content}, p.seg
+	case hasContent && hasLabel:
+		// The content stage has paid for the descriptor.
+		label.charges, label.price = []float64{infer}, []float64{infer}
+		return []selStage{content, label}, p.seg
+	case hasContent:
+		return []selStage{content}, nil
+	case hasLabel:
+		return []selStage{label}, p.seg
+	}
+	return nil, nil
+}
+
+// estimate prices a cascade of this preparation over visited frames: each
+// stage charges its per-frame price to the frames surviving the stages
+// before it (survival measured jointly on the held-out day, since the
+// filters correlate), and the detector runs on what survives the whole
+// cascade. Duration-probe detector calls are not modeled; the candidate's
+// accuracy factor absorbs them.
+func (p *selPrep) estimate(stages []selStage, visited int) plan.Cost {
 	est := plan.Cost{}
-	for _, c := range prep.charges {
+	for _, c := range p.charges {
 		est.TrainSeconds += c.train
 	}
-	survivors := v
-	if hasContent || hasLabel {
-		rates := prep.rates
-		survivors = v * rates.Joint
-		switch {
-		case labelFirst && hasContent && hasLabel:
-			// Label first: every visited frame pays feature extraction plus
-			// network inference; content checks reuse the extracted features.
-			est.FilterSeconds += v * (feature.CostSeconds + specnn.InferenceCostSeconds)
-		default:
-			if hasContent {
-				est.FilterSeconds += v * feature.CostSeconds
-			}
-			if hasLabel {
-				reachLabel := v
-				if hasContent {
-					reachLabel = v * rates.Content
-				} else {
-					est.FilterSeconds += v * feature.CostSeconds
-				}
-				est.FilterSeconds += reachLabel * specnn.InferenceCostSeconds
-			}
+	v := float64(visited)
+	reach := v
+	for i, st := range stages {
+		for _, c := range st.price {
+			est.FilterSeconds += reach * c
 		}
+		switch {
+		case i == len(stages)-1:
+			reach = v * p.rates.Joint
+		case st.kind == stageContent:
+			reach = v * p.rates.Content
+		}
+		// Survival of a leading label stage alone is not measured, and the
+		// content stage behind it prices nothing.
 	}
-	est.DetectorCalls = survivors
-	est.DetectorSeconds = survivors * prep.detCost
+	est.DetectorCalls = reach
+	est.DetectorSeconds = reach * p.detCost
 	return est
 }
 
-// trackAgg accumulates per-track state during selection.
+// trackAgg accumulates one track's state during selection; it is also the
+// track's form in a suspended scan's cursor.
 type trackAgg struct {
-	firstMatch, lastMatch int
-	firstBox, lastBox     vidsim.Box
-	rows                  []Row
-	truthID               int
+	ID         int        `json:"id"`
+	FirstMatch int        `json:"first_match"`
+	LastMatch  int        `json:"last_match"`
+	FirstBox   vidsim.Box `json:"first_box"`
+	LastBox    vidsim.Box `json:"last_box"`
+	TruthID    int        `json:"truth_id"`
+	Rows       []Row      `json:"rows,omitempty"`
 }
 
 // ExecuteSelectionPlan runs a selection query under an explicit filter
@@ -275,32 +314,16 @@ func (e *Engine) ExecuteSelectionPlan(info *frameql.Info, plan SelectionPlan) (*
 	return e.pin().executeSelectionPlan(info, plan, e.effectiveParallelism(0))
 }
 
-// selArena is the per-shard product of the selection scan: per-frame
-// cascade verdicts (zone-map skip accounting encoded as flag bits) plus
-// the target-class detections (and their object-predicate verdicts) for
-// frames that reached the detector.
+// selArena is the per-shard product of the selection scan: per visited
+// frame, how many cascade stages it passed (all of them: it reached the
+// detector) with its zone-skip accounting in the zoneMark bits — a
+// zone-skipped frame passed none, exactly like a rejection by stage 0, which
+// is what the charge replay reads — plus the target-class detections (and
+// their object-predicate verdicts) of the frames that were detected.
 type selArena struct {
 	detArena
 	flags []uint8
 }
-
-// Cascade flag bits for one visited frame.
-const (
-	// selContentPass: the frame passed every content filter (meaningful
-	// only when content filters exist — gates whether the label stage ran).
-	selContentPass uint8 = 1 << iota
-	// selDetected: the frame survived the whole cascade and was detected.
-	selDetected
-	// selSkipped: a zone map proved the label filter rejects the frame's
-	// whole chunk; the frame was elided without per-frame work. For the
-	// charge replay the frame behaves exactly like a label rejection
-	// (zero cascade bits).
-	selSkipped
-	// selChunkFirst marks the visited frame where the whole scan first
-	// enters a skipped chunk, so per-frame consumption counts each
-	// skipped chunk exactly once however shards straddle it.
-	selChunkFirst
-)
 
 // selCharge is one recorded preparation charge: training seconds and an
 // optimizer note, replayed onto the executed plan's cost meter in the
@@ -350,12 +373,6 @@ func (p *selPrep) charge(st *Stats) {
 			st.Notes = append(st.Notes, c.note)
 		}
 	}
-}
-
-// conjunction is the label threshold expressed as a conjunction, for zone
-// consults; it needs a trained label filter.
-func (p *selPrep) conjunction() []index.Conjunct {
-	return []index.Conjunct{{Head: p.labelFilter.Head, Threshold: p.labelFilter.Threshold, Tail1: true}}
 }
 
 // selectionPrep splits predicates and prepares the filters a selection
@@ -456,39 +473,18 @@ func (e *Engine) selectionPrep(info *frameql.Info, plan SelectionPlan, u *prepUs
 	return p, nil
 }
 
-// executeSelectionPlan prepares and runs a selection query under an
-// explicit filter plan — the direct path the lesion-study benchmarks use;
-// planned executions share the preparation via newSelectionExec.
+// executeSelectionPlan runs a selection query under an explicit filter
+// plan with its own preparation — the direct path the lesion-study
+// benchmarks use.
 func (e *Engine) executeSelectionPlan(info *frameql.Info, selPlan SelectionPlan, par int) (*Result, error) {
-	x, err := e.openSelectionPlan(info, selPlan, par)
-	if err != nil {
-		return nil, err
+	x, err := e.newSelectionExec(info, selPlan, nil, par)
+	if err == nil {
+		err = x.RunTo(-1)
 	}
-	if err := x.RunTo(-1); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return x.Result()
-}
-
-// openSelectionPlan prepares filters for an explicit selection plan and
-// opens its resumable execution.
-func (e *Engine) openSelectionPlan(info *frameql.Info, selPlan SelectionPlan, par int) (*scanExec[*selArena], error) {
-	prep, err := e.selectionPrep(info, selPlan, &prepUse{family: info.Kind.String()})
-	if err != nil {
-		return nil, err
-	}
-	return e.newSelectionExec(info, selPlan, prep, par), nil
-}
-
-// selTrackState is one track's serialized scan aggregate.
-type selTrackState struct {
-	ID         int        `json:"id"`
-	FirstMatch int        `json:"first_match"`
-	LastMatch  int        `json:"last_match"`
-	FirstBox   vidsim.Box `json:"first_box"`
-	LastBox    vidsim.Box `json:"last_box"`
-	TruthID    int        `json:"truth_id"`
-	Rows       []Row      `json:"rows,omitempty"`
 }
 
 // selectionState is the serializable suspension of a selection scan:
@@ -499,10 +495,10 @@ type selTrackState struct {
 // a result is read, so a standing query's answer always reflects probing
 // against the current horizon — exactly like a fresh query's.
 type selectionState struct {
-	Pos     int             `json:"pos"`
-	Tracker track.State     `json:"tracker"`
-	Tracks  []selTrackState `json:"tracks,omitempty"`
-	Stats   Stats           `json:"stats"`
+	Pos     int         `json:"pos"`
+	Tracker track.State `json:"tracker"`
+	Tracks  []trackAgg  `json:"tracks,omitempty"`
+	Stats   Stats       `json:"stats"`
 }
 
 // selectionKernel runs a selection query with prepared filters. The
@@ -522,10 +518,13 @@ type selectionState struct {
 // Visited frames are stride-sampled (lo + i·step); a grown live stream
 // continues the scan on the same stride grid over the new suffix.
 type selectionKernel struct {
-	e       *Engine
-	info    *frameql.Info
-	plan    SelectionPlan
-	prep    *selPrep
+	e    *Engine
+	info *frameql.Info
+	prep *selPrep
+	// stages is the cascade (selPrep.stages); seg the segment its label
+	// stage reads, nil when that stage runs the network.
+	stages  []selStage
+	seg     *index.Segment
 	lo      int
 	tracker *track.Tracker
 	tracks  map[int]*trackAgg
@@ -539,201 +538,146 @@ func (e *Engine) newSelectionKernel(info *frameql.Info, selPlan SelectionPlan, p
 		// gap, so the matching cutoff must loosen accordingly.
 		cutoff = 0.35
 	}
-	return &selectionKernel{e: e, info: info, plan: selPlan, prep: prep, lo: lo,
+	k := &selectionKernel{e: e, info: info, prep: prep, lo: lo,
 		tracker: track.New(cutoff, 2*prep.step), tracks: make(map[int]*trackAgg)}
+	k.stages, k.seg = prep.stages(selPlan)
+	return k
 }
 
-func (e *Engine) newSelectionExec(info *frameql.Info, selPlan SelectionPlan, prep *selPrep, par int) *scanExec[*selArena] {
+// newSelectionExec opens the scan of one filter plan over prep, the
+// preparation planning shares between the cascade orders; a nil prep
+// prepares the plan's own filters first (an explicit plan, the filterless
+// scan and the oracle, whose filters are not the shared ones).
+func (e *Engine) newSelectionExec(info *frameql.Info, selPlan SelectionPlan, prep *selPrep, par int) (*scanExec[*selArena], error) {
+	if prep == nil {
+		var err error
+		if prep, err = e.selectionPrep(info, selPlan, &prepUse{family: info.Kind.String()}); err != nil {
+			return nil, err
+		}
+	}
 	lo, hi := e.frameRange(info)
 	x := newScan(e.exec, info.Kind.String(), planName(selPlan), par, (hi-lo+prep.step-1)/prep.step, false,
 		e.newSelectionKernel(info, selPlan, prep, lo))
 	prep.charge(&x.stats)
-	return x
+	return x, nil
 }
 
-// cascade resolves which filter stages this plan's scan runs.
-func (k *selectionKernel) cascade() (hasContent, hasLabel, labelFirst bool) {
-	hasContent = len(k.prep.contentFilters) > 0
-	hasLabel = k.prep.labelFilter != nil
-	return hasContent, hasLabel, k.plan.LabelFirst && hasContent && hasLabel
+// selFrames is one produce call's view of the frames its stages test: the
+// evaluator, made on first use and positioned once per frame however many
+// stages read it, and the current chunk's presence-tail column.
+type selFrames struct {
+	k  *selectionKernel
+	ev *specnn.Evaluator
+	at int
+	// t1col is the chunk-vector read of the segment's tail column from
+	// frame t1lo; nil selects the per-frame accessor (the same float64
+	// storage), which stays selectable for the equivalence suite.
+	t1col []float64
+	t1lo  int
 }
 
-func (k *selectionKernel) produce(sLo, sHi int) *selArena {
-	e, plan, prep := k.e, k.plan, k.prep
-	lo, step := k.lo, prep.step
-	labelFilter := prep.labelFilter
-	hasContent, hasLabel, labelFirst := k.cascade()
-	headIdx := -1
-	if hasLabel {
-		headIdx = labelFilter.Head
+func (r *selFrames) seek(f int) *specnn.Evaluator {
+	if r.ev == nil {
+		model := r.k.prep.model
+		if r.k.seg != nil {
+			// Raw descriptors only: the label stage reads the segment, the
+			// network never runs here.
+			model = nil
+		}
+		r.ev, r.at = specnn.NewEvaluator(model, r.k.e.Test), -1
 	}
-	// With a materialized segment the label filter reads the index's exact
-	// presence-tail column (bit-identical to Evaluator.TailProb) instead of
-	// running the network per frame, and chunks whose zone map proves the
-	// label threshold unreachable skip frame evaluation entirely wherever
-	// the cascade has no earlier stage that must still run. Skipped frames
-	// replay the same charges a label rejection would, so the merge's
-	// charge replay — and therefore the whole Result — is unchanged.
-	seg := prep.seg
-	useSeg := seg != nil && hasLabel && !plan.NoScopeOracle
+	if r.at != f {
+		r.ev.Seek(f)
+		r.at = f
+	}
+	return r.ev
+}
 
-	a := &selArena{flags: make([]uint8, 0, sHi-sLo)}
-	a.ends = make([]int32, 0, sHi-sLo)
-	var ev *specnn.Evaluator
-	if !plan.NoScopeOracle && (hasContent || hasLabel) {
-		if useSeg {
-			if hasContent {
-				// Raw descriptors only: the network never runs here.
-				ev = specnn.NewEvaluator(nil, e.Test)
-			}
-		} else {
-			ev = specnn.NewEvaluator(prep.model, e.Test)
-		}
-	}
-	// With a segment the label threshold reads the current chunk's
-	// exact presence-tail column, fetched once per chunk range (the
-	// chunk-vector read); the per-frame accessor stays selectable for
-	// the equivalence suite. Both read the same float64 storage.
-	var t1col []float64
-	t1lo := -1
-	labelPass := func(f int) bool {
-		if useSeg {
-			if t1col != nil {
-				return t1col[f-t1lo] >= labelFilter.Threshold
-			}
-			return seg.Tail1(headIdx, f) >= labelFilter.Threshold
-		}
-		return ev.TailProb(headIdx, 1) >= labelFilter.Threshold
-	}
-	contentPass := func() bool {
-		raw := ev.Raw()
+// pass is the stage's test of frame f.
+func (r *selFrames) pass(st *selStage, f int) bool {
+	prep := r.k.prep
+	switch st.kind {
+	case stageContent:
+		raw := r.seek(f).Raw()
 		for _, cf := range prep.contentFilters {
 			if !cf.Pass(raw) {
 				return false
 			}
 		}
 		return true
+	case stageLabel:
+		lf := prep.labelFilter
+		switch {
+		case r.t1col != nil:
+			return r.t1col[f-r.t1lo] >= lf.Threshold
+		case r.k.seg != nil:
+			return r.k.seg.Tail1(lf.Head, f) >= lf.Threshold
+		}
+		return r.seek(f).TailProb(lf.Head, 1) >= lf.Threshold
 	}
-	// canSkip applies only where the label filter is the first stage
-	// that would touch the frame, so a skip elides real work without
-	// changing any flag the merge replays charges from. The consult
-	// routes through the conjunction kernel so the temporal path and
-	// the density schedule refute identical chunk sets.
-	canSkip := useSeg && (labelFirst || !hasContent)
-	var conj []index.Conjunct
-	if canSkip {
-		conj = prep.conjunction()
-	}
-	c := e.DTest.NewCounter()
+	return prep.presence[f] > 0
+}
+
+func (k *selectionKernel) produce(sLo, sHi int) *selArena {
+	prep, stages := k.prep, k.stages
+	a := &selArena{flags: make([]uint8, 0, sHi-sLo)}
+	a.ends = make([]int32, 0, sHi-sLo)
+	r := selFrames{k: k}
+	c := k.e.DTest.NewCounter()
 	var scratch []detect.Detection
-	visit := func(f int) (uint8, bool) {
-		var fl uint8
-		if plan.NoScopeOracle {
-			if prep.presence[f] > 0 {
-				fl = selDetected
-			}
-		} else if labelFirst {
-			// Reordered cascade: the network gates first, content
-			// checks reuse its feature extraction on survivors.
-			if !useSeg {
-				ev.Seek(f)
-			}
-			if labelPass(f) {
-				if useSeg {
-					ev.Seek(f)
-				}
-				if contentPass() {
-					fl |= selDetected
-				}
-			}
-		} else {
-			pass := true
-			if hasContent {
-				ev.Seek(f)
-				if pass = contentPass(); pass {
-					fl |= selContentPass
-				}
-			}
-			if pass && hasLabel {
-				if !hasContent && !useSeg {
-					ev.Seek(f)
-				}
-				pass = labelPass(f)
-			}
-			if pass {
-				fl |= selDetected
-			}
-		}
-		if fl&selDetected != 0 {
-			scratch = c.DetectROI(f, prep.roi, scratch[:0])
-			start := len(a.dets)
-			// Keep all detections of the target class for identity.
-			for j := range scratch {
-				if scratch[j].Class == prep.class {
-					a.dets = append(a.dets, scratch[j])
-				}
-			}
-			for j := start; j < len(a.dets); j++ {
-				ok, err := filters.ObjectMatches(&a.dets[j], prep.target)
-				if err != nil {
-					a.err = err
-					return fl, false
-				}
-				a.matched = append(a.matched, ok)
-			}
-		}
-		return fl, true
+	// A chunk is skipped only where the stage the zone map refutes is the
+	// first that would touch its frames: the skip then elides real work
+	// without changing what the merge replays charges from, and the consult
+	// is the one the density schedule prunes with, so the two refute
+	// identical chunk sets.
+	var conj []index.Conjunct
+	if len(stages) > 0 {
+		conj = stages[0].conj
 	}
-	// The range walks index-chunk-aligned ranges of its visited
-	// frames: one zone-map consultation per chunk proves a whole
-	// range's label rejection without decoding its column (predicate
-	// pushdown), and surviving ranges fetch the chunk's tail column
-	// once.
-	for i := sLo; i < sHi; {
-		iEnd := sHi
-		if useSeg {
-			f := lo + i*step
-			ci := index.ChunkOf(f)
-			chunkHi := (ci + 1) * index.ChunkFrames
-			// First visited index whose frame leaves the chunk.
-			iEnd = min(iEnd, i+(chunkHi-f+step-1)/step)
-			if canSkip && zoneRefutes(seg, ci, conj) {
-				// Proven label rejection for the whole range: same zero
-				// cascade bits, no per-frame work. Count each skipped
-				// chunk once per scan — at the visited frame where the
-				// whole scan first enters it — so shard boundaries
-				// straddling a chunk never double-count it.
-				var fl uint8
-				if i == 0 || index.ChunkOf(f-step) != ci {
-					fl = selChunkFirst
-				}
-				for ; i < iEnd; i++ {
-					a.flags = append(a.flags, fl|selSkipped)
-					a.ends = append(a.ends, int32(len(a.dets)))
-					fl = 0
-				}
-				continue
-			}
-			t1col = nil
-			if vectorScanEnabled {
-				t1lo = ci * index.ChunkFrames
-				t1col = seg.Tail1Range(headIdx, t1lo, min(chunkHi, seg.Frames()))
-			}
-		}
-		for ; i < iEnd; i++ {
-			fl, ok := visit(lo + i*step)
-			if !ok {
-				return a
-			}
-			a.flags = append(a.flags, fl)
+	zoneWalk(k.seg, conj, k.lo, prep.step, sLo, sHi,
+		func(_ int, z zoneMark) {
+			a.flags = append(a.flags, uint8(z))
 			a.ends = append(a.ends, int32(len(a.dets)))
-		}
-	}
+		},
+		func(chunk, i, iEnd int) bool {
+			r.t1col = nil
+			if chunk >= 0 && vectorScanEnabled {
+				r.t1lo = chunk * index.ChunkFrames
+				r.t1col = k.seg.Tail1Range(prep.labelFilter.Head, r.t1lo, min(r.t1lo+index.ChunkFrames, k.seg.Frames()))
+			}
+			for ; i < iEnd; i++ {
+				f := k.lo + i*prep.step
+				passed := 0
+				for passed < len(stages) && r.pass(&stages[passed], f) {
+					passed++
+				}
+				if passed == len(stages) {
+					scratch = c.DetectROI(f, prep.roi, scratch[:0])
+					start := len(a.dets)
+					// Keep all detections of the target class for identity.
+					for j := range scratch {
+						if scratch[j].Class == prep.class {
+							a.dets = append(a.dets, scratch[j])
+						}
+					}
+					for j := start; j < len(a.dets); j++ {
+						ok, err := filters.ObjectMatches(&a.dets[j], prep.target)
+						if err != nil {
+							a.err = err
+							return false
+						}
+						a.matched = append(a.matched, ok)
+					}
+				}
+				a.flags = append(a.flags, uint8(passed))
+				a.ends = append(a.ends, int32(len(a.dets)))
+			}
+			return true
+		})
 	return a
 }
 
 func (k *selectionKernel) merge(m *Stats, fold bool, blo, bhi, off0 int, a *selArena) (int, int, bool, error) {
-	hasContent, hasLabel, labelFirst := k.cascade()
 	hits := 0
 	for i := blo; i < bhi; i++ {
 		if a.err != nil {
@@ -741,40 +685,19 @@ func (k *selectionKernel) merge(m *Stats, fold bool, blo, bhi, off0 int, a *selA
 		}
 		off := off0 + (i - blo)
 		f := k.lo + i*k.prep.step
-		fl := a.flags[off]
+		z := zoneMark(a.flags[off])
+		passed := int(z &^ (zoneSkipped | zoneChunkFirst))
 		if m != nil {
-			if fl&selChunkFirst != 0 {
-				m.IndexChunksSkipped++
-				m.ConjunctionChunksSkipped++
-			}
-			if fl&selSkipped != 0 {
-				m.IndexFramesSkipped++
-			}
-			// The charge replay reads only the cascade bits: a zone-skipped
-			// frame replays exactly the charges of a label rejection.
-			switch {
-			case k.plan.NoScopeOracle:
-				// Oracle knowledge is free.
-			case labelFirst:
-				// Every visited frame pays feature extraction and network
-				// inference; content checks on survivors reuse both.
-				m.FilterSeconds += feature.CostSeconds
-				m.FilterSeconds += specnn.InferenceCostSeconds
-			default:
-				// Replay the cascade's filter charges exactly as a serial
-				// scan would interleave them.
-				if hasContent {
-					m.FilterSeconds += feature.CostSeconds
-				}
-				if hasLabel && (!hasContent || fl&selContentPass != 0) {
-					if !hasContent {
-						m.FilterSeconds += feature.CostSeconds
-					}
-					m.FilterSeconds += specnn.InferenceCostSeconds
+			z.count(m)
+			// Replay the filter charges exactly as a serial scan interleaves
+			// them: a frame pays every stage it reached.
+			for s := 0; s <= passed && s < len(k.stages); s++ {
+				for _, c := range k.stages[s].charges {
+					m.FilterSeconds += c
 				}
 			}
 		}
-		if fl&selDetected == 0 {
+		if passed < len(k.stages) {
 			continue
 		}
 		if m != nil {
@@ -798,12 +721,12 @@ func (k *selectionKernel) merge(m *Stats, fold bool, blo, bhi, off0 int, a *selA
 			id := ids[j]
 			ta := k.tracks[id]
 			if ta == nil {
-				ta = &trackAgg{firstMatch: f, firstBox: d.Box, truthID: d.TruthID()}
+				ta = &trackAgg{ID: id, FirstMatch: f, FirstBox: d.Box, TruthID: d.TruthID()}
 				k.tracks[id] = ta
 			}
-			ta.lastMatch = f
-			ta.lastBox = d.Box
-			ta.rows = append(ta.rows, Row{
+			ta.LastMatch = f
+			ta.LastBox = d.Box
+			ta.Rows = append(ta.Rows, Row{
 				Timestamp:  f,
 				Class:      d.Class,
 				Mask:       d.Box,
@@ -830,12 +753,7 @@ func (k *selectionKernel) trackIDs() []int {
 func (k *selectionKernel) save(p *scanProgress) ([]byte, error) {
 	st := selectionState{Pos: p.pos, Tracker: k.tracker.Snapshot(), Stats: p.stats}
 	for _, id := range k.trackIDs() {
-		ta := k.tracks[id]
-		st.Tracks = append(st.Tracks, selTrackState{
-			ID: id, FirstMatch: ta.firstMatch, LastMatch: ta.lastMatch,
-			FirstBox: ta.firstBox, LastBox: ta.lastBox,
-			TruthID: ta.truthID, Rows: ta.rows,
-		})
+		st.Tracks = append(st.Tracks, *k.tracks[id])
 	}
 	return json.Marshal(&st)
 }
@@ -847,12 +765,8 @@ func (k *selectionKernel) load(state []byte, p *scanProgress) error {
 	}
 	*p, k.tracker = scanProgress{pos: st.Pos, stats: st.Stats}, track.FromState(st.Tracker)
 	k.tracks = make(map[int]*trackAgg, len(st.Tracks))
-	for _, ts := range st.Tracks {
-		k.tracks[ts.ID] = &trackAgg{
-			firstMatch: ts.FirstMatch, lastMatch: ts.LastMatch,
-			firstBox: ts.FirstBox, lastBox: ts.LastBox,
-			truthID: ts.TruthID, rows: ts.Rows,
-		}
+	for i := range st.Tracks {
+		k.tracks[st.Tracks[i].ID] = &st.Tracks[i]
 	}
 	return nil
 }
@@ -884,7 +798,7 @@ func (k *selectionKernel) finish(res *Result) {
 		if minDur <= 1 {
 			qualified = true
 		} else {
-			span := ta.lastMatch - ta.firstMatch + 1
+			span := ta.LastMatch - ta.FirstMatch + 1
 			if span >= minDur {
 				qualified = true
 			} else if prep.step > 1 {
@@ -893,8 +807,8 @@ func (k *selectionKernel) finish(res *Result) {
 		}
 		if qualified {
 			res.TrackIDs = append(res.TrackIDs, id)
-			res.Rows = append(res.Rows, ta.rows...)
-			res.evalTruthIDs = append(res.evalTruthIDs, ta.truthID)
+			res.Rows = append(res.Rows, ta.Rows...)
+			res.evalTruthIDs = append(res.evalTruthIDs, ta.TruthID)
 		}
 	}
 	sortRows(res)
@@ -931,7 +845,7 @@ func (k *selectionKernel) settleLimited(res *Result, trackIDs []int, minDur, lo,
 		ta := k.tracks[id]
 		st := selTrackQualified
 		if minDur > 1 {
-			if span := ta.lastMatch - ta.firstMatch + 1; span < minDur {
+			if span := ta.LastMatch - ta.FirstMatch + 1; span < minDur {
 				if prep.step > 1 {
 					st = selTrackAmbiguous
 				} else {
@@ -943,7 +857,7 @@ func (k *selectionKernel) settleLimited(res *Result, trackIDs []int, minDur, lo,
 		}
 		status[id] = st
 		if st != selTrackRejected {
-			rows = append(rows, ta.rows...)
+			rows = append(rows, ta.Rows...)
 		}
 	}
 	sort.Slice(rows, func(i, j int) bool {
@@ -990,7 +904,7 @@ func (k *selectionKernel) settleLimited(res *Result, trackIDs []int, minDur, lo,
 			continue
 		}
 		res.TrackIDs = append(res.TrackIDs, id)
-		res.evalTruthIDs = append(res.evalTruthIDs, k.tracks[id].truthID)
+		res.evalTruthIDs = append(res.evalTruthIDs, k.tracks[id].TruthID)
 	}
 }
 
@@ -1041,8 +955,8 @@ func applyLimitGap(res *Result, limit, gap int) {
 // calls.
 func (e *Engine) probeDuration(ta *trackAgg, target filters.Target, roi vidsim.Box, detCost float64, minDur, lo, hi int, stats *Stats) bool {
 	budget := 3 * minDur
-	first, last := ta.firstMatch, ta.lastMatch
-	firstBox, lastBox := ta.firstBox, ta.lastBox
+	first, last := ta.FirstMatch, ta.LastMatch
+	firstBox, lastBox := ta.FirstBox, ta.LastBox
 	var dets []detect.Detection
 
 	probe := func(f int, ref vidsim.Box) (vidsim.Box, bool) {

@@ -55,8 +55,7 @@ func rootOf(tr *obs.Trace) *obs.Span {
 }
 
 // metered exposes a family exec's live cost meter for span deltas. The
-// meter is read-only to the tracing layer. A nil return (atomicExec
-// before it runs) skips meter deltas for the span.
+// meter is read-only to the tracing layer.
 type metered interface{ meter() *Stats }
 
 // execMeter returns the family exec's live cost meter, or nil.

@@ -18,7 +18,8 @@ import (
 
 // traceCases is one query per plan family, flagged with whether the
 // family runs on the scan operator (and so must report per-shard child
-// spans; scrubbing's shards are ranges of rank positions).
+// spans; scrubbing's shards are ranges of rank positions, the specialized
+// rewrite's is its one unit).
 var traceCases = []struct {
 	family string
 	query  string
@@ -28,6 +29,7 @@ var traceCases = []struct {
 }{
 	{family: "aggregate-sampling", query: `SELECT FCOUNT(*) FROM taipei WHERE class='car' ERROR WITHIN 0.1 AT CONFIDENCE 95%`},
 	{family: "aggregate-exhaustive", query: `SELECT FCOUNT(*) FROM taipei WHERE class='bus'`, shards: true},
+	{family: "aggregate-rewrite", query: `SELECT FCOUNT(*) FROM taipei WHERE class='bus' ERROR WITHIN 0.2 AT CONFIDENCE 90%`, shards: true},
 	{family: "distinct-tracking", query: `SELECT COUNT(DISTINCT trackid) FROM taipei WHERE class='bus' AND timestamp < 3000`, shards: true},
 	{family: "scrubbing-importance", query: `SELECT timestamp FROM taipei GROUP BY timestamp HAVING SUM(class='car') >= 3 LIMIT 5 GAP 30`, shards: true},
 	{family: "selection-cascade", query: `SELECT * FROM taipei WHERE class = 'bus' AND redness(content) >= 17.5 AND area(mask) > 60000 GROUP BY trackid HAVING COUNT(*) > 15`, shards: true},

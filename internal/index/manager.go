@@ -418,11 +418,7 @@ func (m *Manager) IngestAll(v *vidsim.Video) (int, error) {
 	sort.Strings(classKeys)
 	total := 0
 	for _, ck := range classKeys {
-		var classes []vidsim.Class
-		for _, c := range strings.Split(ck, ",") {
-			classes = append(classes, vidsim.Class(c))
-		}
-		n, err := m.Ingest(classes, v)
+		n, err := m.Ingest(classSlice(ck), v)
 		if err != nil {
 			return total, err
 		}

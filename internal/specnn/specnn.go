@@ -25,11 +25,11 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sync"
 
 	"repro/internal/detect"
 	"repro/internal/feature"
 	"repro/internal/nn"
+	"repro/internal/parallel"
 	"repro/internal/stats"
 	"repro/internal/vidsim"
 )
@@ -368,48 +368,43 @@ func RunRange(m *CountModel, v *vidsim.Video, lo, hi int) (probs [][]float32, ta
 	if workers > n {
 		workers = 1
 	}
-	var wg sync.WaitGroup
+	// One contiguous range per worker, each with its own extractor and
+	// predictor. parallel.For re-raises a worker's panic (a corrupt model, a
+	// bad descriptor) on the caller, where the serve pool's recover contains
+	// it; a bare goroutine would take the process down.
 	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
+	parallel.For(workers, workers, func(w int) {
 		wLo := w * chunk
-		wHi := wLo + chunk
-		if wHi > n {
-			wHi = n
-		}
+		wHi := min(wLo+chunk, n)
 		if wLo >= wHi {
-			continue
+			return
 		}
-		wg.Add(1)
-		go func(wLo, wHi int) {
-			defer wg.Done()
-			ex := feature.NewExtractor(v)
-			pred := m.Net.NewPredictor()
-			x := make([]float64, feature.Dim)
-			for i := wLo; i < wHi; i++ {
-				ex.Frame(lo+i, x)
-				m.Normalize(x)
-				ps := pred.Probs(x)
-				for hIdx, headProbs := range ps {
-					k := m.HeadInfo[hIdx].Classes
-					dst := probs[hIdx][i*k : (i+1)*k]
-					for c, p := range headProbs {
-						dst[c] = float32(p)
-					}
-					// Mirror Evaluator.TailProb(head, 1) exactly: float64
-					// summation in ascending count order, clamped at 1.
-					s := 0.0
-					for c := 1; c < len(headProbs); c++ {
-						s += headProbs[c]
-					}
-					if s > 1 {
-						s = 1
-					}
-					tail1[hIdx][i] = s
+		ex := feature.NewExtractor(v)
+		pred := m.Net.NewPredictor()
+		x := make([]float64, feature.Dim)
+		for i := wLo; i < wHi; i++ {
+			ex.Frame(lo+i, x)
+			m.Normalize(x)
+			ps := pred.Probs(x)
+			for hIdx, headProbs := range ps {
+				k := m.HeadInfo[hIdx].Classes
+				dst := probs[hIdx][i*k : (i+1)*k]
+				for c, p := range headProbs {
+					dst[c] = float32(p)
 				}
+				// Mirror Evaluator.TailProb(head, 1) exactly: float64
+				// summation in ascending count order, clamped at 1.
+				s := 0.0
+				for c := 1; c < len(headProbs); c++ {
+					s += headProbs[c]
+				}
+				if s > 1 {
+					s = 1
+				}
+				tail1[hIdx][i] = s
 			}
-		}(wLo, wHi)
-	}
-	wg.Wait()
+		}
+	})
 	return probs, tail1, simSeconds
 }
 
@@ -570,16 +565,6 @@ func (inf *Inference) TailProb(head, frame, n int) float64 {
 		s = 1
 	}
 	return s
-}
-
-// MeanPredCount returns the frame-averaged argmax count — the answer query
-// rewriting returns for an FCOUNT query (Algorithm 1's τ).
-func (inf *Inference) MeanPredCount(head int) float64 {
-	var o stats.Online
-	for f := 0; f < inf.frames; f++ {
-		o.Add(float64(inf.PredCount(head, f)))
-	}
-	return o.Mean()
 }
 
 // ExpectedMoments returns the exact mean and variance of the expected-count

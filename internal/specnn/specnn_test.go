@@ -3,9 +3,12 @@ package specnn
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/detect"
+	"repro/internal/feature"
+	"repro/internal/nn"
 	"repro/internal/vidsim"
 )
 
@@ -226,7 +229,7 @@ func TestModelTracksDetectorCounts(t *testing.T) {
 	s := setup(t, "taipei", 0.02)
 	m := trainSmall(t, s, []vidsim.Class{vidsim.Car})
 	inf := Run(m, s.test)
-	est := inf.MeanPredCount(0)
+	est := inf.MeanExpectedCount(0)
 
 	truth := 0.0
 	n := 0
@@ -307,4 +310,67 @@ func TestHeldOutErrorsUnknownClass(t *testing.T) {
 	if _, _, err := HeldOutErrors(m, s.held, s.dHeld, vidsim.Boat, 100, 1); err == nil {
 		t.Error("expected error for class with no head")
 	}
+}
+
+// randomModel is an untrained two-head model over random weights: inference
+// equivalences must hold for any net, not just a trained one.
+func randomModel(seed int64) *CountModel {
+	rng := rand.New(rand.NewSource(seed))
+	mu, sigma := make([]float64, feature.Dim), make([]float64, feature.Dim)
+	for i := range mu {
+		mu[i], sigma[i] = rng.NormFloat64(), 0.5+rng.Float64()
+	}
+	heads := []Head{{Class: vidsim.Car, Classes: 4}, {Class: vidsim.Bus, Classes: 3}}
+	return &CountModel{
+		Net: nn.New(nn.Config{Inputs: feature.Dim, Hidden: []int{16}, Seed: seed,
+			Heads: []nn.HeadSpec{{Name: "car", Classes: 4}, {Name: "bus", Classes: 3}}}),
+		HeadInfo: heads, Mu: mu, Sigma: sigma,
+	}
+}
+
+// TestRunRangeMatchesSerialReference: the per-worker fan-out writes the
+// columns a serial frame-by-frame Evaluator computes, bit for bit, at any
+// worker count and for a range that divides unevenly among the workers.
+func TestRunRangeMatchesSerialReference(t *testing.T) {
+	s := setup(t, "taipei", 0.002)
+	m := randomModel(11)
+	const lo = 37
+	hi := s.test.Frames - 5
+	for _, procs := range []int{1, 3, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		probs, tail1, _ := RunRange(m, s.test, lo, hi)
+		runtime.GOMAXPROCS(prev)
+		ev := NewEvaluator(m, s.test)
+		for f := lo; f < hi; f++ {
+			ev.Seek(f)
+			for h, dist := range ev.Probs() {
+				k := m.HeadInfo[h].Classes
+				for c, p := range dist {
+					if got := probs[h][(f-lo)*k+c]; got != float32(p) {
+						t.Fatalf("%d workers: head %d frame %d count %d: %v, serial %v", procs, h, f, c, got, float32(p))
+					}
+				}
+				if got, want := tail1[h][f-lo], ev.TailProb(h, 1); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%d workers: head %d frame %d: tail %v, serial %v", procs, h, f, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestRunRangeWorkerPanicReachesCaller: a panic inside an inference worker
+// (here a model whose normalization statistics are truncated) must surface
+// on the calling goroutine, where a server's per-task recover contains it;
+// on a bare goroutine it would end the process.
+func TestRunRangeWorkerPanicReachesCaller(t *testing.T) {
+	s := setup(t, "taipei", 0.002)
+	m := randomModel(11)
+	m.Mu = m.Mu[:feature.Dim-1]
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	defer func() {
+		if recover() == nil {
+			t.Error("RunRange returned from a corrupt model without panicking")
+		}
+	}()
+	RunRange(m, s.test, 0, s.test.Frames)
 }

@@ -10,15 +10,9 @@
 package stats
 
 import (
-	"errors"
 	"math"
 	"math/rand"
-	"sort"
 )
-
-// ErrInsufficientData is returned when a statistic requires more samples
-// than were provided (e.g. variance of fewer than two points).
-var ErrInsufficientData = errors.New("stats: insufficient data")
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -328,20 +322,6 @@ func Bootstrap(xs []float64, b int, rng *rand.Rand, f func([]float64) float64) [
 		out[i] = f(buf)
 	}
 	return out
-}
-
-// BootstrapMeanCI returns a percentile bootstrap confidence interval for the
-// mean of xs at the given confidence level, using b resamples.
-func BootstrapMeanCI(xs []float64, b int, confidence float64, rng *rand.Rand) (lo, hi float64, err error) {
-	if len(xs) < 2 {
-		return 0, 0, ErrInsufficientData
-	}
-	dist := Bootstrap(xs, b, rng, Mean)
-	sort.Float64s(dist)
-	alpha := (1 - confidence) / 2
-	lo = Quantile(dist, alpha)
-	hi = Quantile(dist, 1-alpha)
-	return lo, hi, nil
 }
 
 // BootstrapProbBelow estimates, via b bootstrap resamples, the probability

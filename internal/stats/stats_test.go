@@ -213,30 +213,6 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestBootstrapMeanCICoversTruth(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	xs := make([]float64, 400)
-	for i := range xs {
-		xs[i] = rng.NormFloat64() + 10
-	}
-	lo, hi, err := BootstrapMeanCI(xs, 500, 0.95, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo > 10 || hi < 10 {
-		t.Errorf("95%% CI [%v, %v] does not cover true mean 10", lo, hi)
-	}
-	if hi <= lo {
-		t.Errorf("degenerate CI [%v, %v]", lo, hi)
-	}
-}
-
-func TestBootstrapMeanCIInsufficient(t *testing.T) {
-	if _, _, err := BootstrapMeanCI([]float64{1}, 100, 0.95, rand.New(rand.NewSource(1))); err != ErrInsufficientData {
-		t.Errorf("want ErrInsufficientData, got %v", err)
-	}
-}
-
 func TestBootstrapProbBelow(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	xs := make([]float64, 300)
