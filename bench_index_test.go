@@ -17,6 +17,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -41,6 +42,10 @@ type indexBenchRecord struct {
 	SimSeconds    float64 `json:"sim_seconds,omitempty"`
 	ChunksSkipped int     `json:"chunks_skipped,omitempty"`
 	FramesSkipped int     `json:"frames_skipped,omitempty"`
+	// SegmentBytes and SegmentFileBytes are the built segments' in-memory
+	// footprint (IndexStats) and their files' total size.
+	SegmentBytes     int64 `json:"segment_bytes,omitempty"`
+	SegmentFileBytes int64 `json:"segment_file_bytes,omitempty"`
 }
 
 var indexBench struct {
@@ -109,6 +114,7 @@ func BenchmarkIndex(b *testing.B) {
 	b.Run("build", func(b *testing.B) {
 		b.ReportAllocs()
 		var frames int
+		var segBytes, fileBytes int64
 		start := time.Now()
 		for i := 0; i < b.N; i++ {
 			dir := filepath.Join(b.TempDir(), "idx")
@@ -119,16 +125,24 @@ func BenchmarkIndex(b *testing.B) {
 			if err := sys.BuildIndex("car"); err != nil {
 				b.Fatal(err)
 			}
-			frames = 0
+			frames, segBytes = 0, 0
 			for _, seg := range sys.IndexStats().Segments {
 				frames += seg.Frames
+				segBytes += seg.Bytes
 			}
+			b.StopTimer()
+			if fileBytes, err = segmentFileBytes(dir); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
 		}
 		elapsed := time.Since(start)
 		nsPerOp := float64(elapsed.Nanoseconds()) / float64(b.N)
 		fps := float64(frames) / (nsPerOp / 1e9)
 		b.ReportMetric(fps, "frames/s")
-		recordIndexBench(indexBenchRecord{Phase: "build", Scale: scale, NsPerOp: nsPerOp, FramesPerSec: fps})
+		b.ReportMetric(float64(segBytes), "segment-bytes")
+		recordIndexBench(indexBenchRecord{Phase: "build", Scale: scale, NsPerOp: nsPerOp, FramesPerSec: fps,
+			SegmentBytes: segBytes, SegmentFileBytes: fileBytes})
 	})
 
 	// One persisted index shared by every warm iteration.
@@ -191,4 +205,24 @@ func BenchmarkIndex(b *testing.B) {
 	}
 	b.Run("cold-query", bench("cold-query", Options{Scale: scale, Seed: 1}))
 	b.Run("warm-query", bench("warm-query", Options{Scale: scale, Seed: 1, IndexDir: warmDir}))
+}
+
+// segmentFileBytes totals the sizes of the segment files under an index
+// directory.
+func segmentFileBytes(dir string) (int64, error) {
+	var n int64
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if !d.IsDir() && strings.HasPrefix(d.Name(), "seg-") {
+			info, err := d.Info()
+			if err != nil {
+				return err
+			}
+			n += info.Size()
+		}
+		return nil
+	})
+	return n, err
 }

@@ -147,18 +147,30 @@ func BenchmarkParallelPlans(b *testing.B) {
 	families := []struct {
 		name  string
 		query string
+		// index names a class whose held-out and test-day segments are
+		// built before the family runs.
+		index string
 	}{
-		{"exhaustive", `SELECT * FROM taipei WHERE class = 'car' AND area(mask) > 200000`},
-		{"selection", `SELECT * FROM taipei WHERE class = 'bus' AND area(mask) > 60000 GROUP BY trackid HAVING COUNT(*) > 15`},
-		{"aggregate-naive", `SELECT FCOUNT(*) FROM taipei WHERE class = 'car'`},
-		{"scrubbing", `SELECT timestamp FROM taipei GROUP BY timestamp HAVING SUM(class='car') >= 3 LIMIT 20`},
+		{"exhaustive", `SELECT * FROM taipei WHERE class = 'car' AND area(mask) > 200000`, ""},
+		{"selection", `SELECT * FROM taipei WHERE class = 'bus' AND area(mask) > 60000 GROUP BY trackid HAVING COUNT(*) > 15`, ""},
+		{"aggregate-naive", `SELECT FCOUNT(*) FROM taipei WHERE class = 'car'`, ""},
+		{"scrubbing", `SELECT timestamp FROM taipei GROUP BY timestamp HAVING SUM(class='car') >= 3 LIMIT 20`, ""},
 		// A frame-order search that GAP stretches over thousands of
 		// positions, most passed over unverified: past the layout's ramp.
-		{"scrubbing-gap", `SELECT /*+ PLAN(scrub-sequential) */ timestamp FROM taipei GROUP BY timestamp HAVING SUM(class='car') >= 3 LIMIT 20 GAP 300`},
-		{"binary", `SELECT timestamp FROM taipei WHERE class = 'car' FNR WITHIN 0.02 FPR WITHIN 0.02`},
+		{"scrubbing-gap", `SELECT /*+ PLAN(scrub-sequential) */ timestamp FROM taipei GROUP BY timestamp HAVING SUM(class='car') >= 3 LIMIT 20 GAP 300`, ""},
+		{"binary", `SELECT timestamp FROM taipei WHERE class = 'car' FNR WITHIN 0.02 FPR WITHIN 0.02`, ""},
+		// The full §8 cascade over a materialized index: the content and
+		// label stages read segment columns. (The selection family above
+		// has no bus segment, so its label stage runs the network.)
+		{"selection-indexed", `SELECT * FROM taipei WHERE class = 'car' AND redness(content) >= 17.5 GROUP BY trackid HAVING COUNT(*) > 15`, "car"},
 	}
 	sys := parBenchSystem(b)
 	for _, fam := range families {
+		if fam.index != "" {
+			if err := sys.BuildIndex(fam.index); err != nil {
+				b.Fatalf("%s: %v", fam.name, err)
+			}
+		}
 		// Warm model/inference caches once so every parallelism level
 		// benchmarks pure plan execution, not training.
 		if _, err := sys.QueryParallel(fam.query, 1); err != nil {

@@ -230,7 +230,7 @@ func heldModelFP(e *Engine, seg *index.Segment) string {
 type selProducts struct {
 	Content []*filters.ContentFilter
 	Label   *filters.LabelFilter
-	Rates   cascadeRates
+	Rates   filters.CascadeRates
 }
 
 // binaryBand is the binary cascade's held-out-chosen reject and

@@ -131,32 +131,26 @@ func (e *Engine) enumerateSelection(info *frameql.Info, par int, u *prepUse) ([]
 	return cands, nil
 }
 
-// cascadeRates are measured held-out pass rates for a trained filter
-// cascade. The filters detect the same objects and are therefore highly
-// correlated — multiplying individual selectivities would badly
-// underestimate the joint pass rate, so the cascade is measured jointly.
-type cascadeRates struct {
-	// Content is the fraction of frames passing every content filter.
-	Content float64
-	// Joint is the fraction passing content and label filters together —
-	// the frames the detector runs on.
-	Joint float64
-}
-
 // trainSelection is the work behind one selection shape in the prepared
 // store: content predicates become frame-level threshold filters, the
 // class predicate the specialized-network label filter (no held-out
-// segment: no label stage), and the trained cascade's joint pass rates are measured on
-// a strided sample of the held-out day — cheap planning work charged to
-// nobody, like every held-out statistic.
+// segment: no label stage), and the trained cascade's joint pass rates are
+// measured on a strided sample of the held-out day — cheap planning work
+// charged to nobody, like every held-out statistic. With a held-out segment
+// every signal is read from its columns, the bits descriptors and the
+// network would give.
 func (e *Engine) trainSelection(target filters.Target, useContent bool, model *specnn.CountModel, segHeld *index.Segment) *selProducts {
-	prod := &selProducts{Rates: cascadeRates{Content: 1, Joint: 1}}
+	prod := &selProducts{Rates: filters.CascadeRates{Content: 1, Joint: 1}}
+	var cols filters.Columns
+	if segHeld != nil {
+		cols = segHeld
+	}
 	if useContent {
 		for _, pred := range target.Preds {
 			if pred.Arg != "content" {
 				continue
 			}
-			if cf := filters.TrainContentFilter(e.HeldOut, e.DHeld, target, pred, e.opts.HeldOutSample); cf != nil {
+			if cf := filters.TrainContentFilter(e.HeldOut, e.DHeld, target, pred, e.opts.HeldOutSample, cols); cf != nil {
 				prod.Content = append(prod.Content, cf)
 			}
 		}
@@ -164,35 +158,8 @@ func (e *Engine) trainSelection(target filters.Target, useContent bool, model *s
 	if segHeld != nil {
 		prod.Label = filters.TrainLabelFilter(e.HeldOut, e.DHeld, model, segHeld.Inference(), target, e.opts.HeldOutSample)
 	}
-	if len(prod.Content) == 0 && prod.Label == nil {
-		return prod
-	}
-	stride := planStride(e.HeldOut.Frames, e.opts.HeldOutSample)
-	ev := specnn.NewEvaluator(model, e.HeldOut)
-	n, contentPass, jointPass := 0, 0, 0
-	for f := 0; f < e.HeldOut.Frames; f += stride {
-		n++
-		ev.Seek(f)
-		pass := true
-		raw := ev.Raw()
-		for _, cf := range prod.Content {
-			if !cf.Pass(raw) {
-				pass = false
-				break
-			}
-		}
-		if pass {
-			contentPass++
-			if prod.Label != nil && ev.TailProb(prod.Label.Head, 1) < prod.Label.Threshold {
-				pass = false
-			}
-		}
-		if pass {
-			jointPass++
-		}
-	}
-	if n > 0 {
-		prod.Rates = cascadeRates{Content: float64(contentPass) / float64(n), Joint: float64(jointPass) / float64(n)}
+	if len(prod.Content) > 0 || prod.Label != nil {
+		prod.Rates = filters.MeasureCascade(e.HeldOut, prod.Content, prod.Label, cols, e.opts.HeldOutSample)
 	}
 	return prod
 }
@@ -218,8 +185,9 @@ type selStage struct {
 type selStageKind uint8
 
 const (
-	// stageContent passes frames whose raw descriptor clears every content
-	// filter.
+	// stageContent passes frames whose content signals clear every content
+	// filter, read from the segment's signal columns when there is one and
+	// computed from the raw descriptor otherwise (the same bits).
 	stageContent selStageKind = iota
 	// stageLabel passes frames whose presence tail P(class >= 1) reaches the
 	// label threshold, read from the segment's exact column when there is
@@ -231,9 +199,10 @@ const (
 )
 
 // stages orders the cascade a filter plan runs over this preparation — the
-// one place the order is decided. It also returns the segment the label
-// stage reads its column from: nil when there is no label stage or no
-// segment, and the stage runs the network per frame.
+// one place the order is decided. It also returns the segment the stages
+// read their columns from: nil when there is no label stage or no segment,
+// and the stages synthesize descriptors (and the label stage runs the
+// network) per frame.
 func (p *selPrep) stages(selPlan SelectionPlan) ([]selStage, *index.Segment) {
 	const extract, infer = feature.CostSeconds, specnn.InferenceCostSeconds
 	if selPlan.NoScopeOracle {
@@ -347,19 +316,21 @@ type selPrep struct {
 	contentFilters []*filters.ContentFilter
 	labelFilter    *filters.LabelFilter
 	model          *specnn.CountModel
-	rates          cascadeRates
+	rates          filters.CascadeRates
 	presence       []int32
 	charges        []selCharge
 	// seg is the test day's materialized index segment when one already
 	// exists (built by an earlier query, a background build, or loaded
 	// from a warm index directory) — the label filter then reads its
 	// exact presence-tail column instead of running the network per
-	// frame, and zone maps skip chunks that cannot pass. Reads are
-	// bit-identical to the on-the-fly Evaluator, so presence or absence
-	// of the segment changes wall-clock only; nil falls back to the
-	// Evaluator. Selection never *builds* the segment: the cascade's
-	// simulated charges are per-visited-frame, and triggering a
-	// whole-day inference here would change the cost accounting.
+	// frame, the content filters its signal columns instead of
+	// synthesizing descriptors, and zone maps skip chunks that cannot
+	// pass. Reads are bit-identical to the on-the-fly Evaluator, so
+	// presence or absence of the segment changes wall-clock only; nil
+	// falls back to the Evaluator. Selection never *builds* the segment:
+	// the cascade's simulated charges are per-visited-frame, and
+	// triggering a whole-day inference here would change the cost
+	// accounting.
 	seg *index.Segment
 }
 
@@ -564,27 +535,25 @@ func (e *Engine) newSelectionExec(info *frameql.Info, selPlan SelectionPlan, pre
 
 // selFrames is one produce call's view of the frames its stages test: the
 // evaluator, made on first use and positioned once per frame however many
-// stages read it, and the current chunk's presence-tail column.
+// stages read it — only a scan holding no segment makes one — and the
+// current chunk's column reads.
 type selFrames struct {
 	k  *selectionKernel
 	ev *specnn.Evaluator
 	at int
-	// t1col is the chunk-vector read of the segment's tail column from
-	// frame t1lo; nil selects the per-frame accessor (the same float64
-	// storage), which stays selectable for the equivalence suite.
-	t1col []float64
-	t1lo  int
+	// colLo is the first frame of the current chunk's column reads. t1col
+	// is the segment's presence-tail column; nil selects the per-frame
+	// accessor (the same float64 storage), which stays selectable for the
+	// equivalence suite. signals holds each content filter's signal column,
+	// nil when the scan holds no segment.
+	colLo   int
+	t1col   []float64
+	signals [][]float64
 }
 
 func (r *selFrames) seek(f int) *specnn.Evaluator {
 	if r.ev == nil {
-		model := r.k.prep.model
-		if r.k.seg != nil {
-			// Raw descriptors only: the label stage reads the segment, the
-			// network never runs here.
-			model = nil
-		}
-		r.ev, r.at = specnn.NewEvaluator(model, r.k.e.Test), -1
+		r.ev, r.at = specnn.NewEvaluator(r.k.prep.model, r.k.e.Test), -1
 	}
 	if r.at != f {
 		r.ev.Seek(f)
@@ -598,9 +567,14 @@ func (r *selFrames) pass(st *selStage, f int) bool {
 	prep := r.k.prep
 	switch st.kind {
 	case stageContent:
-		raw := r.seek(f).Raw()
-		for _, cf := range prep.contentFilters {
-			if !cf.Pass(raw) {
+		for i, cf := range prep.contentFilters {
+			var signal float64
+			if r.signals != nil {
+				signal = r.signals[i][f-r.colLo]
+			} else {
+				signal = cf.Signal(r.seek(f).Raw())
+			}
+			if !cf.Admits(signal) {
 				return false
 			}
 		}
@@ -609,7 +583,7 @@ func (r *selFrames) pass(st *selStage, f int) bool {
 		lf := prep.labelFilter
 		switch {
 		case r.t1col != nil:
-			return r.t1col[f-r.t1lo] >= lf.Threshold
+			return r.t1col[f-r.colLo] >= lf.Threshold
 		case r.k.seg != nil:
 			return r.k.seg.Tail1(lf.Head, f) >= lf.Threshold
 		}
@@ -640,10 +614,18 @@ func (k *selectionKernel) produce(sLo, sHi int) *selArena {
 			a.ends = append(a.ends, int32(len(a.dets)))
 		},
 		func(chunk, i, iEnd int) bool {
-			r.t1col = nil
-			if chunk >= 0 && vectorScanEnabled {
-				r.t1lo = chunk * index.ChunkFrames
-				r.t1col = k.seg.Tail1Range(prep.labelFilter.Head, r.t1lo, min(r.t1lo+index.ChunkFrames, k.seg.Frames()))
+			if chunk >= 0 {
+				// A segment is held (zoneWalk passes chunk -1 otherwise),
+				// so the cascade reads columns, never descriptors.
+				r.colLo = chunk * index.ChunkFrames
+				colHi := min(r.colLo+index.ChunkFrames, k.seg.Frames())
+				if vectorScanEnabled {
+					r.t1col = k.seg.Tail1Range(prep.labelFilter.Head, r.colLo, colHi)
+				}
+				r.signals = r.signals[:0]
+				for _, cf := range prep.contentFilters {
+					r.signals = append(r.signals, k.seg.SignalRange(cf.Column, r.colLo, colHi))
+				}
 			}
 			for ; i < iEnd; i++ {
 				f := k.lo + i*prep.step

@@ -203,3 +203,33 @@ func FrameBlueness(desc []float64) float64 {
 	}
 	return mx
 }
+
+// FrameUDF is a content UDF's frame-level surrogate: a scalar computed from
+// a whole-frame raw descriptor.
+type FrameUDF struct {
+	// Name is the FrameQL function name the surrogate stands in for.
+	Name string
+	// Signal computes the surrogate from a raw (unnormalized) descriptor.
+	Signal func(desc []float64) float64
+}
+
+// FrameUDFs is the one table of frame-level content UDFs. A UDF's position
+// here is its column: the inference pass records Signal for every frame in
+// this order, the index stores one column per entry, and a trained content
+// filter reads the column at its UDF's position — so the set of columns
+// and the set of filterable UDFs cannot drift apart.
+var FrameUDFs = [...]FrameUDF{
+	{Name: "redness", Signal: FrameRedness},
+	{Name: "blueness", Signal: FrameBlueness},
+}
+
+// FrameUDFIndex returns the named UDF's position in FrameUDFs, or -1 when
+// it has no frame-level surrogate.
+func FrameUDFIndex(name string) int {
+	for i := range FrameUDFs {
+		if FrameUDFs[i].Name == name {
+			return i
+		}
+	}
+	return -1
+}

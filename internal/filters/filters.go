@@ -67,13 +67,10 @@ func ObjectUDFFor(name string) (ObjectUDF, bool) {
 
 // FrameUDFFor returns the frame-level surrogate of a named content UDF, if
 // one exists. Only continuous, frame-meaningful UDFs have surrogates
-// (paper §8.1).
+// (paper §8.1); they are the entries of feature.FrameUDFs.
 func FrameUDFFor(name string) (FrameUDF, bool) {
-	switch name {
-	case "redness":
-		return feature.FrameRedness, true
-	case "blueness":
-		return feature.FrameBlueness, true
+	if u := feature.FrameUDFIndex(name); u >= 0 {
+		return feature.FrameUDFs[u].Signal, true
 	}
 	return nil, false
 }
@@ -125,17 +122,24 @@ func ObjectMatches(d *detect.Detection, t Target) (bool, error) {
 type ContentFilter struct {
 	// UDF is the source predicate's function name.
 	UDF string
+	// Column is the UDF's position in feature.FrameUDFs, resolved once at
+	// training: the index column the filter reads and the surrogate it
+	// computes from a descriptor.
+	Column int
 	// Threshold admits frames whose frame-level signal is >= Threshold.
 	Threshold float64
 	// Selectivity is the fraction of held-out frames admitted.
 	Selectivity float64
 }
 
-// Pass reports whether a frame descriptor passes the filter.
-func (c *ContentFilter) Pass(desc []float64) bool {
-	udf, _ := FrameUDFFor(c.UDF)
-	return udf(desc) >= c.Threshold
+// Signal computes the filter's frame-level signal from a raw descriptor —
+// the value the index's content column holds for the frame.
+func (c *ContentFilter) Signal(desc []float64) float64 {
+	return feature.FrameUDFs[c.Column].Signal(desc)
 }
+
+// Admits reports whether a frame with the given signal passes the filter.
+func (c *ContentFilter) Admits(signal float64) bool { return signal >= c.Threshold }
 
 // LabelFilter is a trained specialized-network presence filter.
 type LabelFilter struct {
@@ -165,32 +169,70 @@ func trainStride(frames, sampleN int) int {
 	return (frames + sampleN - 1) / sampleN
 }
 
+// Columns is a materialized day's per-frame signals — an index segment:
+// each frame-level content UDF's signal (u its position in
+// feature.FrameUDFs) and each model head's exact presence tail, the bits
+// descriptors and the network give.
+type Columns interface {
+	Signal(u, frame int) float64
+	Tail1(head, frame int) float64
+}
+
+// frameSignals yields frames' content signals from a day's columns or,
+// without any, from the frames' raw descriptors.
+type frameSignals struct {
+	cols Columns
+	ex   *feature.Extractor
+	desc []float64
+	at   int
+}
+
+func newFrameSignals(v *vidsim.Video, cols Columns) *frameSignals {
+	s := &frameSignals{cols: cols, at: -1}
+	if cols == nil {
+		s.ex, s.desc = feature.NewExtractor(v), make([]float64, feature.Dim)
+	}
+	return s
+}
+
+// signal returns frame UDF u's signal at frame f.
+func (s *frameSignals) signal(u, f int) float64 {
+	if s.cols != nil {
+		return s.cols.Signal(u, f)
+	}
+	if s.at != f {
+		s.ex.Frame(f, s.desc)
+		s.at = f
+	}
+	return feature.FrameUDFs[u].Signal(s.desc)
+}
+
 // TrainContentFilter learns a zero-false-negative frame-level threshold for
 // a content predicate on the held-out day, scanning every stride-th frame
 // (sampleN <= 0 scans all frames; the signals involved run at ~100,000 fps,
-// so a full scan is cheap). Detector labels are part of the offline labeled
-// set. It returns nil (no filter) when the UDF has no frame-level
-// surrogate, the predicate is not a lower bound, or no qualifying frames
-// exist on the held-out day.
-func TrainContentFilter(heldOut *vidsim.Video, det *detect.Detector, target Target, pred frameql.UDFPred, sampleN int) *ContentFilter {
+// so a full scan is cheap). cols are the held-out day's columns; nil
+// computes each sampled frame's signal from its descriptor instead (the
+// same bits). Detector labels are part of the offline labeled set. It
+// returns nil (no filter) when the UDF has no frame-level surrogate, the
+// predicate is not a lower bound, or no qualifying frames exist on the
+// held-out day.
+func TrainContentFilter(heldOut *vidsim.Video, det *detect.Detector, target Target, pred frameql.UDFPred, sampleN int, cols Columns) *ContentFilter {
 	if pred.Op != ">" && pred.Op != ">=" {
 		return nil
 	}
-	frameUDF, ok := FrameUDFFor(pred.Func)
-	if !ok {
+	cf := &ContentFilter{UDF: pred.Func, Column: feature.FrameUDFIndex(pred.Func)}
+	if cf.Column < 0 {
 		return nil
 	}
 	stride := trainStride(heldOut.Frames, sampleN)
-	ex := feature.NewExtractor(heldOut)
-	desc := make([]float64, feature.Dim)
+	frames := newFrameSignals(heldOut, cols)
 	var dets []detect.Detection
 
 	signals := make([]float64, 0, heldOut.Frames/stride+1)
 	minQualifying := math.Inf(1)
 	qualifying := 0
 	for f := 0; f < heldOut.Frames; f += stride {
-		ex.Frame(f, desc)
-		signal := frameUDF(desc)
+		signal := frames.signal(cf.Column, f)
 		signals = append(signals, signal)
 		dets = det.Detect(f, dets[:0])
 		for di := range dets {
@@ -206,18 +248,15 @@ func TrainContentFilter(heldOut *vidsim.Video, det *detect.Detector, target Targ
 	if qualifying == 0 {
 		return nil
 	}
-	threshold := minQualifying * safetyMargin
+	cf.Threshold = minQualifying * safetyMargin
 	pass := 0
 	for _, s := range signals {
-		if s >= threshold {
+		if cf.Admits(s) {
 			pass++
 		}
 	}
-	return &ContentFilter{
-		UDF:         pred.Func,
-		Threshold:   threshold,
-		Selectivity: float64(pass) / float64(len(signals)),
-	}
+	cf.Selectivity = float64(pass) / float64(len(signals))
+	return cf
 }
 
 // TrainLabelFilter learns a zero-false-negative presence threshold for the
@@ -262,6 +301,52 @@ func TrainLabelFilter(heldOut *vidsim.Video, det *detect.Detector, model *specnn
 		Threshold:   threshold,
 		Selectivity: float64(pass) / float64(total),
 	}
+}
+
+// CascadeRates are measured held-out pass rates for a trained filter
+// cascade. The filters detect the same objects and are therefore highly
+// correlated — multiplying individual selectivities would badly
+// underestimate the joint pass rate, so the cascade is measured jointly.
+type CascadeRates struct {
+	// Content is the fraction of frames passing every content filter.
+	Content float64
+	// Joint is the fraction passing content and label filters together —
+	// the frames the detector runs on.
+	Joint float64
+}
+
+// MeasureCascade measures a trained cascade's pass rates on every
+// stride-th held-out frame (sampleN as for the Train functions). The label
+// filter, when there is one, reads the exact presence-tail column, so it
+// needs cols; content filters read cols when given, descriptors otherwise.
+func MeasureCascade(heldOut *vidsim.Video, content []*ContentFilter, label *LabelFilter, cols Columns, sampleN int) CascadeRates {
+	if label != nil && cols == nil {
+		panic("filters: measuring a label filter needs the held-out columns")
+	}
+	frames := newFrameSignals(heldOut, cols)
+	stride := trainStride(heldOut.Frames, sampleN)
+	n, contentPass, jointPass := 0, 0, 0
+	for f := 0; f < heldOut.Frames; f += stride {
+		n++
+		pass := true
+		for _, cf := range content {
+			if !cf.Admits(frames.signal(cf.Column, f)) {
+				pass = false
+				break
+			}
+		}
+		if pass {
+			contentPass++
+			pass = label == nil || cols.Tail1(label.Head, f) >= label.Threshold
+		}
+		if pass {
+			jointPass++
+		}
+	}
+	if n == 0 {
+		return CascadeRates{Content: 1, Joint: 1}
+	}
+	return CascadeRates{Content: float64(contentPass) / float64(n), Joint: float64(jointPass) / float64(n)}
 }
 
 // TemporalStep returns the frame subsampling step the duration constraint

@@ -186,7 +186,7 @@ func TestTrainedFiltersNoFalseNegatives(t *testing.T) {
 	}
 	pred := target.Preds[0]
 
-	cf := TrainContentFilter(held, dHeld, target, pred, 0)
+	cf := TrainContentFilter(held, dHeld, target, pred, 0, nil)
 	if cf == nil {
 		t.Skip("no red buses on held-out day at this scale")
 	}
@@ -204,12 +204,42 @@ func TestTrainedFiltersNoFalseNegatives(t *testing.T) {
 		t.Fatal(err)
 	}
 	infHeld := specnn.Run(model, held)
+	// Trained from the inference pass's content column, the filter is the
+	// one trained from descriptors, bit for bit.
+	run, _ := specnn.RunRange(model, held, 0, held.Frames)
+	cols := runColumns{run}
+	if got := TrainContentFilter(held, dHeld, target, pred, 0, cols); *got != *cf {
+		t.Errorf("filter trained from the column %+v, from descriptors %+v", *got, *cf)
+	}
 	lf := TrainLabelFilter(held, dHeld, model, infHeld, target, 0)
 	if lf == nil {
 		t.Fatal("label filter should train")
 	}
 	if lf.Selectivity > 0.9 {
 		t.Errorf("label filter admits %.0f%% of frames", lf.Selectivity*100)
+	}
+
+	// The cascade's pass rates read from columns are the ones descriptors
+	// and the network give, frame by frame.
+	const sampleN = 3000
+	got := MeasureCascade(held, []*ContentFilter{cf}, lf, cols, sampleN)
+	ev := specnn.NewEvaluator(model, held)
+	n, contentPass, jointPass := 0, 0, 0
+	for f := 0; f < held.Frames; f += trainStride(held.Frames, sampleN) {
+		n++
+		ev.Seek(f)
+		if cf.Admits(cf.Signal(ev.Raw())) {
+			contentPass++
+			if ev.TailProb(lf.Head, 1) >= lf.Threshold {
+				jointPass++
+			}
+		}
+	}
+	if want := (CascadeRates{Content: float64(contentPass) / float64(n), Joint: float64(jointPass) / float64(n)}); got != want {
+		t.Errorf("cascade rates from columns %+v, from the network %+v", got, want)
+	}
+	if got := MeasureCascade(held, []*ContentFilter{cf}, nil, nil, sampleN); got.Content != float64(contentPass)/float64(n) {
+		t.Errorf("content rate from descriptors %v, want %v", got.Content, float64(contentPass)/float64(n))
 	}
 
 	// No false negatives on the held-out day: every frame with a matching
@@ -232,7 +262,7 @@ func TestTrainedFiltersNoFalseNegatives(t *testing.T) {
 			continue
 		}
 		ex.Frame(f, desc)
-		if !cf.Pass(desc) {
+		if !cf.Admits(cf.Signal(desc)) {
 			t.Errorf("frame %d: content filter false negative", f)
 		}
 		if !lf.Pass(infHeld, f) {
@@ -248,11 +278,17 @@ func TestTrainContentFilterRejectsUpperBounds(t *testing.T) {
 	dHeld, _ := detect.New(held)
 	target := Target{Class: vidsim.Bus}
 	if f := TrainContentFilter(held, dHeld, target,
-		frameql.UDFPred{Func: "redness", Arg: "content", Op: "<", Value: 17.5}, 500); f != nil {
+		frameql.UDFPred{Func: "redness", Arg: "content", Op: "<", Value: 17.5}, 500, nil); f != nil {
 		t.Error("upper-bound predicates have no conservative frame filter")
 	}
 	if f := TrainContentFilter(held, dHeld, target,
-		frameql.UDFPred{Func: "area", Arg: "mask", Op: ">", Value: 1}, 500); f != nil {
+		frameql.UDFPred{Func: "area", Arg: "mask", Op: ">", Value: 1}, 500, nil); f != nil {
 		t.Error("area has no frame surrogate")
 	}
 }
+
+// runColumns serves an inference pass over a whole day as Columns.
+type runColumns struct{ c specnn.Columns }
+
+func (r runColumns) Signal(u, f int) float64   { return r.c.Signals[u][f] }
+func (r runColumns) Tail1(head, f int) float64 { return r.c.Tail1[head][f] }

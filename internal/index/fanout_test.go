@@ -24,17 +24,7 @@ func TestBuildExtendColumnsOnRandomNet(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg = cfg.Scaled(0.004)
-	rng := rand.New(rand.NewSource(5))
-	mu, sigma := make([]float64, feature.Dim), make([]float64, feature.Dim)
-	for i := range mu {
-		mu[i], sigma[i] = rng.NormFloat64(), 0.5+rng.Float64()
-	}
-	model := &specnn.CountModel{
-		Net: nn.New(nn.Config{Inputs: feature.Dim, Hidden: []int{16}, Seed: 5,
-			Heads: []nn.HeadSpec{{Name: "car", Classes: 4}, {Name: "bus", Classes: 3}}}),
-		HeadInfo: []specnn.Head{{Class: vidsim.Car, Classes: 4}, {Class: vidsim.Bus, Classes: 3}},
-		Mu:       mu, Sigma: sigma,
-	}
+	model := randomNetModel(5)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 
 	live := vidsim.GenerateLive(cfg, 2, ChunkFrames+211)
@@ -64,5 +54,21 @@ func TestBuildExtendColumnsOnRandomNet(t *testing.T) {
 				t.Fatalf("head %d frame %d: tail column %v, serial %v", h, f, got, want)
 			}
 		}
+	}
+}
+
+// randomNetModel is an untrained car/bus counting model over random
+// weights and input statistics: inference runs without a training pass.
+func randomNetModel(seed int64) *specnn.CountModel {
+	rng := rand.New(rand.NewSource(seed))
+	mu, sigma := make([]float64, feature.Dim), make([]float64, feature.Dim)
+	for i := range mu {
+		mu[i], sigma[i] = rng.NormFloat64(), 0.5+rng.Float64()
+	}
+	return &specnn.CountModel{
+		Net: nn.New(nn.Config{Inputs: feature.Dim, Hidden: []int{16}, Seed: seed,
+			Heads: []nn.HeadSpec{{Name: "car", Classes: 4}, {Name: "bus", Classes: 3}}}),
+		HeadInfo: []specnn.Head{{Class: vidsim.Car, Classes: 4}, {Class: vidsim.Bus, Classes: 3}},
+		Mu:       mu, Sigma: sigma,
 	}
 }

@@ -2,6 +2,7 @@ package index
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -10,8 +11,10 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
+	"repro/internal/feature"
 	"repro/internal/specnn"
 	"repro/internal/vidsim"
 )
@@ -29,11 +32,15 @@ import (
 // and the file rewritten.
 var ErrCorrupt = errors.New("index: corrupt file")
 
+// Version history of the magics that have moved: segments went to 2 when
+// chunk records gained the content-signal columns, summaries when trained
+// content filters gained their resolved column. Either older file loads as
+// ErrCorrupt — a cache miss that rebuilds and rewrites it.
 var (
-	magicSegment = [8]byte{'B', 'L', 'Z', 'I', 'X', 'S', 'G', '1'}
+	magicSegment = [8]byte{'B', 'L', 'Z', 'I', 'X', 'S', 'G', '2'}
 	magicModel   = [8]byte{'B', 'L', 'Z', 'I', 'X', 'M', 'D', '1'}
 	magicLabels  = [8]byte{'B', 'L', 'Z', 'I', 'X', 'L', 'B', '1'}
-	magicSummary = [8]byte{'B', 'L', 'Z', 'I', 'X', 'S', 'M', '1'}
+	magicSummary = [8]byte{'B', 'L', 'Z', 'I', 'X', 'S', 'M', '2'}
 	magicCalib   = [8]byte{'B', 'L', 'Z', 'I', 'X', 'C', 'L', '1'}
 )
 
@@ -151,34 +158,34 @@ func readBlobFile(path string, magic [8]byte, fingerprint uint64) ([]byte, error
 
 // --- segment files ---
 
-// segmentHeaderSize is the fixed prefix before the per-head table.
-const segmentHeaderSize = 8 + 8 + 4 + 4 + 4 // magic, fingerprint, day, chunkFrames, headCount
-
-func writeSegmentHeader(w io.Writer, key Key, heads []specnn.Head) error {
-	if _, err := w.Write(magicSegment[:]); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, key.Fingerprint); err != nil {
-		return err
-	}
-	for _, v := range []uint32{uint32(key.Day), ChunkFrames, uint32(len(heads))} {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
+// segmentHeader is a segment file's header: magic, fingerprint, day,
+// chunk size, the head table, and the names of the content-signal columns
+// every chunk record carries (feature.FrameUDFs, in order).
+func segmentHeader(key Key, heads []specnn.Head) []byte {
+	le := binary.LittleEndian
+	b := append([]byte(nil), magicSegment[:]...)
+	b = le.AppendUint64(b, key.Fingerprint)
+	b = le.AppendUint32(b, uint32(key.Day))
+	b = le.AppendUint32(b, ChunkFrames)
+	b = le.AppendUint32(b, uint32(len(heads)))
 	for _, h := range heads {
-		name := []byte(h.Class)
-		if err := binary.Write(w, binary.LittleEndian, uint16(len(name))); err != nil {
-			return err
-		}
-		if _, err := w.Write(name); err != nil {
-			return err
-		}
-		if err := binary.Write(w, binary.LittleEndian, uint32(h.Classes)); err != nil {
-			return err
-		}
+		b = le.AppendUint16(b, uint16(len(h.Class)))
+		b = append(b, h.Class...)
+		b = le.AppendUint32(b, uint32(h.Classes))
 	}
-	return nil
+	return append(b, signalNames()...)
+}
+
+// signalNames is the header's last section: the count and names of the
+// content-signal columns, in feature.FrameUDFs order.
+func signalNames() []byte {
+	le := binary.LittleEndian
+	b := le.AppendUint32(nil, uint32(len(feature.FrameUDFs)))
+	for _, u := range feature.FrameUDFs {
+		b = le.AppendUint16(b, uint16(len(u.Name)))
+		b = append(b, u.Name...)
+	}
+	return b
 }
 
 func readSegmentHeader(r *bufio.Reader, key Key) ([]specnn.Head, error) {
@@ -227,16 +234,22 @@ func readSegmentHeader(r *bufio.Reader, key Key) ([]specnn.Head, error) {
 		}
 		heads[i] = specnn.Head{Class: vidsim.Class(name), Classes: int(classes)}
 	}
+	want := signalNames()
+	got := make([]byte, len(want))
+	if _, err := io.ReadFull(r, got); err != nil || !bytes.Equal(got, want) {
+		return nil, fmt.Errorf("%w: content columns are not those of this build", ErrCorrupt)
+	}
 	return heads, nil
 }
 
-// chunkRecord serializes one chunk: zone map then columns, per head. It
-// reads from one captured segment state so a record is internally
-// consistent even while writers publish newer states.
+// appendChunkRecord serializes one chunk: zone map then columns, per
+// head, then the content-signal columns. It reads from one captured
+// segment state so a record is internally consistent even while writers
+// publish newer states.
 func appendChunkRecord(buf []byte, model *specnn.CountModel, st *segState, ci int) []byte {
 	z := &st.zones[ci]
 	lo := ci * ChunkFrames
-	payload := make([]byte, 0, 4+z.Frames*16)
+	payload := make([]byte, 0, chunkPayloadLen(model.HeadInfo, z.Frames))
 	le := binary.LittleEndian
 	u32 := func(v uint32) { payload = le.AppendUint32(payload, v) }
 	f64 := func(v float64) { payload = le.AppendUint64(payload, math.Float64bits(v)) }
@@ -259,9 +272,25 @@ func appendChunkRecord(buf []byte, model *specnn.CountModel, st *segState, ci in
 			f64(t)
 		}
 	}
+	for u := range st.signals {
+		for _, v := range st.signals[u][lo : lo+z.Frames] {
+			f64(v)
+		}
+	}
 	buf = le.AppendUint32(buf, uint32(len(payload)))
 	buf = append(buf, payload...)
 	return le.AppendUint32(buf, crc32.ChecksumIEEE(payload))
+}
+
+// chunkPayloadLen is the exact payload length of a chunk record: the frame
+// count; per head the zone map, distribution column and exact-tail column;
+// then the content-signal columns.
+func chunkPayloadLen(heads []specnn.Head, frames int) int {
+	n := 4 + frames*8*len(feature.FrameUDFs)
+	for _, h := range heads {
+		n += 2 + h.Classes*8 + 8 + (frames+63)/64*8 + frames*h.Classes*4 + frames*8
+	}
+	return n
 }
 
 // writeSegmentFile persists the whole segment atomically, from one
@@ -269,7 +298,7 @@ func appendChunkRecord(buf []byte, model *specnn.CountModel, st *segState, ci in
 func writeSegmentFile(path string, s *Segment) error {
 	st := s.st()
 	return atomicWrite(path, func(w *bufio.Writer) error {
-		if err := writeSegmentHeader(w, s.key, s.model.HeadInfo); err != nil {
+		if _, err := w.Write(segmentHeader(s.key, s.model.HeadInfo)); err != nil {
 			return err
 		}
 		for ci := range st.zones {
@@ -307,10 +336,7 @@ func appendSegmentFile(path string, s *Segment, fromChunk int) error {
 	}
 	// Walk record framing (length-prefix + payload + crc) to the target
 	// chunk's offset.
-	offset := int64(segmentHeaderSize)
-	for _, h := range heads {
-		offset += int64(2 + len(h.Class) + 4)
-	}
+	offset := int64(len(segmentHeader(s.key, heads)))
 	for ci := 0; ci < fromChunk; ci++ {
 		var n uint32
 		if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
@@ -349,7 +375,12 @@ func readSegmentFile(path string, key Key, model *specnn.CountModel, v *vidsim.V
 		return nil, err
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<20)
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	size := fi.Size()
+	br := bufio.NewReaderSize(f, int(min(size, 1<<20)))
 	heads, err := readSegmentHeader(br, key)
 	if err != nil {
 		return nil, err
@@ -357,11 +388,16 @@ func readSegmentFile(path string, key Key, model *specnn.CountModel, v *vidsim.V
 	if err := validateHeads(heads, model); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	st := &segState{
-		probs: make([][]float32, len(heads)),
-		tail1: make([][]float64, len(heads)),
+	// Size every column once. Each frame takes its column bytes in some
+	// record, so the file's length bounds the frames it can hold; the
+	// horizon bounds those a valid file may hold.
+	perFrame := 8 * len(feature.FrameUDFs)
+	for _, h := range heads {
+		perFrame += h.Classes*4 + 8
 	}
+	st := newLoadState(heads, min(int(size/int64(perFrame)), v.Frames))
 	le := binary.LittleEndian
+	var payload []byte
 	for {
 		var n uint32
 		if err := binary.Read(br, le, &n); err != nil {
@@ -370,7 +406,10 @@ func readSegmentFile(path string, key Key, model *specnn.CountModel, v *vidsim.V
 			}
 			return nil, fmt.Errorf("%w: truncated record length: %v", ErrCorrupt, err)
 		}
-		payload := make([]byte, n)
+		if int64(n) > size {
+			return nil, fmt.Errorf("%w: chunk %d record length %d exceeds the file", ErrCorrupt, len(st.zones), n)
+		}
+		payload = slices.Grow(payload[:0], int(n))[:n]
 		if _, err := io.ReadFull(br, payload); err != nil {
 			return nil, fmt.Errorf("%w: truncated record: %v", ErrCorrupt, err)
 		}
@@ -390,6 +429,32 @@ func readSegmentFile(path string, key Key, model *specnn.CountModel, v *vidsim.V
 	}
 	st.inf = specnn.NewInferenceFromColumns(model, v, st.frames, st.probs)
 	return newSegmentWithState(key, model, st), nil
+}
+
+// newLoadState returns an empty loader state whose columns have room for
+// maxFrames frames.
+func newLoadState(heads []specnn.Head, maxFrames int) *segState {
+	st := &segState{
+		probs:   make([][]float32, len(heads)),
+		tail1:   make([][]float64, len(heads)),
+		signals: make([][]float64, len(feature.FrameUDFs)),
+	}
+	for h, head := range heads {
+		st.probs[h] = make([]float32, 0, maxFrames*head.Classes)
+		st.tail1[h] = make([]float64, 0, maxFrames)
+	}
+	for u := range st.signals {
+		st.signals[u] = make([]float64, 0, maxFrames)
+	}
+	return st
+}
+
+// extend lengthens *col by n elements and returns them; it reallocates only
+// when the loader's up-front sizing fell short.
+func extend[T any](col *[]T, n int) []T {
+	s := slices.Grow(*col, n)
+	*col = s[:len(s)+n]
+	return (*col)[len(s):]
 }
 
 // decodeChunk appends one chunk record's zone map and columns to a
@@ -414,6 +479,14 @@ func (st *segState) decodeChunk(payload []byte, heads []specnn.Head) error {
 	if len(st.zones) > 0 && st.zones[len(st.zones)-1].Frames != ChunkFrames {
 		return fmt.Errorf("%w: chunk %d follows a partial chunk", ErrCorrupt, len(st.zones))
 	}
+	if err := need(chunkPayloadLen(heads, frames) - 4); err != nil {
+		return err
+	}
+	f64 := func() float64 {
+		v := math.Float64frombits(le.Uint64(payload[pos:]))
+		pos += 8
+		return v
+	}
 	z := Zone{
 		Frames:   frames,
 		MinPred:  make([]uint8, len(heads)),
@@ -424,31 +497,33 @@ func (st *segState) decodeChunk(payload []byte, heads []specnn.Head) error {
 	}
 	words := (frames + 63) / 64
 	for h, head := range heads {
-		if err := need(2 + head.Classes*8 + 8 + words*8 + frames*head.Classes*4 + frames*8); err != nil {
-			return err
-		}
 		z.MinPred[h] = payload[pos]
 		z.MaxPred[h] = payload[pos+1]
 		pos += 2
 		z.MaxTail[h] = make([]float64, head.Classes)
 		for n := range z.MaxTail[h] {
-			z.MaxTail[h][n] = math.Float64frombits(le.Uint64(payload[pos:]))
-			pos += 8
+			z.MaxTail[h][n] = f64()
 		}
-		z.MaxTail1[h] = math.Float64frombits(le.Uint64(payload[pos:]))
-		pos += 8
+		z.MaxTail1[h] = f64()
 		z.Presence[h] = make([]uint64, words)
 		for i := range z.Presence[h] {
 			z.Presence[h][i] = le.Uint64(payload[pos:])
 			pos += 8
 		}
-		for i := 0; i < frames*head.Classes; i++ {
-			st.probs[h] = append(st.probs[h], math.Float32frombits(le.Uint32(payload[pos:])))
+		probs := extend(&st.probs[h], frames*head.Classes)
+		for i := range probs {
+			probs[i] = math.Float32frombits(le.Uint32(payload[pos:]))
 			pos += 4
 		}
-		for i := 0; i < frames; i++ {
-			st.tail1[h] = append(st.tail1[h], math.Float64frombits(le.Uint64(payload[pos:])))
-			pos += 8
+		tail1 := extend(&st.tail1[h], frames)
+		for i := range tail1 {
+			tail1[i] = f64()
+		}
+	}
+	for u := range st.signals {
+		sig := extend(&st.signals[u], frames)
+		for i := range sig {
+			sig[i] = f64()
 		}
 	}
 	if pos != len(payload) {

@@ -25,6 +25,13 @@
 // accounted in dedicated skip counters, never by mutating the simulated
 // cost meter, so results stay bit-identical with and without the index.
 //
+// Beside the network columns, a segment keeps every frame's content
+// signals — one float64 per frame-level content UDF (feature.FrameUDFs),
+// computed by the same inference pass from the raw descriptor it already
+// synthesized. Selection's content filters read these columns instead of
+// synthesizing descriptors again (Provenance-based Data Skipping's point:
+// keep only what the predicate reads).
+//
 // Alongside the network columns, the tier keeps a sparse store of
 // ground-truth-sampled labels: reference-detector counts observed by
 // sampling plans (adaptive sampling, control variates) and planner

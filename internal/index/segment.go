@@ -45,16 +45,17 @@ type Zone struct {
 // publishes it with one atomic pointer swap. Readers therefore never see
 // a torn chunk list and never take a lock.
 type segState struct {
-	frames int
-	probs  [][]float32 // per head, [frame*Classes + class]
-	tail1  [][]float64 // per head, exact P(count >= 1)
-	zones  []Zone
-	inf    *specnn.Inference
+	frames  int
+	probs   [][]float32 // per head, [frame*Classes + class]
+	tail1   [][]float64 // per head, exact P(count >= 1)
+	signals [][]float64 // per feature.FrameUDFs entry, the frame's content signal
+	zones   []Zone
+	inf     *specnn.Inference
 }
 
 // Segment is one materialized class-set × day: the specialized network's
-// columnar outputs over every frame, chunked zone maps, and the model that
-// produced them. The data lives behind an atomically swapped immutable
+// columnar outputs over every frame, the frame-level content signals the
+// same pass computed, chunked zone maps, and the model that produced them. The data lives behind an atomically swapped immutable
 // state, so any number of readers run lock-free and snapshot-consistent
 // while Extend (live ingest, serialized by an internal writer mutex)
 // races ahead. At pins a read-only view of the segment at an exact
@@ -75,16 +76,17 @@ type Segment struct {
 func (s *Segment) st() *segState { return s.state.Load() }
 
 // Build materializes a segment for the video's current frames: one
-// specialized-network pass producing the distribution and exact-tail
-// columns, then zone maps per chunk. The returned simulated cost is the
-// inference pass (the index investment the paper's indexed accounting
-// amortizes across queries).
+// specialized-network pass producing the distribution, exact-tail and
+// content-signal columns, then zone maps per chunk. The returned simulated
+// cost is the inference pass (the index investment the paper's indexed
+// accounting amortizes across queries).
 func Build(key Key, model *specnn.CountModel, v *vidsim.Video) (*Segment, float64) {
-	probs, tail1, sim := specnn.RunRange(model, v, 0, v.Frames)
+	cols, sim := specnn.RunRange(model, v, 0, v.Frames)
 	st := &segState{
-		frames: v.Frames,
-		probs:  probs,
-		tail1:  tail1,
+		frames:  v.Frames,
+		probs:   cols.Probs,
+		tail1:   cols.Tail1,
+		signals: cols.Signals,
 	}
 	st.inf = specnn.NewInferenceFromColumns(model, v, st.frames, st.probs)
 	st.zones = make([]Zone, 0, chunkCount(st.frames))
@@ -148,14 +150,18 @@ func (s *Segment) At(v *vidsim.Video) *Segment {
 	}
 	heads := s.model.HeadInfo
 	ps := &segState{
-		frames: h,
-		probs:  make([][]float32, len(st.probs)),
-		tail1:  make([][]float64, len(st.tail1)),
+		frames:  h,
+		probs:   make([][]float32, len(st.probs)),
+		tail1:   make([][]float64, len(st.tail1)),
+		signals: make([][]float64, len(st.signals)),
 	}
 	for i := range st.probs {
 		k := heads[i].Classes
 		ps.probs[i] = st.probs[i][: h*k : h*k]
 		ps.tail1[i] = st.tail1[i][:h:h]
+	}
+	for u := range st.signals {
+		ps.signals[u] = st.signals[u][:h:h]
 	}
 	ps.inf = specnn.NewInferenceFromColumns(s.model, v, h, ps.probs)
 	if h == st.frames {
@@ -199,6 +205,9 @@ func (s *Segment) MemoryBytes() int64 {
 	for h := range st.probs {
 		b += int64(len(st.probs[h]))*4 + int64(len(st.tail1[h]))*8
 	}
+	for u := range st.signals {
+		b += int64(len(st.signals[u])) * 8
+	}
 	for i := range st.zones {
 		z := &st.zones[i]
 		b += int64(len(z.MinPred)) * 2
@@ -229,15 +238,19 @@ func (s *Segment) Extend(v *vidsim.Video) (added, fromChunk int, simSeconds floa
 	if v.Frames <= st.frames {
 		return 0, len(st.zones), 0
 	}
-	probs, tail1, simSeconds := specnn.RunRange(s.model, v, st.frames, v.Frames)
+	cols, simSeconds := specnn.RunRange(s.model, v, st.frames, v.Frames)
 	ns := &segState{
-		frames: v.Frames,
-		probs:  make([][]float32, len(st.probs)),
-		tail1:  make([][]float64, len(st.tail1)),
+		frames:  v.Frames,
+		probs:   make([][]float32, len(st.probs)),
+		tail1:   make([][]float64, len(st.tail1)),
+		signals: make([][]float64, len(st.signals)),
 	}
 	for h := range st.probs {
-		ns.probs[h] = append(st.probs[h], probs[h]...)
-		ns.tail1[h] = append(st.tail1[h], tail1[h]...)
+		ns.probs[h] = append(st.probs[h], cols.Probs[h]...)
+		ns.tail1[h] = append(st.tail1[h], cols.Tail1[h]...)
+	}
+	for u := range st.signals {
+		ns.signals[u] = append(st.signals[u], cols.Signals[u]...)
 	}
 	added = v.Frames - st.frames
 	fromChunk = st.frames / ChunkFrames

@@ -50,3 +50,17 @@ func (s *Segment) ScoreTail(head, n, lo, hi int, dst []float64) {
 func (s *Segment) Tail1Range(head, lo, hi int) []float64 {
 	return s.st().tail1[head][lo:hi]
 }
+
+// SignalRange returns the content-signal column of frame UDF u (its
+// position in feature.FrameUDFs) for frames [lo, hi): per frame, the UDF's
+// surrogate over the raw descriptor the inference pass synthesized, so the
+// selection content filter thresholds a chunk without synthesizing one
+// again. The returned slice aliases the segment's column and must be
+// treated as read-only.
+func (s *Segment) SignalRange(u, lo, hi int) []float64 {
+	return s.st().signals[u][lo:hi]
+}
+
+// Signal returns frame UDF u's content signal at the frame — one read of
+// the column SignalRange exposes a chunk at a time.
+func (s *Segment) Signal(u, frame int) float64 { return s.st().signals[u][frame] }

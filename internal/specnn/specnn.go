@@ -332,36 +332,56 @@ type Inference struct {
 // Run executes the specialized network over every frame of v, in parallel
 // across CPUs, and returns the per-frame count distributions.
 func Run(m *CountModel, v *vidsim.Video) *Inference {
-	probs, _, _ := RunRange(m, v, 0, v.Frames)
-	return NewInferenceFromColumns(m, v, v.Frames, probs)
+	cols, _ := RunRange(m, v, 0, v.Frames)
+	return NewInferenceFromColumns(m, v, v.Frames, cols.Probs)
+}
+
+// Columns is one inference pass's raw columnar output over a frame range,
+// every column indexed from the range's first frame.
+type Columns struct {
+	// Probs holds per-head float32 count-distribution columns, indexed
+	// [(f-lo)*Classes + c] (the Inference storage format).
+	Probs [][]float32
+	// Tail1 holds a per-head float64 presence-tail column: P(count >= 1)
+	// at full predictor precision, the exact quantity
+	// Evaluator.TailProb(head, 1) computes, before the float32 rounding
+	// the distribution columns undergo.
+	Tail1 [][]float64
+	// Signals holds one column per frame-level content UDF, in
+	// feature.FrameUDFs order: the UDF's surrogate over the frame's raw
+	// descriptor, the exact value a content filter compares.
+	Signals [][]float64
 }
 
 // RunRange executes the specialized network over frames [lo, hi) of v, in
-// parallel across CPUs, and returns the raw columnar outputs: per-head
-// float32 count-distribution columns (indexed [(f-lo)*Classes + c], the
-// Inference storage format) plus a per-head float64 presence-tail column
-// holding P(count >= 1) at full predictor precision — the exact quantity
-// Evaluator.TailProb(head, 1) computes, before the float32 rounding the
-// distribution columns undergo. The materialized index persists both: the
-// distribution columns reconstruct an Inference bit-identically, and the
-// exact tail column lets the selection cascade's label filter compare
-// against its threshold with the same bits an on-the-fly Evaluator would.
-// The returned simulated cost covers the range's inference and feature
-// extraction.
-func RunRange(m *CountModel, v *vidsim.Video, lo, hi int) (probs [][]float32, tail1 [][]float64, simSeconds float64) {
+// parallel across CPUs, and returns its raw columns. The materialized index
+// persists all of them: the distribution columns reconstruct an Inference
+// bit-identically, the exact tail column lets the selection cascade's label
+// filter compare against its threshold with the same bits an on-the-fly
+// Evaluator would, and the content-signal columns let its content filters
+// compare without synthesizing a descriptor — the pass already has each
+// frame's raw descriptor in hand. The returned simulated cost covers the
+// range's inference and feature extraction.
+func RunRange(m *CountModel, v *vidsim.Video, lo, hi int) (cols Columns, simSeconds float64) {
 	n := hi - lo
 	if n < 0 {
 		n = 0
 	}
-	probs = make([][]float32, len(m.HeadInfo))
-	tail1 = make([][]float64, len(m.HeadInfo))
+	cols = Columns{
+		Probs:   make([][]float32, len(m.HeadInfo)),
+		Tail1:   make([][]float64, len(m.HeadInfo)),
+		Signals: make([][]float64, len(feature.FrameUDFs)),
+	}
 	for hIdx, h := range m.HeadInfo {
-		probs[hIdx] = make([]float32, n*h.Classes)
-		tail1[hIdx] = make([]float64, n)
+		cols.Probs[hIdx] = make([]float32, n*h.Classes)
+		cols.Tail1[hIdx] = make([]float64, n)
+	}
+	for u := range cols.Signals {
+		cols.Signals[u] = make([]float64, n)
 	}
 	simSeconds = float64(n) * (InferenceCostSeconds + feature.CostSeconds)
 	if n == 0 {
-		return probs, tail1, simSeconds
+		return cols, simSeconds
 	}
 
 	workers := runtime.GOMAXPROCS(0)
@@ -384,11 +404,16 @@ func RunRange(m *CountModel, v *vidsim.Video, lo, hi int) (probs [][]float32, ta
 		x := make([]float64, feature.Dim)
 		for i := wLo; i < wHi; i++ {
 			ex.Frame(lo+i, x)
+			// Content signals read the raw descriptor: record them before
+			// Normalize rewrites it in place.
+			for u := range feature.FrameUDFs {
+				cols.Signals[u][i] = feature.FrameUDFs[u].Signal(x)
+			}
 			m.Normalize(x)
 			ps := pred.Probs(x)
 			for hIdx, headProbs := range ps {
 				k := m.HeadInfo[hIdx].Classes
-				dst := probs[hIdx][i*k : (i+1)*k]
+				dst := cols.Probs[hIdx][i*k : (i+1)*k]
 				for c, p := range headProbs {
 					dst[c] = float32(p)
 				}
@@ -401,11 +426,11 @@ func RunRange(m *CountModel, v *vidsim.Video, lo, hi int) (probs [][]float32, ta
 				if s > 1 {
 					s = 1
 				}
-				tail1[hIdx][i] = s
+				cols.Tail1[hIdx][i] = s
 			}
 		}
 	})
-	return probs, tail1, simSeconds
+	return cols, simSeconds
 }
 
 // NewInferenceFromColumns reconstructs an Inference from raw distribution

@@ -330,7 +330,8 @@ func randomModel(seed int64) *CountModel {
 
 // TestRunRangeMatchesSerialReference: the per-worker fan-out writes the
 // columns a serial frame-by-frame Evaluator computes, bit for bit, at any
-// worker count and for a range that divides unevenly among the workers.
+// worker count and for a range that divides unevenly among the workers —
+// the content signals over the raw descriptor, before normalization.
 func TestRunRangeMatchesSerialReference(t *testing.T) {
 	s := setup(t, "taipei", 0.002)
 	m := randomModel(11)
@@ -338,11 +339,17 @@ func TestRunRangeMatchesSerialReference(t *testing.T) {
 	hi := s.test.Frames - 5
 	for _, procs := range []int{1, 3, 4} {
 		prev := runtime.GOMAXPROCS(procs)
-		probs, tail1, _ := RunRange(m, s.test, lo, hi)
+		cols, _ := RunRange(m, s.test, lo, hi)
 		runtime.GOMAXPROCS(prev)
+		probs, tail1 := cols.Probs, cols.Tail1
 		ev := NewEvaluator(m, s.test)
 		for f := lo; f < hi; f++ {
 			ev.Seek(f)
+			for u, udf := range feature.FrameUDFs {
+				if got, want := cols.Signals[u][f-lo], udf.Signal(ev.Raw()); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%d workers: %s frame %d: %v, serial %v", procs, udf.Name, f, got, want)
+				}
+			}
 			for h, dist := range ev.Probs() {
 				k := m.HeadInfo[h].Classes
 				for c, p := range dist {

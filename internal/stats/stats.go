@@ -342,29 +342,6 @@ func BootstrapProbBelow(xs []float64, b int, bound float64, rng *rand.Rand, f fu
 	return float64(c) / float64(len(dist))
 }
 
-// Quantile returns the q-th quantile (0 <= q <= 1) of sorted xs using
-// linear interpolation between order statistics.
-func Quantile(sorted []float64, q float64) float64 {
-	n := len(sorted)
-	if n == 0 {
-		return math.NaN()
-	}
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[n-1]
-	}
-	pos := q * float64(n-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
 // MeanAbsError returns the mean absolute difference between paired slices.
 func MeanAbsError(pred, truth []float64) float64 {
 	if len(pred) != len(truth) {

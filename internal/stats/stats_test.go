@@ -198,21 +198,6 @@ func TestOnlineCovZeroValue(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	cases := []struct{ q, want float64 }{
-		{0, 1}, {1, 5}, {0.5, 3}, {0.25, 2}, {0.125, 1.5},
-	}
-	for _, c := range cases {
-		if got := Quantile(xs, c.q); !almostEqual(got, c.want, 1e-12) {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Error("Quantile(nil) should be NaN")
-	}
-}
-
 func TestBootstrapProbBelow(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	xs := make([]float64, 300)
