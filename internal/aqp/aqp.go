@@ -17,15 +17,20 @@
 // unbiased for any c and has variance (1 − Corr(m,t)²)·Var(m) at the
 // optimal c — sampling stops earlier in exact proportion to the squared
 // correlation.
+//
+// The package holds the procedure's two halves: the draw order (Sampler)
+// and the estimator with its stopping rule (Estimator). Sample and
+// ControlVariates are the serial loop over them; the engine runs the same
+// two as a scan over the draw order, whose operator owns fan-out and
+// suspension — a draw is the unit it can stop at, and since the k-th draw
+// is a pure function of (seed, k) and the stopping rule fires only at
+// round boundaries, where it stops never changes what it computes.
 package aqp
 
 import (
-	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/hrand"
-	"repro/internal/parallel"
 	"repro/internal/stats"
 )
 
@@ -44,12 +49,6 @@ type Options struct {
 	Seed int64
 	// MaxSamples caps the sample budget; 0 means the whole population.
 	MaxSamples int
-	// Parallelism is the number of workers measuring drawn frames
-	// concurrently (<= 1 measures serially). The draw schedule and the
-	// accumulation order are fixed by the sharded sampler regardless of
-	// this value, so estimates are bit-identical at every level; measure
-	// functions must be safe for concurrent use when it exceeds 1.
-	Parallelism int
 }
 
 func (o Options) withDefaults() Options {
@@ -100,16 +99,16 @@ type Result struct {
 	Correlation float64
 }
 
-// samplerShards is the fixed number of PRNG shards the sharded sampler
-// partitions the population into. Fixed — never derived from the
-// parallelism level — so the draw schedule is identical however many
-// workers measure the draws.
+// samplerShards is the fixed number of PRNG shards the sampler partitions
+// the population into. Fixed — never derived from the parallelism level —
+// so the draw schedule is identical however many workers measure the
+// draws.
 const samplerShards = 32
 
 // aqpSalt namespaces the sampler's hash draws within the hrand domain.
 const aqpSalt int64 = 0xaa9b
 
-// shardedSampler draws uniformly without replacement from [0, population)
+// Sampler draws uniformly without replacement from [0, population)
 // using one independent hrand.Stream per contiguous population shard,
 // keyed by (salt, seed, shard). Draws cycle the shards round-robin in a
 // seed-derived random order, so the k-th global draw is a pure function
@@ -128,7 +127,7 @@ const aqpSalt int64 = 0xaa9b
 // of a mean over proportional strata, the SRS-based CLT stopping rule
 // the adaptive loop applies is conservative — the error bound still
 // holds, at the cost of at most a few extra samples.
-type shardedSampler struct {
+type Sampler struct {
 	shards []samplerShard
 	perm   []int // seed-derived shard visiting order
 	cur    int   // round-robin cursor into perm
@@ -142,7 +141,8 @@ type samplerShard struct {
 	remap  map[int]int
 }
 
-func newShardedSampler(population int, seed int64) *shardedSampler {
+// NewSampler returns the draw order of a population under a seed.
+func NewSampler(population int, seed int64) *Sampler {
 	n := samplerShards
 	if n > population {
 		n = population
@@ -150,7 +150,7 @@ func newShardedSampler(population int, seed int64) *shardedSampler {
 	if n < 1 {
 		n = 1
 	}
-	s := &shardedSampler{shards: make([]samplerShard, n), perm: make([]int, n)}
+	s := &Sampler{shards: make([]samplerShard, n), perm: make([]int, n)}
 	for i := range s.shards {
 		lo := i * population / n
 		hi := (i + 1) * population / n
@@ -174,9 +174,9 @@ func newShardedSampler(population int, seed int64) *shardedSampler {
 	return s
 }
 
-// next returns the next distinct frame; it must be called at most
+// Next returns the next distinct frame; it must be called at most
 // population times.
-func (s *shardedSampler) next() int {
+func (s *Sampler) Next() int {
 	for {
 		sh := &s.shards[s.perm[s.cur]]
 		s.cur = (s.cur + 1) % len(s.perm)
@@ -193,90 +193,156 @@ func (s *shardedSampler) next() int {
 		if !ok {
 			vj = j
 		}
-		sh.remap[i], sh.remap[j] = vj, vi
+		// Position i is drawn now and never read again: only j's value
+		// moves.
+		sh.remap[j] = vi
 		sh.drawn++
 		return sh.lo + vj
 	}
 }
 
-// SamplerState is the serializable draw state of the sharded sampler: the
-// round-robin cursor plus, per shard, the number of draws made and the
-// lazy Fisher–Yates remap entries. The shard streams themselves need no
-// state beyond the draw count — the k-th draw is the pure hash
-// U64(salt, seed, shard, k).
-type SamplerState struct {
-	Cur    int                `json:"cur"`
-	Shards []SamplerShardSave `json:"shards"`
+// Estimator is the adaptive sampling procedure over a stream of draws:
+// the moment accumulators, the control-variate correction when a signal is
+// set, and the CLT stopping rule applied at each round boundary.
+type Estimator struct {
+	opts  Options
+	z     float64
+	round int
+	// signal is the control variate's cheap per-frame value t, nil for
+	// plain sampling; tau and varT are its exact mean and variance.
+	signal    func(frame int) float64
+	tau, varT float64
+
+	acc  stats.Online    // plain sampling's measurements
+	mo   stats.OnlineCov // (measurement, signal) pairs under control variates
+	res  Result
+	done bool
 }
 
-// SamplerShardSave is one shard's draw state.
-type SamplerShardSave struct {
-	Drawn int      `json:"drawn"`
-	Remap [][2]int `json:"remap,omitempty"`
+// NewEstimator starts plain adaptive sampling (the §6.1 procedure).
+func NewEstimator(opts Options) *Estimator {
+	opts = opts.withDefaults()
+	return &Estimator{opts: opts, z: stats.ZScoreForConfidence(opts.Confidence), round: opts.startupSamples()}
 }
 
-// state snapshots the sampler.
-func (s *shardedSampler) state() SamplerState {
-	st := SamplerState{Cur: s.cur, Shards: make([]SamplerShardSave, len(s.shards))}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sv := SamplerShardSave{Drawn: sh.drawn}
-		for k, v := range sh.remap {
-			sv.Remap = append(sv.Remap, [2]int{k, v})
+// NewControlVariatesEstimator starts adaptive sampling with the method of
+// control variates (§6.3): signal gives the cheap per-frame control value t,
+// and tau and varT are its exact mean and variance over the whole
+// population. A non-positive control variance degrades to plain sampling —
+// a constant control signal cannot reduce variance.
+func NewControlVariatesEstimator(opts Options, signal func(frame int) float64, tau, varT float64) *Estimator {
+	e := NewEstimator(opts)
+	if varT > 0 {
+		e.signal, e.tau, e.varT = signal, tau, varT
+	}
+	return e
+}
+
+// RoundSize is the number of draws per round: the startup sample size K/ε,
+// by which the sample also grows each round (linear growth). The last
+// round is cut at the budget.
+func (e *Estimator) RoundSize() int { return e.round }
+
+// Budget is the most draws the procedure takes.
+func (e *Estimator) Budget() int { return e.opts.MaxSamples }
+
+// Samples returns the number of measurements folded so far.
+func (e *Estimator) Samples() int {
+	if e.signal != nil {
+		return e.mo.N()
+	}
+	return e.acc.N()
+}
+
+// Add folds the measurement m of the drawn frame and, when that draw ends a
+// round, applies the stopping rule; it reports whether sampling has ended.
+// Draws must arrive in draw order. The rule fires only at round
+// boundaries, so how a caller batches or pauses between draws never moves
+// a stopping decision.
+func (e *Estimator) Add(frame int, m float64) bool {
+	if e.signal != nil {
+		e.mo.Add(m, e.signal(frame))
+	} else {
+		e.acc.Add(m)
+	}
+	n := e.Samples()
+	if n%e.round != 0 && n < e.opts.MaxSamples {
+		return false
+	}
+	e.res.Rounds++
+	var se float64
+	if e.signal != nil {
+		// Optimal coefficient from the samples so far, using the exact
+		// control variance (lower-variance estimate than the sample one).
+		c := -e.mo.Covariance() / e.varT
+		e.res.C = c
+		e.res.Correlation = e.mo.Correlation()
+		// Var(m + c t) = Var(m) + c² Var(t) + 2c Cov(m, t).
+		v := e.mo.VarianceX() + c*c*e.varT + 2*c*e.mo.Covariance()
+		if v < 0 {
+			v = 0
 		}
-		// Sorted so serialized state is deterministic (maps iterate
-		// randomly).
-		sort.Slice(sv.Remap, func(a, b int) bool { return sv.Remap[a][0] < sv.Remap[b][0] })
-		st.Shards[i] = sv
+		se = math.Sqrt(v/float64(n)) * stats.FinitePopulationCorrection(n, e.opts.Population)
+	} else {
+		se = e.acc.StdDev() / math.Sqrt(float64(n)) * stats.FinitePopulationCorrection(n, e.opts.Population)
 	}
-	return st
+	if e.z*se < e.opts.ErrorTarget {
+		e.res.Converged = true
+		e.res.StdErr = se
+		e.done = true
+	} else if n >= e.opts.MaxSamples {
+		e.res.StdErr = se
+		e.done = true
+	}
+	return e.done
 }
 
-// restore rewinds the sampler to a snapshotted state. The sampler must
-// have been built over the same (population, seed); the shard count pins
-// that.
-func (s *shardedSampler) restore(st SamplerState) error {
-	if len(st.Shards) != len(s.shards) {
-		return fmt.Errorf("aqp: sampler state has %d shards, sampler has %d", len(st.Shards), len(s.shards))
+// Result reports the outcome: final once Add has reported the end, the
+// running estimate otherwise.
+func (e *Estimator) Result() Result {
+	res := e.res
+	if e.signal != nil {
+		res.Estimate = e.mo.MeanX() + res.C*(e.mo.MeanY()-e.tau)
+		res.Samples = e.mo.N()
+	} else {
+		res.Estimate = e.acc.Mean()
+		res.Samples = e.acc.N()
 	}
-	s.cur = st.Cur
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sv := &st.Shards[i]
-		sh.drawn = sv.Drawn
-		sh.stream.SeekTo(int64(sv.Drawn))
-		sh.remap = make(map[int]int, len(sv.Remap))
-		for _, kv := range sv.Remap {
-			sh.remap[kv[0]] = kv[1]
-		}
-	}
-	return nil
+	return res
 }
 
-// measureInto fills vals[i] = measure(frames[i]), fanning out to
-// parallelism workers over contiguous chunks when asked. The output is
-// positional, so accumulation order never depends on worker scheduling.
-func measureInto(frames []int, vals []float64, parallelism int, measure func(frame int) float64) {
-	if parallelism <= 1 || len(frames) < 2 {
-		for i, f := range frames {
-			vals[i] = measure(f)
-		}
-		return
-	}
-	parallel.For(parallelism, len(frames), func(i int) {
-		vals[i] = measure(frames[i])
-	})
+// State is the serializable form of an Estimator: the partial Result's
+// stopping-rule fields and the moment accumulators. Acc holds plain
+// sampling's, Cov the control-variates pairs.
+type State struct {
+	Rounds      int                  `json:"rounds"`
+	Converged   bool                 `json:"converged"`
+	StdErr      float64              `json:"std_err"`
+	C           float64              `json:"c"`
+	Correlation float64              `json:"correlation"`
+	Done        bool                 `json:"done"`
+	Acc         stats.OnlineState    `json:"acc"`
+	Cov         stats.OnlineCovState `json:"cov"`
+}
+
+// State snapshots the estimator.
+func (e *Estimator) State() State {
+	return State{Rounds: e.res.Rounds, Converged: e.res.Converged, StdErr: e.res.StdErr,
+		C: e.res.C, Correlation: e.res.Correlation, Done: e.done, Acc: e.acc.State(), Cov: e.mo.State()}
+}
+
+// Restore rewinds an estimator built with the same options to a snapshot.
+func (e *Estimator) Restore(st State) {
+	e.res.Rounds, e.res.Converged, e.res.StdErr = st.Rounds, st.Converged, st.StdErr
+	e.res.C, e.res.Correlation, e.done = st.C, st.Correlation, st.Done
+	e.acc.Restore(st.Acc)
+	e.mo.Restore(st.Cov)
 }
 
 // Sample runs the adaptive sampling procedure of §6.1 with measure giving
-// the expensive per-frame value (e.g. the detector's object count). Each
-// round's batch of frames is drawn up front from the sharded sampler and
-// measured with Options.Parallelism workers; measure must be safe for
-// concurrent use when that exceeds 1.
+// the expensive per-frame value (e.g. the detector's object count).
 func Sample(opts Options, measure func(frame int) float64) Result {
-	r := NewRun(opts, measure)
-	r.RunTo(-1)
-	return r.Result()
+	return run(NewEstimator(opts), measure)
 }
 
 // ControlVariates runs adaptive sampling with the method of control
@@ -285,207 +351,17 @@ func Sample(opts Options, measure func(frame int) float64) Result {
 // (computable because the specialized network is ~1000× cheaper than the
 // detector). measure remains the expensive ground-truth value m.
 func ControlVariates(opts Options, measure, signal func(frame int) float64, tau, varT float64) Result {
-	r := NewControlVariatesRun(opts, measure, signal, tau, varT)
-	r.RunTo(-1)
-	return r.Result()
+	return run(NewControlVariatesEstimator(opts, signal, tau, varT), measure)
 }
 
-// RunState is the serializable suspension point of an adaptive sampling
-// Run: the per-shard draw state and the partial moment accumulators. A
-// run restored from it continues the exact draw-and-accumulate sequence
-// an uninterrupted run performs, so suspend-then-resume estimates are
-// bit-identical — adaptive rounds are the suspension granularity.
-type RunState struct {
-	// Population pins the frame population the state was drawn from: a
-	// sampling schedule is meaningless over a different population, so
-	// restoring onto a grown live stream must start a fresh run instead.
-	Population int `json:"population"`
-	// Rounds / Converged / CV fields mirror the partial Result.
-	Rounds      int     `json:"rounds"`
-	Converged   bool    `json:"converged"`
-	StdErr      float64 `json:"std_err"`
-	C           float64 `json:"c"`
-	Correlation float64 `json:"correlation"`
-	Done        bool    `json:"done"`
-	// Sampler is the sharded sampler's draw state.
-	Sampler SamplerState `json:"sampler"`
-	// Acc holds the plain accumulator (Sample runs), Cov the paired one
-	// (control-variates runs).
-	Acc stats.OnlineState    `json:"acc"`
-	Cov stats.OnlineCovState `json:"cov"`
-}
-
-// Run is a suspendable adaptive sampling execution: Sample (and
-// ControlVariates) split into explicit rounds so a standing query can
-// stop between rounds, serialize its state, and continue later with
-// bit-identical results.
-type Run struct {
-	opts    Options
-	z       float64
-	smp     *shardedSampler
-	measure func(frame int) float64
-	signal  func(frame int) float64
-	cv      bool
-	tau     float64
-	varT    float64
-
-	acc    stats.Online
-	mo     stats.OnlineCov
-	res    Result
-	done   bool
-	frames []int
-	vals   []float64
-}
-
-// NewRun starts a plain adaptive sampling run (the §6.1 procedure).
-func NewRun(opts Options, measure func(frame int) float64) *Run {
-	opts = opts.withDefaults()
-	return &Run{
-		opts:    opts,
-		z:       stats.ZScoreForConfidence(opts.Confidence),
-		smp:     newShardedSampler(opts.Population, opts.Seed),
-		measure: measure,
-	}
-}
-
-// NewControlVariatesRun starts an adaptive sampling run with the method
-// of control variates (§6.3). A non-positive control variance degrades to
-// plain sampling, exactly as ControlVariates does.
-func NewControlVariatesRun(opts Options, measure, signal func(frame int) float64, tau, varT float64) *Run {
-	if varT <= 0 {
-		// A constant control signal cannot reduce variance.
-		return NewRun(opts, measure)
-	}
-	r := NewRun(opts, measure)
-	r.cv = true
-	r.signal = signal
-	r.tau = tau
-	r.varT = varT
-	return r
-}
-
-// Done reports whether the run has terminated (converged or budget
-// exhausted).
-func (r *Run) Done() bool { return r.done }
-
-// Samples returns the number of expensive measurements taken so far.
-func (r *Run) Samples() int {
-	if r.cv {
-		return r.mo.N()
-	}
-	return r.acc.N()
-}
-
-// step executes one adaptive round: draw a batch, measure it (fanning out
-// per Options.Parallelism), accumulate sequentially, and apply the CLT
-// stopping rule. The body is the former Sample/ControlVariates loop body,
-// verbatim, so one-shot and stepped executions are bit-identical.
-func (r *Run) step() {
-	r.res.Rounds++
-	// Linear growth: each round adds another startup-sized batch.
-	batch := r.opts.startupSamples()
-	if rem := r.opts.MaxSamples - r.Samples(); batch > rem {
-		batch = rem
-	}
-	r.frames = r.frames[:0]
-	for i := 0; i < batch; i++ {
-		r.frames = append(r.frames, r.smp.next())
-	}
-	if cap(r.vals) < len(r.frames) {
-		r.vals = make([]float64, len(r.frames))
-	}
-	r.vals = r.vals[:len(r.frames)]
-	// The expensive measurement fans out; any cheap control signal is
-	// read during sequential accumulation.
-	measureInto(r.frames, r.vals, r.opts.Parallelism, r.measure)
-	var se float64
-	if r.cv {
-		for i, f := range r.frames {
-			r.mo.Add(r.vals[i], r.signal(f))
+// run measures draws in order until the estimator stops.
+func run(e *Estimator, measure func(frame int) float64) Result {
+	smp := NewSampler(e.opts.Population, e.opts.Seed)
+	for range e.opts.MaxSamples {
+		f := smp.Next()
+		if e.Add(f, measure(f)) {
+			break
 		}
-		// Optimal coefficient from the samples so far, using the exact
-		// control variance (lower-variance estimate than the sample one).
-		c := -r.mo.Covariance() / r.varT
-		r.res.C = c
-		r.res.Correlation = r.mo.Correlation()
-		// Var(m + c t) = Var(m) + c² Var(t) + 2c Cov(m, t).
-		v := r.mo.VarianceX() + c*c*r.varT + 2*c*r.mo.Covariance()
-		if v < 0 {
-			v = 0
-		}
-		se = math.Sqrt(v/float64(r.mo.N())) *
-			stats.FinitePopulationCorrection(r.mo.N(), r.opts.Population)
-	} else {
-		for _, v := range r.vals {
-			r.acc.Add(v)
-		}
-		se = r.acc.StdDev() / math.Sqrt(float64(r.acc.N())) *
-			stats.FinitePopulationCorrection(r.acc.N(), r.opts.Population)
 	}
-	if r.z*se < r.opts.ErrorTarget {
-		r.res.Converged = true
-		r.res.StdErr = se
-		r.done = true
-		return
-	}
-	if r.Samples() >= r.opts.MaxSamples {
-		r.res.StdErr = se
-		r.done = true
-	}
-}
-
-// RunTo executes adaptive rounds until at least `samples` measurements
-// have been taken or the run terminates; samples < 0 runs to completion.
-func (r *Run) RunTo(samples int) {
-	for !r.done && (samples < 0 || r.Samples() < samples) {
-		r.step()
-	}
-}
-
-// Result reports the run's outcome: final after Done, the running
-// estimate otherwise.
-func (r *Run) Result() Result {
-	res := r.res
-	if r.cv {
-		res.Estimate = r.mo.MeanX() + res.C*(r.mo.MeanY()-r.tau)
-		res.Samples = r.mo.N()
-	} else {
-		res.Estimate = r.acc.Mean()
-		res.Samples = r.acc.N()
-	}
-	return res
-}
-
-// State snapshots the run for later Restore.
-func (r *Run) State() RunState {
-	return RunState{
-		Population:  r.opts.Population,
-		Rounds:      r.res.Rounds,
-		Converged:   r.res.Converged,
-		StdErr:      r.res.StdErr,
-		C:           r.res.C,
-		Correlation: r.res.Correlation,
-		Done:        r.done,
-		Sampler:     r.smp.state(),
-		Acc:         r.acc.State(),
-		Cov:         r.mo.State(),
-	}
-}
-
-// Restore rewinds the run to a snapshotted state. It fails when the
-// state was drawn from a different population (the caller should start a
-// fresh run over the new population instead).
-func (r *Run) Restore(st RunState) error {
-	if st.Population != r.opts.Population {
-		return fmt.Errorf("aqp: state covers population %d, run targets %d", st.Population, r.opts.Population)
-	}
-	r.res.Rounds = st.Rounds
-	r.res.Converged = st.Converged
-	r.res.StdErr = st.StdErr
-	r.res.C = st.C
-	r.res.Correlation = st.Correlation
-	r.done = st.Done
-	r.acc.Restore(st.Acc)
-	r.mo.Restore(st.Cov)
-	return r.smp.restore(st.Sampler)
+	return e.Result()
 }

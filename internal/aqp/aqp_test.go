@@ -29,10 +29,10 @@ func synthPopulation(n int, corrNoise float64, seed int64) (m, t []float64) {
 func popMean(xs []float64) float64 { return stats.Mean(xs) }
 
 func TestSamplerDistinct(t *testing.T) {
-	s := newShardedSampler(1000, 42)
+	s := NewSampler(1000, 42)
 	seen := make(map[int]bool)
 	for i := 0; i < 1000; i++ {
-		f := s.next()
+		f := s.Next()
 		if f < 0 || f >= 1000 {
 			t.Fatalf("frame %d out of range", f)
 		}
@@ -45,10 +45,10 @@ func TestSamplerDistinct(t *testing.T) {
 
 func TestSamplerCoverage(t *testing.T) {
 	// Exhausting the sampler must enumerate the full population.
-	s := newShardedSampler(100, 7)
+	s := NewSampler(100, 7)
 	sum := 0
 	for i := 0; i < 100; i++ {
-		sum += s.next()
+		sum += s.Next()
 	}
 	if sum != 99*100/2 {
 		t.Errorf("sampler did not cover population: sum = %d", sum)

@@ -44,7 +44,7 @@ func (e *Engine) enumerateAggregate(info *frameql.Info, par int, u *prepUse) ([]
 	naivePlan := &costedPlan{
 		desc: aggDesc("naive-exhaustive", "reference detector on every frame (exact)"),
 		est:  plan.Cost{DetectorCalls: float64(pop), DetectorSeconds: float64(pop) * full},
-		open: func() (plan.Execution[*Result], error) {
+		open: func() (execution, error) {
 			return e.newAggScanExec(info, class, par, "naive-exhaustive", false), nil
 		},
 	}
@@ -57,7 +57,7 @@ func (e *Engine) enumerateAggregate(info *frameql.Info, par int, u *prepUse) ([]
 			DetectorCalls:   base.Presence * float64(pop),
 			DetectorSeconds: base.Presence * float64(pop) * full,
 		},
-		open: func() (plan.Execution[*Result], error) {
+		open: func() (execution, error) {
 			return e.newAggScanExec(info, class, par, "noscope-oracle", true), nil
 		},
 	}
@@ -88,8 +88,8 @@ func (e *Engine) enumerateAggregate(info *frameql.Info, par int, u *prepUse) ([]
 	aqpPlan := &costedPlan{
 		desc: aqpDesc,
 		est:  plan.Cost{DetectorCalls: float64(aqpN), DetectorSeconds: float64(aqpN) * full},
-		open: func() (plan.Execution[*Result], error) {
-			return e.newAQPExec(info, class, par, nil), nil
+		open: func() (execution, error) {
+			return e.newSampleExec(info, class, par, nil), nil
 		},
 	}
 	aqpCand := candidate{Plan: aqpPlan, MarginalSeconds: aqpPlan.est.DetectorSeconds, Accuracy: sampledAccuracy}
@@ -128,7 +128,7 @@ func (e *Engine) enumerateAggregate(info *frameql.Info, par int, u *prepUse) ([]
 	rewritePlan := &costedPlan{
 		desc: rewriteDesc,
 		est:  prepCharges,
-		open: func() (plan.Execution[*Result], error) {
+		open: func() (execution, error) {
 			return e.newRewriteExec(info, prep), nil
 		},
 	}
@@ -152,8 +152,8 @@ func (e *Engine) enumerateAggregate(info *frameql.Info, par int, u *prepUse) ([]
 	cvPlan := &costedPlan{
 		desc: cvDesc,
 		est:  cvEst,
-		open: func() (plan.Execution[*Result], error) {
-			return e.newAQPExec(info, class, par, &prep), nil
+		open: func() (execution, error) {
+			return e.newSampleExec(info, class, par, &prep), nil
 		},
 	}
 	cvCand := candidate{
@@ -336,96 +336,129 @@ func (k *aggScanKernel) finish(res *Result) {
 	res.Value = k.e.scaleAggregate(k.info, float64(k.sum)/float64(k.e.Test.Frames))
 }
 
-// aqpState is the serializable suspension of a sampled aggregate plan
-// (naive-aqp, control-variates): the base cost meter captured when the
-// execution first opened (preparation charges included, so a resumed
-// execution replays exactly what the original observed) plus the adaptive
-// sampler's draw-and-accumulate state.
-type aqpState struct {
-	Horizon int          `json:"horizon"`
-	Base    Stats        `json:"base"`
-	Run     aqp.RunState `json:"run"`
+// sampleState is the serializable suspension of a sampled aggregate plan
+// (naive-aqp, control-variates): the cost meter captured when the execution
+// first opened (preparation charges included, so a resumed execution
+// replays exactly what the original observed; the samples themselves are
+// charged at settlement) plus the estimator's accumulators. The draws need
+// no state — the i-th is a pure function of the seed and i, so a restored
+// scan replays the draws it has measured. Cursors of the executor this
+// kernel replaced also carry run.population and run.sampler, which are
+// ignored: the horizon pins the population.
+type sampleState struct {
+	Horizon int       `json:"horizon"`
+	Base    Stats     `json:"base"`
+	Run     aqp.State `json:"run"`
 }
 
-// aqpExec runs the adaptive sampling plans (§6.1, and §6.3 with a control
-// variate when prep is non-nil). Progress units are measured samples,
-// suspendable at adaptive round boundaries. Sampling schedules are a
-// function of the population, so a cursor restored onto a grown live
-// stream discards its draws and re-runs over the extended population —
-// deterministically, and with repeated ground-truth measurements served
-// from the committed label store, so re-running costs real time
-// proportional to the new samples only.
-type aqpExec struct {
-	e    *Engine
-	info *frameql.Info
-	base Stats
-	run  *aqp.Run
+// sampleKernel runs the adaptive sampling plans (§6.1, and §6.3 with a
+// control variate) as a scan over the sampler's draw order: visited index
+// i is the i-th draw, so progress units are measured samples. produce
+// measures draws with the detector; merge folds them in draw order into the
+// estimator and finishes the scan on the draw whose round boundary fires
+// the stopping rule. The scan's rounds schedule hands the operator one
+// round at a time, so no draw is measured that a serial run would not
+// measure. The draw order is a function of the population, so the scan is
+// a schedule of one horizon: restored or advanced onto a grown live stream
+// it re-runs over the extended population — deterministically, with
+// repeated measurements served from the committed label store.
+type sampleKernel struct {
+	e       *Engine
+	info    *frameql.Info
+	measure func(frame int) float64
+	smp     *aqp.Sampler
+	// frames holds the draws made so far, in draw order; round extends it
+	// before the workers that read it start.
+	frames []int32
+	est    *aqp.Estimator
 }
 
-func (x *aqpExec) meter() *Stats { return &x.base }
-
-func (e *Engine) newAQPExec(info *frameql.Info, class vidsim.Class, par int, prep *aggPrep) *aqpExec {
-	x := &aqpExec{e: e, info: info}
-	measure := e.concurrentCountMeasure(class)
+// newSampleExec opens naive-aqp, or control-variates when prep is non-nil.
+// The range K is the training day's maximum count plus one — the
+// information the labeled set provides about the estimated quantity's
+// range.
+func (e *Engine) newSampleExec(info *frameql.Info, class vidsim.Class, par int, prep *aggPrep) *scanExec[[]float64] {
+	opts := aqp.Options{ErrorTarget: *info.ErrorWithin, Confidence: info.Confidence, Population: e.Test.Frames,
+		Range: e.countRange(&prepUse{family: info.Kind.String()}, class), Seed: e.opts.Seed + 11}
+	k := &sampleKernel{e: e, info: info, measure: e.concurrentCountMeasure(class),
+		smp: aqp.NewSampler(opts.Population, opts.Seed), est: aqp.NewEstimator(opts)}
+	x := newScan(e.exec, info.Kind.String(), "naive-aqp", par, k.est.Budget(), false, k)
 	if prep != nil {
-		prep.charge(info, &x.base)
-		x.base.Plan = "control-variates"
+		x.stats.Plan = "control-variates"
+		prep.charge(info, &x.stats)
 		tau, varT := prep.inf.ExpectedMoments(prep.head)
-		inf, head := prep.inf, prep.head
-		x.run = aqp.NewControlVariatesRun(e.samplingOptions(info, class, par), measure,
-			func(f int) float64 { return inf.ExpectedCount(head, f) }, tau, varT)
-	} else {
-		x.base.Plan = "naive-aqp"
-		x.run = aqp.NewRun(e.samplingOptions(info, class, par), measure)
+		k.est = aqp.NewControlVariatesEstimator(opts, func(f int) float64 { return prep.inf.ExpectedCount(prep.head, f) }, tau, varT)
 	}
+	x.horizon, x.rounds = e.Test.Frames, func(pos, stop int) []shard { return k.round(pos, stop, par) }
 	return x
 }
 
-func (x *aqpExec) cv() bool { return x.base.Plan == "control-variates" }
-
-func (x *aqpExec) Total() int { return -1 }
-func (x *aqpExec) Pos() int   { return x.run.Samples() }
-func (x *aqpExec) Done() bool { return x.run.Done() }
-
-func (x *aqpExec) RunTo(units int) error {
-	x.run.RunTo(units)
-	return nil
+// round draws the rest of pos's round, up to stop, and lays it out as at
+// most par shards.
+func (k *sampleKernel) round(pos, stop, par int) []shard {
+	size := k.est.RoundSize()
+	hi := min(stop, (pos/size+1)*size)
+	for len(k.frames) < hi {
+		k.frames = append(k.frames, int32(k.smp.Next()))
+	}
+	n := max(1, min(par, hi-pos))
+	shards := make([]shard, n)
+	for i := range shards {
+		shards[i] = shard{index: i, lo: pos + i*(hi-pos)/n, hi: pos + (i+1)*(hi-pos)/n}
+	}
+	return shards
 }
 
-func (x *aqpExec) Snapshot() ([]byte, error) {
-	return json.Marshal(&aqpState{Horizon: x.e.Test.Frames, Base: x.base, Run: x.run.State()})
+func (k *sampleKernel) produce(lo, hi int) []float64 {
+	vals := make([]float64, hi-lo)
+	for i := range vals {
+		vals[i] = k.measure(int(k.frames[lo+i]))
+	}
+	return vals
 }
 
-func (x *aqpExec) Restore(state []byte) error {
-	var st aqpState
+// merge folds draws in order; it charges nothing — settlement charges every
+// sample at once, as the serial procedure's meter did.
+func (k *sampleKernel) merge(_ *Stats, _ bool, blo, bhi, off0 int, vals []float64) (int, int, bool, error) {
+	for i := blo; i < bhi; i++ {
+		if k.est.Add(int(k.frames[i]), vals[off0+i-blo]) {
+			return i - blo + 1, 0, true, nil
+		}
+	}
+	return bhi - blo, 0, false, nil
+}
+
+func (k *sampleKernel) save(p *scanProgress) ([]byte, error) {
+	return json.Marshal(&sampleState{Horizon: k.e.Test.Frames, Base: p.stats, Run: k.est.State()})
+}
+
+func (k *sampleKernel) load(state []byte, p *scanProgress) error {
+	var st sampleState
 	if err := json.Unmarshal(state, &st); err != nil {
 		return err
 	}
-	if st.Horizon != x.e.Test.Frames {
-		// The stream grew: the sampling schedule covers a stale
-		// population. Keep the freshly opened run (drawing from the
-		// current population) and the freshly captured base charges —
-		// exactly what a new execution over the extended stream observes.
-		return nil
-	}
-	x.base = st.Base
-	return x.run.Restore(st.Run)
+	k.est.Restore(st.Run)
+	*p = scanProgress{pos: k.est.Samples(), finished: st.Run.Done, stats: st.Base}
+	return nil
 }
 
-func (x *aqpExec) Result() (*Result, error) {
-	if !x.run.Done() {
-		return nil, fmt.Errorf("core: adaptive sampling suspended after %d samples", x.run.Samples())
+// adopt has nothing to take over: a schedule of one horizon restarts.
+func (k *sampleKernel) adopt(scanKernel[[]float64]) {}
+
+// finish charges every sample at once, with the repeated accumulation a
+// serial sampling loop performs, so the meter is bit-identical at every
+// parallelism level and suspension point.
+func (k *sampleKernel) finish(res *Result) {
+	r := k.est.Result()
+	fullCost := k.e.DTest.FullFrameCost()
+	for range r.Samples {
+		res.Stats.addDetection(fullCost)
 	}
-	r := x.run.Result()
-	res := &Result{Kind: x.info.Kind.String(), Stats: x.base}
-	res.Stats.Notes = append([]string(nil), x.base.Notes...)
-	x.e.chargeSampleCost(&res.Stats, r.Samples)
-	if x.cv() {
+	if res.Stats.Plan == "control-variates" {
 		res.Stats.note("control variates: %d samples, corr=%.3f, c=%.3f", r.Samples, r.Correlation, r.C)
 	}
-	res.Value = x.e.scaleAggregate(x.info, r.Estimate)
+	res.Value = k.e.scaleAggregate(k.info, r.Estimate)
 	res.StdErr = r.StdErr
-	return res, nil
 }
 
 // enumerateDistinct produces the single COUNT(DISTINCT trackid)
@@ -444,7 +477,7 @@ func (e *Engine) enumerateDistinct(info *frameql.Info, par int) ([]candidate, er
 			Detail: "detector on every frame with entity resolution (identity needs tracking, §4)",
 		},
 		est:  plan.Cost{DetectorCalls: float64(hi - lo), DetectorSeconds: float64(hi-lo) * full},
-		open: func() (plan.Execution[*Result], error) { return e.newDistinctExec(info, par) },
+		open: func() (execution, error) { return e.newDistinctExec(info, par) },
 	}
 	cands := []candidate{{Plan: p, MarginalSeconds: p.est.DetectorSeconds, Accuracy: exactAccuracy}}
 	if info.Limit >= 0 {
@@ -490,8 +523,8 @@ func (e *Engine) detectorCounts(class vidsim.Class, lo, hi int) []int32 {
 // concurrentCountMeasure returns a goroutine-safe measure function for the
 // detector's per-frame count of a class, with per-worker Counter buffers
 // pooled. Cost is not charged here — sampled plans charge per sample in
-// deterministic order via chargeSampleCost after sampling returns,
-// regardless of how the measurement was served.
+// deterministic order at settlement, regardless of how the measurement was
+// served.
 //
 // Measurements flow through the index tier's ground-truth label store:
 // frames already labeled (by an earlier query this session, or persisted
@@ -513,30 +546,6 @@ func (e *Engine) concurrentCountMeasure(class vidsim.Class) func(frame int) floa
 		pool.Put(c)
 		labels.Observe(class, f, int32(n))
 		return float64(n)
-	}
-}
-
-// chargeSampleCost charges n full-frame detector calls to the meter with
-// the same repeated accumulation a serial sampling loop performs, keeping
-// the simulated cost bit-identical at every parallelism level.
-func (e *Engine) chargeSampleCost(stats *Stats, n int) {
-	fullCost := e.DTest.FullFrameCost()
-	for i := 0; i < n; i++ {
-		stats.addDetection(fullCost)
-	}
-}
-
-// samplingOptions builds AQP options from the query. The range K comes
-// from the training day's maximum count plus one — the information the
-// labeled set provides about the estimated quantity's range.
-func (e *Engine) samplingOptions(info *frameql.Info, class vidsim.Class, par int) aqp.Options {
-	return aqp.Options{
-		ErrorTarget: *info.ErrorWithin,
-		Confidence:  info.Confidence,
-		Range:       e.countRange(&prepUse{family: info.Kind.String()}, class),
-		Population:  e.Test.Frames,
-		Seed:        e.opts.Seed + 11,
-		Parallelism: par,
 	}
 }
 
@@ -584,7 +593,7 @@ type distinctKernel struct {
 	distinct map[int]bool
 }
 
-func (e *Engine) newDistinctExec(info *frameql.Info, par int) (plan.Execution[*Result], error) {
+func (e *Engine) newDistinctExec(info *frameql.Info, par int) (execution, error) {
 	if len(info.Classes) != 1 {
 		return nil, fmt.Errorf("core: COUNT(DISTINCT trackid) needs exactly one class predicate")
 	}

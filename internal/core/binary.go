@@ -44,7 +44,7 @@ func (e *Engine) enumerateBinary(info *frameql.Info, par int, u *prepUse) ([]can
 			desc:  binaryExactDesc(),
 			est:   exactEst,
 			notes: []string{fmt.Sprintf("specialization unavailable (%v); exact scan", modelErr)},
-			open: func() (plan.Execution[*Result], error) {
+			open: func() (execution, error) {
 				return e.newBinaryExec(info, class, nil, par), nil
 			},
 		}
@@ -99,7 +99,7 @@ func (e *Engine) enumerateBinary(info *frameql.Info, par int, u *prepUse) ([]can
 			DetectorCalls:   verifyEst,
 			DetectorSeconds: verifyEst * full,
 		},
-		open: func() (plan.Execution[*Result], error) {
+		open: func() (execution, error) {
 			return e.newBinaryExec(info, class, &prep, par), nil
 		},
 	}
@@ -113,7 +113,7 @@ func (e *Engine) enumerateBinary(info *frameql.Info, par int, u *prepUse) ([]can
 	exactPlan := &costedPlan{
 		desc: binaryExactDesc(),
 		est:  exactEst,
-		open: func() (plan.Execution[*Result], error) {
+		open: func() (execution, error) {
 			return e.newBinaryExec(info, class, nil, par), nil
 		},
 	}

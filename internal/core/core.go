@@ -59,9 +59,9 @@
 // density-limit variant of the LIMIT-bearing ones, and the three scrubbing
 // searches — is the same pipeline (cheap filters → detector → tracker →
 // GAP/LIMIT), and runs on one resumable operator, scanExec (scan.go); so
-// does the specialized rewrite, as a scan of one unit. With the adaptive
-// samplers' aqpExec that makes two executors. The operator is parameterised
-// twice:
+// do the adaptive samplers, as a scan over a draw order, and the
+// specialized rewrite, as a scan of one unit: one executor. The operator
+// is parameterised twice:
 //
 //   - a family kernel (scanKernel): a pure produce over a range of visited
 //     frames, run concurrently on the worker pool, and a merge that
@@ -77,7 +77,9 @@
 //     folding the same products — kept per visited chunk, re-produced
 //     from the pure kernel after a Restore — in chunk order into a fresh
 //     accumulator, so its answer is a temporal scan's over the visited
-//     set.
+//     set. The sampling schedule hands out one round of draws at a time,
+//     so the stopping rule sees each round before a draw of the next is
+//     measured.
 //
 // A kernel maps the operator's visited index i to a frame. For the frame
 // scans it is lo+i·step. For scrubbing (§7) it is rank position i, the
@@ -88,6 +90,10 @@
 // merge is scrub.Searcher's serial probe loop: the scan opens with one
 // worker, and GAP suppression, LIMIT and the charges are a serial search's
 // at every requested parallelism.
+// For adaptive sampling it is the sampler's i-th draw: produce measures
+// draws concurrently, and merge folds them in draw order into
+// aqp.Estimator, finishing on the draw whose round boundary fires the
+// stopping rule.
 //
 // The §8 selection cascade is a stage list (selPrep.stages): the order is
 // decided once per filter plan and carried as data — per stage its pass
@@ -118,22 +124,24 @@
 //
 // # Parallel execution and the per-shard PRNG scheme
 //
-// Every plan family executes its frame scan in parallel: the scan range is
-// split into fixed shardSpan-sized contiguous shards run by a bounded
+// Every plan family executes its scan in parallel: the scan range is split
+// into contiguous shards — fixed shardSpan-sized ones, or for adaptive
+// sampling one round of draws split among the workers — run by a bounded
 // worker pool (Options.Parallelism workers, default GOMAXPROCS), and
 // per-shard outputs are merged — and simulated costs charged — strictly in
-// shard order (see shard.go). Because the shard layout never depends on
-// the worker count, and because all per-frame randomness is counter-based,
-// a query's Result is bit-identical at every parallelism level.
+// shard order (see shard.go). Because products are per frame (per draw) and
+// all per-frame randomness is counter-based, a query's Result is
+// bit-identical at every parallelism level.
 //
 // Sampling-based plans need randomness that survives this contract: a
 // shared sequential RNG would make draw order depend on worker scheduling.
 // Instead, each shard draws from its own hrand.Stream keyed by
 // (salt, seed, shard index) — shard s's k-th draw is the pure hash
 // U64(salt, seed, s, k) regardless of what any other shard has drawn (see
-// internal/aqp's sharded sampler). The schedule of draws across shards is
-// itself deterministic (round-robin in shard order), so statistical plans
-// are reproducible at any parallelism level, including 1.
+// internal/aqp's Sampler). The schedule of draws across shards is itself
+// deterministic (round-robin over a seed-derived shard order), so the i-th
+// draw is a pure function of (seed, i) and statistical plans are
+// reproducible at any parallelism level, including 1.
 package core
 
 import (

@@ -197,7 +197,7 @@ func (e *Engine) densityExhaustiveCand(info *frameql.Info, par int) candidate {
 	p := &costedPlan{
 		desc: desc,
 		est:  plan.Cost{DetectorCalls: float64(frames), DetectorSeconds: float64(frames) * full},
-		open: func() (plan.Execution[*Result], error) {
+		open: func() (execution, error) {
 			// The predicate is trackid-free (guard above), so the raw count per
 			// frame is independent of visit order, and settlement re-tracks
 			// the visited set exactly as a temporal scan over it would.
@@ -234,7 +234,7 @@ func (e *Engine) densityBinaryCand(info *frameql.Info, class vidsim.Class, prep 
 			DetectorCalls:   verify,
 			DetectorSeconds: verify * full,
 		},
-		open: func() (plan.Execution[*Result], error) {
+		open: func() (execution, error) {
 			x := openDensity(e, info, par, pin, heads, conj, func() scanKernel[[]binVerdict] {
 				return e.newBinaryKernel(info, class, prep, 0)
 			})
@@ -275,7 +275,7 @@ func (e *Engine) densitySelectionCand(info *frameql.Info, prep *selPrep, par int
 	p := &costedPlan{
 		desc: desc,
 		est:  est,
-		open: func() (plan.Execution[*Result], error) {
+		open: func() (execution, error) {
 			// Step 1 and no duration predicate (guards above): the default-
 			// order cascade, every track qualifying at settlement.
 			x := openDensity(e, info, par, pin, heads, conj, func() scanKernel[*selArena] {

@@ -24,12 +24,13 @@ import (
 // parallelism level. Two mechanisms carry it:
 //
 //  1. Family exec state is exhaustive: frame position, tracker state,
-//     per-shard PRNG draw counts, partial accumulators and rows, LIMIT and
-//     GAP progress, and the partial cost meter — including the one-time
-//     preparation charges (training, held-out statistics, whole-day
-//     inference) captured when the execution first opened, so a resumed
-//     execution replays exactly what the original observed rather than
-//     re-reading cache state that has since changed.
+//     partial accumulators and rows, LIMIT and GAP progress, and the
+//     partial cost meter — including the one-time preparation charges
+//     (training, held-out statistics, whole-day inference) captured when
+//     the execution first opened, so a resumed execution replays exactly
+//     what the original observed rather than re-reading cache state that
+//     has since changed. What is a pure function of the position — a
+//     sampled plan's draws — is recomputed, not stored.
 //  2. The plan itself is re-derived, not serialized: the cursor carries
 //     the canonical query text and the pinned plan name, and resuming
 //     re-plans and forces that candidate. Planner inputs are held-out
@@ -42,12 +43,11 @@ import (
 //     with current calibration and may switch plans, opening the new pick
 //     fresh so the advanced answer stays exactly a fresh query's answer.
 //
-// Two executors implement plan.Execution: scanExec (scan.go) for every
-// plan that visits frames or rank positions — exhaustive, selection,
-// distinct, exact aggregates, binary, density-limit, the scrubbing
-// searches, whose visited index is a position in a rank order, and the
-// specialized rewrite, a scan of one unit —, and aqpExec for the adaptive
-// samplers.
+// One executor implements plan.Execution: scanExec (scan.go), for every
+// plan — exhaustive, selection, distinct, exact aggregates, binary,
+// density-limit, the scrubbing searches, whose visited index is a position
+// in a rank order, the adaptive samplers, whose visited index is a draw,
+// and the specialized rewrite, a scan of one unit.
 //
 // Advance extends a completed execution over a live stream's newly appended
 // frames: scans whose schedule is prefix-stable (exhaustive, selection,
@@ -67,6 +67,17 @@ import (
 // when it has to leave the process (Suspend); Engine.Advance(cursor) is
 // resume, the same resident advance, suspend.
 
+// execution is a family exec — a scanExec over the family's kernel — as
+// the Execution wrapper drives it: the plan.Execution contract plus its
+// live cost meter (read by tracing), its trace hookup, and Advance's
+// in-memory takeover of the same plan's exec at an earlier snapshot.
+type execution interface {
+	plan.Execution[*Result]
+	meter() *Stats
+	setTrace(*execTrace)
+	adopt(prev execution)
+}
+
 // Execution is one resumable query execution: a planned (or resumed)
 // candidate with its enumeration context, driving the family's exec.
 type Execution struct {
@@ -82,7 +93,7 @@ type Execution struct {
 	// ex is the open family exec; nil after an advance failed part-way, so
 	// the next one opens the pinned plan afresh rather than continue from an
 	// accumulator that may hold half a batch.
-	ex    plan.Execution[*Result]
+	ex    execution
 	final *Result
 	// replanAt and switches are the drift protocol's state (the cursor's
 	// ReplanAtHorizon and PlanSwitches).
@@ -96,7 +107,7 @@ type Execution struct {
 // newExecution opens the chosen candidate's family exec on e — master's
 // view pinned at the snapshot the execution reads — and wraps it.
 func (e *Engine) newExecution(master *Engine, info *frameql.Info, cands []candidate, chosen *candidate, forced bool, par int) (*Execution, error) {
-	ex, err := chosen.Plan.Open()
+	ex, err := chosen.Plan.(*costedPlan).openExec()
 	if err != nil {
 		return nil, err
 	}
@@ -211,7 +222,7 @@ func (x *Execution) Result() (*Result, error) {
 		return x.final, nil
 	}
 	fin := x.tr.rootSpan().Child("finalize")
-	pre := markMeter(x.execMeter())
+	pre := markMeter(x.ex.meter())
 	res, err := x.ex.Result()
 	if err != nil {
 		fin.Fail(err)
@@ -394,12 +405,12 @@ func (x *Execution) Advance(tr *obs.Trace) (*Result, error) {
 
 func (x *Execution) advance(root *obs.Span) (res *Result, err error) {
 	defer func() {
+		x.detachTrace()
 		if res == nil {
 			// Also on a panic out of a scan worker: the accumulator may hold
 			// part of a batch.
 			x.ex, x.final = nil, nil
 		}
-		x.detachTrace()
 	}()
 	e := x.master.pin()
 	root.SetAttr("standing", "true")
@@ -439,7 +450,7 @@ func (x *Execution) advance(root *obs.Span) (res *Result, err error) {
 				return nil, err
 			}
 		}
-		nx, err := chosen.Plan.Open()
+		nx, err := chosen.Plan.(*costedPlan).openExec()
 		if err != nil {
 			return nil, err
 		}
@@ -447,10 +458,8 @@ func (x *Execution) advance(root *obs.Span) (res *Result, err error) {
 		// A switched or re-opened plan starts fresh over the pinned horizon —
 		// exactly what a fresh query at this horizon computes. Otherwise the
 		// plan continues from the accumulator it had at the older snapshot.
-		if a, ok := nx.(interface {
-			adopt(prev plan.Execution[*Result])
-		}); ok && !switched && x.ex != nil {
-			a.adopt(x.ex)
+		if !switched && x.ex != nil {
+			nx.adopt(x.ex)
 		}
 		x.e, x.ex, x.final = e, nx, nil
 		if switched {

@@ -28,7 +28,7 @@ func (e *Engine) enumerateExhaustive(info *frameql.Info, par int) ([]candidate, 
 			Detail: "detector on every frame; general WHERE interpreter per row",
 		},
 		est:  plan.Cost{DetectorCalls: float64(hi - lo), DetectorSeconds: float64(hi-lo) * full},
-		open: func() (plan.Execution[*Result], error) { return e.newExhaustiveExec(info, par) },
+		open: func() (execution, error) { return e.newExhaustiveExec(info, par) },
 	}
 	cands := []candidate{{
 		Plan:            p,
@@ -114,7 +114,7 @@ func (e *Engine) newExhaustiveKernel(info *frameql.Info, lo int) *exhaustiveKern
 		preEval: !exprUsesTrackID(info.Stmt.Where), tracker: track.New(0, 1), last: -1 << 40}
 }
 
-func (e *Engine) newExhaustiveExec(info *frameql.Info, par int) (plan.Execution[*Result], error) {
+func (e *Engine) newExhaustiveExec(info *frameql.Info, par int) (execution, error) {
 	if info.Stmt.Having != nil && info.Residual {
 		return nil, fmt.Errorf("core: unsupported HAVING clause: %s", info.Stmt.Having)
 	}

@@ -47,16 +47,19 @@ type candidate = plan.Costed[*Result]
 type costedPlan struct {
 	desc plan.Description
 	est  plan.Cost
-	open func() (plan.Execution[*Result], error)
+	open func() (execution, error)
 	// notes is planner narration (e.g. fallback reasons) prepended to the
 	// result's notes when the cost-based pick — not a hint — runs this
 	// plan, reproducing the rule-based optimizer's messages.
 	notes []string
 }
 
-func (p *costedPlan) Describe() plan.Description { return p.desc }
-func (p *costedPlan) EstimateCost() plan.Cost    { return p.est }
-func (p *costedPlan) Open() (plan.Execution[*Result], error) {
+func (p *costedPlan) Describe() plan.Description             { return p.desc }
+func (p *costedPlan) EstimateCost() plan.Cost                { return p.est }
+func (p *costedPlan) Open() (plan.Execution[*Result], error) { return p.openExec() }
+
+// openExec opens the plan's family exec.
+func (p *costedPlan) openExec() (execution, error) {
 	if p.open == nil {
 		return nil, fmt.Errorf("core: plan %s is not executable", p.desc.Name)
 	}

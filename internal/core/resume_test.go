@@ -429,8 +429,9 @@ func TestAppendLiveSemantics(t *testing.T) {
 }
 
 // parentCursor is one record of testdata/cursors_pr13.json,
-// testdata/cursors_pr22_scrub.json or testdata/cursors_pr23_rewrite.json: a
-// mid-scan and a completed cursor of one (family, plan), in wire form.
+// testdata/cursors_pr22_scrub.json, testdata/cursors_pr23_rewrite.json or
+// testdata/cursors_pr36_aqp.json: a mid-scan and a completed cursor of one
+// (family, plan), in wire form.
 type parentCursor struct {
 	Name  string          `json:"name"`
 	Query string          `json:"query"`
@@ -455,7 +456,12 @@ type parentCursor struct {
 // those positions itself when it probes them). The specialized-rewrite
 // cursors are from commit 8db8565, the last with a third executor for plans
 // without progress structure: one suspended before its single unit, one
-// after; the rewrite's scan kernel writes the same format.
+// after; the rewrite's scan kernel writes the same format. The sampled
+// aggregate cursors (naive-aqp, control-variates) are from commit f3afea9,
+// the last with a separate adaptive-sampling executor, suspended at
+// parallelism 1 after two sampling rounds: they carry that executor's
+// serialized sampler, which the sampling scan ignores (it replays the
+// draws, a pure function of seed and draw number).
 // The files are frozen: a deliberate cursor format change must keep
 // decoding them, not re-record them.
 func TestResumeParentCursors(t *testing.T) {
@@ -463,7 +469,7 @@ func TestResumeParentCursors(t *testing.T) {
 		t.Skip("trains models")
 	}
 	var cases []parentCursor
-	for _, file := range []string{"testdata/cursors_pr13.json", "testdata/cursors_pr22_scrub.json", "testdata/cursors_pr23_rewrite.json"} {
+	for _, file := range []string{"testdata/cursors_pr13.json", "testdata/cursors_pr22_scrub.json", "testdata/cursors_pr23_rewrite.json", "testdata/cursors_pr36_aqp.json"} {
 		data, err := os.ReadFile(file)
 		if err != nil {
 			t.Fatal(err)

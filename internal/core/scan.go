@@ -8,8 +8,6 @@ import (
 	"time"
 
 	"repro/internal/index"
-	"repro/internal/obs"
-	"repro/internal/plan"
 )
 
 // This file is the scan operator: the one resumable execution every
@@ -21,7 +19,8 @@ import (
 
 // scanKernel is one plan family's part of a scan over visited frames
 // (visited frame i is the family's frame lo+i·step; for scrubbing it is
-// rank position i, the frame order[i]).
+// rank position i, the frame order[i]; for adaptive sampling it is the
+// sampler's i-th draw).
 type scanKernel[P any] interface {
 	// produce evaluates visited frames [lo, hi). It is pure — a function
 	// of the range and the pinned snapshot only — and runs concurrently
@@ -61,11 +60,13 @@ type scanProgress struct {
 	stats    Stats
 }
 
-// scanExec runs one kernel under one schedule. With den nil the schedule
-// is the temporal ramp: visited frames [0, total) in order, each batch
-// charged and folded in one pass. With den set it is the density order
-// (density.go builds it), which charges in visit order and settles by
-// folding the visited chunks' products in chunk order.
+// scanExec runs one kernel under one schedule. With den and rounds nil the
+// schedule is the temporal ramp: visited frames [0, total) in order, each
+// batch charged and folded in one pass. With den set it is the density
+// order (density.go builds it), which charges in visit order and settles by
+// folding the visited chunks' products in chunk order. With rounds set it
+// is a sampling schedule (aggregate.go): visited index i is the i-th draw,
+// total the sample budget.
 type scanExec[P any] struct {
 	scanProgress
 	kind     string
@@ -75,10 +76,16 @@ type scanExec[P any] struct {
 	counters *execCounters
 	k        scanKernel[P]
 	den      *densityOrder[P]
+	// rounds lays out a sampling schedule one round at a time: the draws
+	// from pos to the end of its round (at most stop) as shards. Laying out
+	// no further keeps the operator from measuring a draw the stopping rule
+	// might not reach.
+	rounds func(pos, stop int) []shard
 	// horizon is nonzero when the schedule is a function of the whole
-	// population — the density order, scrubbing's confidence ranking — and
-	// is the stream horizon it was computed at: state suspended at another
-	// horizon describes a visit order this scan does not have (see Restore).
+	// population — the density order, scrubbing's confidence ranking, the
+	// sampler's draw order — and is the stream horizon it was computed at:
+	// state suspended at another horizon describes a visit order this scan
+	// does not have (see Restore).
 	horizon int
 	tr      *execTrace
 	err     error
@@ -94,45 +101,56 @@ func newScan[P any](counters *execCounters, kind, planName string, par, total in
 
 func (x *scanExec[P]) setTrace(t *execTrace) { x.tr = t }
 func (x *scanExec[P]) meter() *Stats         { return &x.stats }
-func (x *scanExec[P]) Total() int            { return x.total }
 func (x *scanExec[P]) Pos() int              { return x.pos }
 func (x *scanExec[P]) Done() bool            { return x.finished || x.pos >= x.total }
 
+// Total is the visited frames the schedule holds; a sampling schedule's
+// budget is only an upper bound, so it reports -1.
+func (x *scanExec[P]) Total() int {
+	if x.rounds != nil {
+		return -1
+	}
+	return x.total
+}
+
 // RunTo scans until units progress units are consumed or the scan is
 // done. The range [pos, stop) is laid out as shards that never cross the
-// stop, produce runs per shard on the worker pool, and consume merges the
-// products strictly in layout order on this goroutine — so stopping at a
-// watermark just ends the loop at a shard edge, an early exit lands on
-// its exact frame, and the resumed scan re-produces the remainder from
-// pure inputs.
+// stop — a sampling schedule's one round at a time —, produce runs per
+// shard on the worker pool, and consume merges the products strictly in
+// layout order on this goroutine — so stopping at a watermark just ends
+// the loop at a shard edge, an early exit lands on its exact frame, and the
+// resumed scan re-produces the remainder from pure inputs.
 func (x *scanExec[P]) RunTo(units int) error {
-	if x.err != nil {
-		return x.err
-	}
 	stop := units
 	if stop < 0 || stop > x.total {
 		stop = x.total
 	}
-	if x.finished || x.pos >= stop {
-		return nil
+	for x.err == nil && !x.finished && x.pos < stop {
+		pos := x.pos
+		var shards []shard
+		switch {
+		case x.den != nil:
+			shards = x.den.layout(x.pos, stop)
+		case x.rounds != nil:
+			shards = x.rounds(x.pos, stop)
+		default:
+			shards = resumeShards(x.pos, stop, x.ramp)
+		}
+		// Workers time their own produce; the channel hand-off to consume
+		// orders each write before its read.
+		produceNS := make([]int64, len(shards))
+		runSharded(x.par, shards, x.counters,
+			func(s shard) P {
+				t0 := time.Now()
+				p := x.k.produce(s.lo, s.hi)
+				produceNS[s.index] = time.Since(t0).Nanoseconds()
+				return p
+			},
+			func(s shard, p P) bool { return x.consume(s, p, produceNS[s.index]) })
+		if x.pos == pos {
+			break // a restored state the schedule has nothing after
+		}
 	}
-	var shards []shard
-	if x.den != nil {
-		shards = x.den.layout(x.pos, stop)
-	} else {
-		shards = resumeShards(x.pos, stop, x.ramp)
-	}
-	// Workers time their own produce; the channel hand-off to consume
-	// orders each write before its read.
-	produceNS := make([]int64, len(shards))
-	runSharded(x.par, shards, x.counters,
-		func(s shard) P {
-			t0 := time.Now()
-			p := x.k.produce(s.lo, s.hi)
-			produceNS[s.index] = time.Since(t0).Nanoseconds()
-			return p
-		},
-		func(s shard, p P) bool { return x.consume(s, p, produceNS[s.index]) })
 	return x.err
 }
 
@@ -140,18 +158,22 @@ func (x *scanExec[P]) RunTo(units int) error {
 // the shard's span (a no-op untraced: spans are nil-safe, and tracing
 // only reads the meter).
 func (x *scanExec[P]) consume(s shard, p P, produceNS int64) bool {
-	var sp *obs.Span
-	if d := x.den; d != nil {
-		ent := d.sched[d.schedPos]
-		sp = x.tr.scanSpan().Child("chunk")
-		sp.SetAttr("chunk", strconv.Itoa(ent.ci))
-		sp.SetAttr("density", strconv.Itoa(ent.density))
-	} else {
-		sp = x.tr.scanSpan().Child("shard")
-		sp.SetAttr("shard", strconv.Itoa(s.index))
+	// Attributes are formatted only when traced: a sampled scan consumes
+	// many small shards.
+	sp := x.tr.scanSpan()
+	if sp != nil {
+		if d := x.den; d != nil {
+			ent := d.sched[d.schedPos]
+			sp = sp.Child("chunk")
+			sp.SetAttr("chunk", strconv.Itoa(ent.ci))
+			sp.SetAttr("density", strconv.Itoa(ent.density))
+		} else {
+			sp = sp.Child("shard")
+			sp.SetAttr("shard", strconv.Itoa(s.index))
+		}
+		sp.SetAttr("range", fmt.Sprintf("[%d,%d)", s.lo, s.hi))
+		sp.SetAttr("produce_ms", strconv.FormatFloat(float64(produceNS)/1e6, 'g', -1, 64))
 	}
-	sp.SetAttr("range", fmt.Sprintf("[%d,%d)", s.lo, s.hi))
-	sp.SetAttr("produce_ms", strconv.FormatFloat(float64(produceNS)/1e6, 'g', -1, 64))
 	mark, pos0, batches := markMeter(&x.stats), x.pos, 0
 
 	more, hits := true, 0
@@ -227,7 +249,7 @@ func (x *scanExec[P]) Restore(state []byte) error {
 // so has only the appended frames (or rank positions) left to visit; a
 // population-dependent one keeps its fresh state and restarts, by Restore's
 // rule.
-func (x *scanExec[P]) adopt(prev plan.Execution[*Result]) {
+func (x *scanExec[P]) adopt(prev execution) {
 	o := prev.(*scanExec[P])
 	if x.horizon != 0 || o.err != nil {
 		return

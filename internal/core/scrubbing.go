@@ -45,8 +45,8 @@ func (e *Engine) enumerateScrubbing(info *frameql.Info, par int, u *prepUse) ([]
 	// search opens the family's one kernel over a probe order, built at open
 	// (enumeration prices every candidate and runs one); prep is the
 	// importance plan's, nil for the orders that carry no preparation.
-	search := func(label string, order func() []int32, prep *scrubPrep) func() (plan.Execution[*Result], error) {
-		return func() (plan.Execution[*Result], error) {
+	search := func(label string, order func() []int32, prep *scrubPrep) func() (execution, error) {
+		return func() (execution, error) {
 			return e.newScrubExec(info, reqs, limit, label, order(), prep), nil
 		}
 	}

@@ -110,7 +110,7 @@ func (e *Engine) enumerateSelection(info *frameql.Info, par int, u *prepUse) ([]
 			continue
 		}
 		cands = append(cands, candidate{
-			Plan: &costedPlan{desc: desc, est: c.est, open: func() (plan.Execution[*Result], error) {
+			Plan: &costedPlan{desc: desc, est: c.est, open: func() (execution, error) {
 				x, err := e.newSelectionExec(info, c.plan, c.prep, par)
 				if err != nil {
 					return nil, err

@@ -18,7 +18,9 @@ import (
 //
 //  1. The shard layout is a function of the scan alone (shardSpan-sized
 //     contiguous ranges), never of the parallelism level. Parallelism only
-//     decides how many workers consume the shard queue.
+//     decides how many workers consume the shard queue. The one exception
+//     is a sampling round, split among the workers: its products are
+//     per-draw measurements, which no layout can change.
 //  2. Shard production is pure: detector and specialized-network outputs
 //     are counter-based (internal/hrand), so a shard's product does not
 //     depend on when or where it runs. Any per-shard randomness comes from
@@ -105,11 +107,7 @@ const batchFrames = index.ChunkFrames
 // chunkEnd returns the end of the consume batch starting at visited frame
 // b: the next batchFrames-aligned boundary, capped at hi (the shard end).
 func chunkEnd(b, hi int) int {
-	e := (b/batchFrames + 1) * batchFrames
-	if e > hi {
-		e = hi
-	}
-	return e
+	return min((b/batchFrames+1)*batchFrames, hi)
 }
 
 // ResolveParallelism applies the engine's parallelism default:

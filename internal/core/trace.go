@@ -54,18 +54,6 @@ func rootOf(tr *obs.Trace) *obs.Span {
 	return tr.Root
 }
 
-// metered exposes a family exec's live cost meter for span deltas. The
-// meter is read-only to the tracing layer.
-type metered interface{ meter() *Stats }
-
-// execMeter returns the family exec's live cost meter, or nil.
-func (x *Execution) execMeter() *Stats {
-	if m, ok := x.ex.(metered); ok {
-		return m.meter()
-	}
-	return nil
-}
-
 // meterMark is one reading of a cost meter; a span records what the meter
 // charged between a mark and the span's end.
 type meterMark struct {
@@ -73,18 +61,15 @@ type meterMark struct {
 	det, chunks, frames int
 }
 
-// markMeter reads m (the zero mark for a nil meter).
+// markMeter reads m.
 func markMeter(m *Stats) meterMark {
-	if m == nil {
-		return meterMark{}
-	}
 	return meterMark{m.TotalSeconds(), m.DetectorCalls, m.IndexChunksSkipped, m.IndexFramesSkipped}
 }
 
-// charged records on sp what m has charged since the mark. A nil span or
-// meter records nothing.
+// charged records on sp what m has charged since the mark. A nil span
+// records nothing.
 func (k meterMark) charged(sp *obs.Span, m *Stats) {
-	if sp == nil || m == nil {
+	if sp == nil {
 		return
 	}
 	sp.SimSeconds = m.TotalSeconds() - k.sim
@@ -113,14 +98,12 @@ func (x *Execution) attachTrace(root *obs.Span, prepWall time.Duration, prepName
 	if x.forced {
 		root.SetAttr("forced", "true")
 	}
-	if th, ok := x.ex.(interface{ setTrace(*execTrace) }); ok {
-		th.setTrace(t)
-	}
+	x.ex.setTrace(t)
 	prep := root.Child(prepName)
 	// The construction already happened; shift the span back over it.
 	wallMS := float64(prepWall.Nanoseconds()) / 1e6
 	prep.StartMS = max(prep.StartMS-wallMS, 0)
-	meterMark{}.charged(prep, x.execMeter())
+	meterMark{}.charged(prep, x.ex.meter())
 	if wallMS > 0 {
 		prep.DurMS = wallMS
 	} else {
@@ -135,9 +118,7 @@ func (x *Execution) detachTrace() {
 		return
 	}
 	x.tr = nil
-	if th, ok := x.ex.(interface{ setTrace(*execTrace) }); ok {
-		th.setTrace(nil)
-	}
+	x.ex.setTrace(nil)
 }
 
 // scanScope captures the meter and progress baselines at the start of one
@@ -158,7 +139,7 @@ func (x *Execution) traceScanStart(units int) *scanScope {
 		sp.SetAttr("units_requested", strconv.Itoa(units))
 	}
 	x.tr.scan = sp
-	return &scanScope{sp: sp, pos0: x.ex.Pos(), mark: markMeter(x.execMeter())}
+	return &scanScope{sp: sp, pos0: x.ex.Pos(), mark: markMeter(x.ex.meter())}
 }
 
 // traceScanEnd closes the RunTo's scan span with progress and meter
@@ -169,7 +150,7 @@ func (x *Execution) traceScanEnd(sc *scanScope, err error) {
 	}
 	x.tr.scan = nil
 	sc.sp.Frames = x.ex.Pos() - sc.pos0
-	sc.mark.charged(sc.sp, x.execMeter())
+	sc.mark.charged(sc.sp, x.ex.meter())
 	sc.sp.Fail(err)
 	sc.sp.End()
 }

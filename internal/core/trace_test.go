@@ -18,8 +18,9 @@ import (
 
 // traceCases is one query per plan family, flagged with whether the
 // family runs on the scan operator (and so must report per-shard child
-// spans; scrubbing's shards are ranges of rank positions, the specialized
-// rewrite's is its one unit).
+// spans; scrubbing's shards are ranges of rank positions, adaptive
+// sampling's are ranges of draws, the specialized rewrite's is its one
+// unit).
 var traceCases = []struct {
 	family string
 	query  string
@@ -27,7 +28,7 @@ var traceCases = []struct {
 	// carries "shard" children whose Frames sum to the scan's Frames.
 	shards bool
 }{
-	{family: "aggregate-sampling", query: `SELECT FCOUNT(*) FROM taipei WHERE class='car' ERROR WITHIN 0.1 AT CONFIDENCE 95%`},
+	{family: "aggregate-sampling", query: `SELECT FCOUNT(*) FROM taipei WHERE class='car' ERROR WITHIN 0.1 AT CONFIDENCE 95%`, shards: true},
 	{family: "aggregate-exhaustive", query: `SELECT FCOUNT(*) FROM taipei WHERE class='bus'`, shards: true},
 	{family: "aggregate-rewrite", query: `SELECT FCOUNT(*) FROM taipei WHERE class='bus' ERROR WITHIN 0.2 AT CONFIDENCE 90%`, shards: true},
 	{family: "distinct-tracking", query: `SELECT COUNT(DISTINCT trackid) FROM taipei WHERE class='bus' AND timestamp < 3000`, shards: true},

@@ -54,16 +54,6 @@ func NewStream(keys ...int64) *Stream {
 	return &Stream{prefix: U64(keys...)}
 }
 
-// Pos returns the number of draws made so far. Because the n-th draw is
-// the pure hash U64(keys..., n), a stream restored with SeekTo(Pos())
-// continues the exact sequence — the hook resumable query plans
-// serialize sampling state through.
-func (s *Stream) Pos() int64 { return s.ctr }
-
-// SeekTo positions the stream so its next draw is the n-th of the key
-// tuple's sequence.
-func (s *Stream) SeekTo(n int64) { s.ctr = n }
-
 // Uint64 returns the next uniform 64-bit draw.
 func (s *Stream) Uint64() uint64 {
 	h := mix(s.prefix ^ uint64(s.ctr))

@@ -99,10 +99,10 @@ type Plan[R any] interface {
 // Execution is one resumable run of a physical plan. Progress is measured
 // in plan-defined units consumed in a deterministic order: visited frames
 // for scan plans, measured samples for adaptive sampling plans, rank-order
-// positions for confidence-ranked search. Implementations may overshoot a
-// RunTo watermark to their next internal boundary (a sampling round);
-// because the unit sequence is fixed, where an execution suspends can
-// never change what it computes.
+// positions for confidence-ranked search. An implementation may overshoot a
+// RunTo watermark to an internal boundary of its own; because the unit
+// sequence is fixed, where an execution suspends can never change what it
+// computes.
 type Execution[R any] interface {
 	// RunTo executes until at least `units` progress units are consumed or
 	// the plan completes; units < 0 runs to completion.
